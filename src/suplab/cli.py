@@ -22,18 +22,10 @@ from . import devmodel as dm
 from . import interleave as il
 from . import model as mdl
 from . import tiersim as ts
-from .errors import SupLabError
+from .errors import SupLabError, load_json_object
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
-
-
-def worker_cap() -> int:
-    """Worker-count cap from SUPLAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SUPLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class _UsageError(Exception):
@@ -44,19 +36,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract here is 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class OutputDir:
@@ -70,9 +49,7 @@ class OutputDir:
         self.root = Path(root)
 
     def write_text(self, name: str, text: str) -> Path:
-        target = self.root / name
-        _atomic_write_text(target, text)
-        return target
+        return self.write_via(name, lambda p: Path(p).write_text(text))
 
     def write_json(self, name: str, payload) -> Path:
         return self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -119,7 +96,11 @@ def _load_device(path_or_preset: str) -> dm.DeviceProfile:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="counter log format")
 
 
 def build_parser() -> _Parser:
@@ -128,6 +109,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="parse and validate a counter log")
     _add_common(p)
+    _add_format(p)
     p.add_argument("--input", required=True)
 
     p = sub.add_parser("breakdown", help="decompose slowdowns for a pairs CSV")
@@ -142,11 +124,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="predict slowdowns for a counter log")
     _add_common(p)
+    _add_format(p)
     p.add_argument("--input", required=True)
     p.add_argument("--params", required=True)
 
     p = sub.add_parser("interleave", help="ratio scanning and best-shot forecasts")
     _add_common(p)
+    _add_format(p)
     p.add_argument("action", choices=("scan", "forecast"))
     p.add_argument("--local", default="local-emr", help="device preset name or profile JSON")
     p.add_argument("--remote", default="cxl-a")
@@ -249,9 +233,8 @@ def _cmd_interleave(args) -> int:
         if not args.workload:
             raise _UsageError("interleave scan requires --workload")
         _require_files(args.workload)
-        w = dm.WorkloadProfile(**json.loads(Path(args.workload).read_text()))
-        curve = il.scan_ratios(w, local, remote, grid=args.grid, seed=args.seed,
-                               max_workers=worker_cap())
+        w = load_json_object(dm.WorkloadProfile, args.workload)
+        curve = il.scan_ratios(w, local, remote, grid=args.grid, seed=args.seed)
         out.write_via("scan.csv", lambda p: il.write_scan_csv(curve, p))
         best_x, best_rt = il.best_scan_point(curve)
         out.write_json("scan_best.json", {"remote_fraction": best_x, "runtime_s": best_rt})
@@ -281,14 +264,12 @@ def _cmd_tiersim(args) -> int:
     local = _load_device(args.local)
     remote = _load_device(args.remote)
     trace = ts.read_trace(args.trace, args.trace_header)
-    raw = json.loads(Path(args.policy_config).read_text())
-    cfgs = [ts.PolicyConfig(**c) for c in (raw if isinstance(raw, list) else [raw])]
-    rows = ts.compare_policies(trace, cfgs, local, remote, seed=args.seed)
+    cfgs = load_json_object(ts.PolicyConfig, args.policy_config, many=True)
+    rows, outcomes = ts.compare_policies(trace, cfgs, local, remote)
     out.write_json("comparison.json", rows)
-    for cfg in cfgs:
-        outcome = ts.simulate(trace, cfg, local, remote, seed=args.seed)
+    for outcome in outcomes:
         out.write_via(
-            f"epochs_{cfg.policy}.csv",
+            f"epochs_{outcome.policy}.csv",
             lambda p, oc=outcome: ts.write_epoch_report_csv(oc, p),
         )
     _write_manifest(out, args, {"trace": args.trace, "policy_config": args.policy_config,
@@ -388,14 +369,14 @@ def _cmd_demo(args) -> int:
         ("deep_overlap", ts.make_deep_overlap_trace(seed)),
         ("no_overlap", ts.make_no_overlap_trace(seed)),
     ):
-        rows = ts.compare_policies(trace, cfgs, local, remote, seed=seed)
+        rows, outcomes = ts.compare_policies(trace, cfgs, local, remote)
         out.write_json(f"tiersim_{name}.json", rows)
         by = {r["policy"]: r for r in rows}
         lines.append(
             f"tiersim {name}: normalized runtime first_touch {by['first_touch']['normalized_runtime']:.2f} "
             f"tpp {by['tpp']['normalized_runtime']:.2f} alto {by['alto']['normalized_runtime']:.2f}"
         )
-        alto_outcome = ts.simulate(trace, cfgs[2], local, remote, seed=seed)
+        alto_outcome = outcomes[ts.POLICIES.index("alto")]
         out.write_via(
             f"tiersim_{name}_alto_epochs.csv",
             lambda p, oc=alto_outcome: ts.write_epoch_report_csv(oc, p),

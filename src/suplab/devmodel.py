@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .counters import CounterSnapshot, RunPair
-from .errors import InconsistentProfile, InvariantViolation, LoadOutOfRange
+from .errors import InconsistentProfile, InvariantViolation, LoadOutOfRange, load_json_object
 from .model import (
     SENSITIVITY_MARGIN,
     ModelParams,
@@ -76,7 +76,7 @@ class DeviceProfile:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DeviceProfile":
-        return cls(**json.loads(Path(path).read_text()))
+        return load_json_object(cls, path)
 
 
 @dataclass(frozen=True)
@@ -166,34 +166,6 @@ def sample_latencies(
     tail_hits = rng.uniform(size=n) < dev.tail_prob
     excess = rng.exponential(1.0, size=n) * dev.tail_scale_ns
     return body + tail_hits * excess
-
-
-def sample_latencies_sharded(
-    dev: DeviceProfile,
-    n: int,
-    load: float = 0.0,
-    seed: int = 0,
-    shards: int = 1,
-    max_workers: int | None = None,
-) -> np.ndarray:
-    """Shard sampling across workers with per-shard derived seeds.
-
-    Results depend on the sharding plan (seed, shard count) but not on the
-    worker pool size, so a fixed plan is reproducible at any parallelism.
-    """
-    if shards < 1:
-        raise InvariantViolation("shards must be >= 1")
-    sizes = [n // shards + (1 if i < n % shards else 0) for i in range(shards)]
-    seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0]) for i in range(shards)]
-    jobs = [(sz, sd) for sz, sd in zip(sizes, seeds) if sz > 0]
-    if max_workers is None or max_workers <= 1 or len(jobs) == 1:
-        parts = [sample_latencies(dev, sz, load, sd) for sz, sd in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(lambda j: sample_latencies(dev, j[0], load, j[1]), jobs))
-    return np.concatenate(parts)
 
 
 def write_latency_samples_csv(samples: Sequence[float] | np.ndarray, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON config loader.
 
 Every error raised on bad data or bad configuration derives from
 :class:`SupLabError` so callers (and the CLI) can distinguish data problems
@@ -6,6 +6,9 @@ Every error raised on bad data or bad configuration derives from
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class SupLabError(Exception):
@@ -84,3 +87,26 @@ class CapacityUnderflow(SupLabError):
 
 class EmptyTrace(SupLabError):
     pass
+
+
+class MalformedConfig(SupLabError):
+    """A JSON config file is not valid JSON or does not fit its dataclass."""
+
+
+def load_json_object(cls, path: str | Path, many: bool = False):
+    """Build the dataclass ``cls`` from the JSON object in ``path``.
+
+    With ``many`` the file may hold one object or an array of them, and a
+    list is returned.  Malformed JSON, a non-object value, an unknown or
+    missing key, or a value the constructor cannot compare raises
+    :class:`MalformedConfig` naming the file (and the key, if any).
+    """
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+        objs = [cls(**item) for item in (raw if many and isinstance(raw, list) else [raw])]
+    except json.JSONDecodeError as exc:
+        raise MalformedConfig(f"{path}: malformed JSON: {exc}") from None
+    except TypeError as exc:
+        raise MalformedConfig(f"{path}: {exc}") from None
+    return objs if many else objs[0]

@@ -33,7 +33,7 @@ from .devmodel import (
     local_snapshot,
     utilization,
 )
-from .errors import EmptyInput, InconsistentProfile, InvariantViolation, MissingFit
+from .errors import EmptyInput, InconsistentProfile, InvariantViolation, MissingFit, load_json_object
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
 
@@ -74,7 +74,7 @@ class InterleaveFit:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "InterleaveFit":
-        return cls(**json.loads(Path(path).read_text()))
+        return load_json_object(cls, path)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def r_components(
 
 
 def scan_point_seed(seed: int, index: int) -> int:
-    """Derived per-ratio seed; keeps scans deterministic under sharding."""
+    """Derived per-ratio seed: a point's jitter depends only on (seed, index)."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
@@ -165,12 +165,12 @@ def scan_ratios(
     grid: int = 101,
     seed: int = 0,
     jitter_rel: float = 0.0,
-    max_workers: int | None = None,
 ) -> list[tuple[float, float]]:
     """Simulated runtime at each ratio on an evenly spaced grid.
 
-    Points are independent simulations with per-point derived seeds, so the
-    curve is identical at any worker-pool size.
+    Points are independent simulations.  With jitter, each point draws its
+    noise from its own derived seed (``scan_point_seed``); without, the
+    seed is unused and none is derived.
     """
     if grid < 2:
         raise InvariantViolation("grid must be >= 2")
@@ -179,19 +179,12 @@ def scan_ratios(
             "bandwidth demand exceeds combined tier capacity; no ratio is feasible"
         )
 
-    def point(j: int) -> tuple[float, float]:
+    curve = []
+    for j in range(grid):
         x = j / (grid - 1)
-        rt = simulate_ratio_point(
-            w, local, remote, x, seed=scan_point_seed(seed, j), jitter_rel=jitter_rel
-        )
-        return (x, rt)
-
-    if max_workers is None or max_workers <= 1:
-        return [point(j) for j in range(grid)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(point, range(grid)))
+        point_seed = scan_point_seed(seed, j) if jitter_rel > 0.0 else 0
+        curve.append((x, simulate_ratio_point(w, local, remote, x, point_seed, jitter_rel)))
+    return curve
 
 
 def best_scan_point(curve: Sequence[tuple[float, float]]) -> tuple[float, float]:

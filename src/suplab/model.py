@@ -21,11 +21,9 @@ from pathlib import Path
 from typing import Literal, Sequence
 
 from .counters import CounterSnapshot, amortized_offcore_latency
-from .errors import EmptyInput, InvariantViolation, NoDemandReads
+from .errors import EmptyInput, InvariantViolation, NoDemandReads, load_json_object
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
-
-PARAM_KEYS = ("k1", "k2", "k3", "k4", "p", "q", "offcore_threshold")
 
 # Amortized latency must exceed the no-overlap anchor latency by this
 # margin before a run counts as bandwidth bound; shared by the calibration
@@ -60,8 +58,7 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ModelParams":
-        data = json.loads(Path(path).read_text())
-        return cls(**{k: float(data[k]) for k in PARAM_KEYS})
+        return load_json_object(cls, path)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ class TraceEpoch:
     """One instruction-interval's demand misses as (page_id, group_size)."""
 
     demand_misses: list[tuple[int, int]]
-    store_intensity: float = 0.0
-    prefetch_intensity: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,7 @@ class PolicyConfig:
 class PolicyOutcome:
     policy: str
     simulated_runtime: float
+    allfast_runtime: float
     promotions: int
     demotions: int
     promo_rate_series: list[int] = field(default_factory=list)
@@ -89,7 +88,6 @@ class PolicyOutcome:
     slow_tier_access_fraction_series: list[float] = field(default_factory=list)
     gate_series: list[float] = field(default_factory=list)
     est_slowdown_series: list[float] = field(default_factory=list)
-    seed: int = 0
 
 
 def alto_gate(amortized_latency: float, cfg: PolicyConfig) -> float:
@@ -119,14 +117,14 @@ def simulate(
     cfg: PolicyConfig,
     local: DeviceProfile,
     remote: DeviceProfile,
-    seed: int = 0,
 ) -> PolicyOutcome:
     """Run one policy over the trace; deterministic for fixed inputs.
 
-    The seed is recorded in the outcome for provenance; the epoch loop
-    itself is fully deterministic (mean device latencies, deterministic
-    tie-breaks), so identical inputs always give identical outcomes.
-    Residency is fixed within an epoch; migrations apply at epoch end.
+    The epoch loop uses mean device latencies and deterministic tie-breaks,
+    so identical inputs always give identical outcomes.  Residency is fixed
+    within an epoch; migrations apply at epoch end.  The outcome also
+    carries the runtime the trace would take with every page in the fast
+    tier, summed miss by miss in trace order.
     """
     import heapq
 
@@ -139,9 +137,10 @@ def simulate(
     lru_heap: list[tuple[int, int, int]] = []   # (epoch, seq, page), lazily stale
     fast_pages = 0
 
-    outcome = PolicyOutcome(policy=cfg.policy, simulated_runtime=0.0,
-                            promotions=0, demotions=0, seed=seed)
+    outcome = PolicyOutcome(policy=cfg.policy, simulated_runtime=0.0, allfast_runtime=0.0,
+                            promotions=0, demotions=0)
     stall_cycles_total = 0.0
+    allfast_cycles_total = 0.0
 
     def pop_lru_victim() -> int:
         while lru_heap:
@@ -211,6 +210,7 @@ def simulate(
         outcome.promotions += promoted
 
         stall_cycles_total += stall
+        allfast_cycles_total += stall_allfast
         outcome.promo_rate_series.append(promoted)
         outcome.amortized_latency_series.append(amortized)
         outcome.slow_tier_access_fraction_series.append(
@@ -227,6 +227,7 @@ def simulate(
         stall_cycles_total / (CLOCK_GHZ * 1e9)
         + outcome.promotions * cfg.migration_cost_us * 1e-6
     )
+    outcome.allfast_runtime = allfast_cycles_total / (CLOCK_GHZ * 1e9)
     return outcome
 
 
@@ -235,26 +236,25 @@ def compare_policies(
     cfgs: Sequence[PolicyConfig],
     local: DeviceProfile,
     remote: DeviceProfile,
-    seed: int = 0,
-) -> list[dict]:
-    """Normalized runtimes against an all-fast-tier baseline of the same trace."""
+) -> tuple[list[dict], list[PolicyOutcome]]:
+    """Normalized runtimes against an all-fast-tier baseline of the same trace.
+
+    Returns one comparison row and one outcome per config, in config order.
+    """
     if not cfgs:
         raise EmptyTrace("no policy configs to compare")
-    baseline_cfg = PolicyConfig(policy="first_touch", fast_capacity=trace.page_count)
-    baseline = simulate(trace, baseline_cfg, local, remote, seed=seed)
-    rows = []
-    for cfg in cfgs:
-        outcome = simulate(trace, cfg, local, remote, seed=seed)
-        rows.append(
-            {
-                "policy": cfg.policy,
-                "runtime_s": outcome.simulated_runtime,
-                "normalized_runtime": outcome.simulated_runtime / baseline.simulated_runtime,
-                "promotions": outcome.promotions,
-                "demotions": outcome.demotions,
-            }
-        )
-    return rows
+    outcomes = [simulate(trace, cfg, local, remote) for cfg in cfgs]
+    rows = [
+        {
+            "policy": o.policy,
+            "runtime_s": o.simulated_runtime,
+            "normalized_runtime": o.simulated_runtime / o.allfast_runtime,
+            "promotions": o.promotions,
+            "demotions": o.demotions,
+        }
+        for o in outcomes
+    ]
+    return rows, outcomes
 
 
 def epoch_report(outcome: PolicyOutcome) -> list[dict]:
@@ -304,10 +304,13 @@ def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
     n_epochs = int(header["epochs"])
     epochs = [TraceEpoch(demand_misses=[]) for _ in range(n_epochs)]
     with Path(csv_path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            epochs[int(row["epoch"])].demand_misses.append(
-                (int(row["page_id"]), int(row["group_size"]))
-            )
+        for row_no, row in enumerate(csv.DictReader(fh), start=1):
+            epoch = int(row["epoch"])
+            if not 0 <= epoch < n_epochs:
+                raise InvariantViolation(
+                    f"trace row {row_no}: epoch {epoch} outside [0, {n_epochs})"
+                )
+            epochs[epoch].demand_misses.append((int(row["page_id"]), int(row["group_size"])))
     return TierTrace(
         epochs=epochs,
         page_count=int(header["page_count"]),
@@ -340,7 +343,7 @@ def make_two_phase_trace(seed: int = 0) -> TierTrace:
         for p in rng.permutation(stream):
             misses.append((int(p), 16))
             misses.append((int(p), 16))
-        epochs.append(TraceEpoch(demand_misses=misses, prefetch_intensity=0.6))
+        epochs.append(TraceEpoch(demand_misses=misses))
     hot = list(range(2500, 3000))
     for _ in range(30):
         misses = [(hot[i % 500], 1) for i in range(4000)]
@@ -367,7 +370,7 @@ def make_deep_overlap_trace(seed: int = 0) -> TierTrace:
             cursor += 1
             misses.append((p, 16))
             misses.append((p, 16))
-        epochs.append(TraceEpoch(demand_misses=misses, prefetch_intensity=0.8))
+        epochs.append(TraceEpoch(demand_misses=misses))
     return TierTrace(epochs=epochs, page_count=page_count, wss_pages=2500)
 
 

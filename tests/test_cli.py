@@ -13,6 +13,7 @@ from suplab import calibrate as cal
 from suplab import tiersim as ts
 
 from test_counters import FIXTURE_3ROWS
+from test_tiersim import small_trace
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -178,13 +179,69 @@ class TestPipelines:
         assert (out / "epochs_tpp.csv").exists()
 
 
-@pytest.mark.slow
-class TestDemo:
-    def test_demo_deterministic(self, tmp_path):
-        out = tmp_path / "demo"
-        assert cli.run(["demo", "--seed", "1", "--out", str(out)]) == 0
-        first = tree_digest(out)
-        shutil.rmtree(out)
-        assert cli.run(["demo", "--seed", "1", "--out", str(out)]) == 0
-        assert tree_digest(out) == first
-        assert (out / "summary.txt").exists()
+def _tiersim(tmp_path, policy_config, out) -> int:
+    """Run tiersim over tmp_path/t.csv + t.json with the given policy config."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(policy_config))
+    return cli.run(["tiersim", "--trace", str(tmp_path / "t.csv"),
+                    "--trace-header", str(tmp_path / "t.json"),
+                    "--policy-config", str(cfg_path), "--out", str(out)])
+
+
+def _assert_data_error(rc, capsys, out):
+    assert rc == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("epoch", [-1, 5])
+    def test_trace_epoch_out_of_range(self, tmp_path, capsys, epoch):
+        (tmp_path / "t.csv").write_text(f"epoch,page_id,group_size\n0,0,1\n{epoch},1,1\n")
+        (tmp_path / "t.json").write_text(json.dumps(
+            {"page_count": 4, "wss_pages": 4, "epoch_instructions": 1e9, "epochs": 2}))
+        out = tmp_path / "sim"
+        rc = _tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out)
+        _assert_data_error(rc, capsys, out)
+
+    @pytest.mark.parametrize("policy_config", [
+        [{"policy": "tpp", "fast_capacity": 2500, "bogus": 1}],
+        {"policy": "tpp"},
+    ])
+    def test_policy_config_keys(self, tmp_path, capsys, policy_config):
+        ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
+        out = tmp_path / "sim"
+        _assert_data_error(_tiersim(tmp_path, policy_config, out), capsys, out)
+
+    def test_workload_malformed_json(self, tmp_path, capsys):
+        wjson = tmp_path / "w.json"
+        wjson.write_text("{not json")
+        out = tmp_path / "scan"
+        rc = cli.run(["interleave", "scan", "--workload", str(wjson), "--out", str(out)])
+        _assert_data_error(rc, capsys, out)
+
+
+class TestSimulateCalls:
+    """Each (trace, policy) pair is simulated once; the all-fast baseline is not."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = ts.simulate
+
+        def counting(trace, cfg, *args, **kwargs):
+            seen.append(cfg.policy)
+            return real(trace, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(ts, "simulate", counting)
+        return seen
+
+    def test_tiersim_once_per_policy(self, tmp_path, calls):
+        ts.write_trace(ts.make_no_overlap_trace(seed=0), tmp_path / "t.csv", tmp_path / "t.json")
+        policies = [{"policy": p, "fast_capacity": 2500} for p in ts.POLICIES]
+        assert _tiersim(tmp_path, policies, tmp_path / "sim") == 0
+        assert calls == list(ts.POLICIES)
+
+    def test_demo_three_traces_three_policies(self, tmp_path, calls):
+        assert cli.run(["demo", "--seed", "1", "--out", str(tmp_path / "demo")]) == 0
+        assert calls == list(ts.POLICIES) * 3

@@ -74,6 +74,14 @@ class TestSampleLatencies:
         assert spread(tail_prob=0.002) < spread(tail_prob=0.02)
         assert spread(tail_scale_ns=10.0) < spread(tail_scale_ns=80.0)
 
+    def test_samples_csv(self, tmp_path):
+        samples = dm.sample_latencies(LOCAL, 10, 0.0, seed=0)
+        path = tmp_path / "samples.csv"
+        dm.write_latency_samples_csv(samples, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "latency_ns"
+        assert [float(v) for v in lines[1:]] == list(samples)
+
 
 class TestLatencyPercentiles:
     def test_constant_samples(self):
@@ -200,24 +208,3 @@ class TestSynthesizeRunpair:
         for snap in (pair.local, pair.remote):
             fr = stall_fractions(snap)
             assert sum(fr.values()) <= snap.backend_stall_cycles / snap.total_cycles + 1e-9
-
-
-class TestShardedSampling:
-    def test_plan_deterministic_across_worker_counts(self):
-        serial = dm.sample_latencies_sharded(LOCAL, 10_000, 0.1, seed=3, shards=8)
-        pooled = dm.sample_latencies_sharded(LOCAL, 10_000, 0.1, seed=3, shards=8,
-                                             max_workers=4)
-        assert np.array_equal(serial, pooled)
-
-    def test_different_plans_differ(self):
-        a = dm.sample_latencies_sharded(LOCAL, 1000, 0.0, seed=3, shards=2)
-        b = dm.sample_latencies_sharded(LOCAL, 1000, 0.0, seed=3, shards=4)
-        assert not np.array_equal(a, b)
-
-    def test_samples_csv(self, tmp_path):
-        samples = dm.sample_latencies(LOCAL, 10, 0.0, seed=0)
-        path = tmp_path / "samples.csv"
-        dm.write_latency_samples_csv(samples, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "latency_ns"
-        assert [float(v) for v in lines[1:]] == list(samples)

@@ -177,9 +177,3 @@ class TestForecast:
         skx_fit.to_json(path)
         assert il.InterleaveFit.from_json(path) == skx_fit
 
-
-def test_scan_parallel_matches_serial():
-    w = dm.make_bandwidth_bound_suite(1, seed=6, local=SKX_LOCAL)[0]
-    serial = il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=31, seed=2)
-    pooled = il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=31, seed=2, max_workers=4)
-    assert pooled == serial

@@ -86,15 +86,15 @@ class TestSimulate:
         trace = small_trace(page_count=10)
         runtimes = set()
         for policy in ts.POLICIES:
-            o = ts.simulate(trace, cfg(policy, fast_capacity=10), LOCAL, REMOTE, seed=0)
+            o = ts.simulate(trace, cfg(policy, fast_capacity=10), LOCAL, REMOTE)
             assert o.promotions == 0 and o.demotions == 0
             runtimes.add(o.simulated_runtime)
         assert len(runtimes) == 1
 
     def test_determinism(self):
         trace = ts.make_two_phase_trace(seed=2)
-        a = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE, seed=4)
-        b = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE, seed=4)
+        a = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE)
+        b = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE)
         assert a == b
 
     def test_amortized_latency_semantics(self):
@@ -104,13 +104,13 @@ class TestSimulate:
             ts.TraceEpoch(demand_misses=[(1, 1), (2, 3)]),
         ]
         trace = ts.TierTrace(epochs=epochs, page_count=3, wss_pages=3)
-        o = ts.simulate(trace, cfg("first_touch", fast_capacity=1), LOCAL, REMOTE, seed=0)
+        o = ts.simulate(trace, cfg("first_touch", fast_capacity=1), LOCAL, REMOTE)
         slow = dm.mean_latency_ns(REMOTE) * dm.CLOCK_GHZ
         assert o.amortized_latency_series[1] == pytest.approx((slow + slow / 3) / 2)
 
     def test_capacity_respected_and_conserved(self):
         trace = ts.make_two_phase_trace(seed=1)
-        o = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE, seed=0)
+        o = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE)
         # promotions that displace resident pages must demote one-for-one
         assert o.demotions >= o.promotions - CFG_KW["fast_capacity"]
 
@@ -119,13 +119,13 @@ class TestSimulate:
             for maker in (ts.make_two_phase_trace, ts.make_deep_overlap_trace,
                           ts.make_no_overlap_trace):
                 trace = maker(seed)
-                tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE, seed=seed)
-                alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE, seed=seed)
+                tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE)
+                alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE)
                 assert alto.promotions <= tpp.promotions
 
     def test_promotion_rate_peaks_at_cap(self):
         trace = ts.make_deep_overlap_trace(seed=0)
-        o = ts.simulate(trace, cfg("tpp", max_promo_rate=500), LOCAL, REMOTE, seed=0)
+        o = ts.simulate(trace, cfg("tpp", max_promo_rate=500), LOCAL, REMOTE)
         assert max(o.promo_rate_series) == 500
 
     def test_free_promotion_helps_stable_hot_trace(self):
@@ -136,17 +136,17 @@ class TestSimulate:
         trace = ts.TierTrace(epochs=epochs, page_count=8, wss_pages=8)
         kw = dict(fast_capacity=4, promo_threshold_accesses=2, max_promo_rate=100,
                   migration_cost_us=0.0)
-        ft = ts.simulate(trace, ts.PolicyConfig(policy="first_touch", **kw), LOCAL, REMOTE, 0)
-        tpp = ts.simulate(trace, ts.PolicyConfig(policy="tpp", **kw), LOCAL, REMOTE, 0)
+        ft = ts.simulate(trace, ts.PolicyConfig(policy="first_touch", **kw), LOCAL, REMOTE)
+        tpp = ts.simulate(trace, ts.PolicyConfig(policy="tpp", **kw), LOCAL, REMOTE)
         assert tpp.simulated_runtime <= ft.simulated_runtime
 
 
 class TestFixtureBehaviors:
     def test_two_phase_alto_beats_tpp_and_tracks_first_touch(self):
         trace = ts.make_two_phase_trace(seed=1)
-        ft = ts.simulate(trace, cfg("first_touch"), LOCAL, REMOTE, seed=1)
-        tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE, seed=1)
-        alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE, seed=1)
+        ft = ts.simulate(trace, cfg("first_touch"), LOCAL, REMOTE)
+        tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE)
+        alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE)
         assert alto.simulated_runtime < tpp.simulated_runtime
         assert alto.simulated_runtime <= 1.06 * ft.simulated_runtime
         # phase 1 overlap gates alto promotions to ~zero while tpp runs hot
@@ -155,19 +155,19 @@ class TestFixtureBehaviors:
 
     def test_deep_overlap_alto_beats_tpp_by_1p5x(self):
         trace = ts.make_deep_overlap_trace(seed=1)
-        tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE, seed=1)
-        alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE, seed=1)
+        tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE)
+        alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE)
         assert tpp.simulated_runtime / alto.simulated_runtime >= 1.5
 
     def test_no_overlap_alto_tracks_tpp(self):
         trace = ts.make_no_overlap_trace(seed=1)
-        tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE, seed=1)
-        alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE, seed=1)
+        tpp = ts.simulate(trace, cfg("tpp"), LOCAL, REMOTE)
+        alto = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE)
         assert alto.simulated_runtime == pytest.approx(tpp.simulated_runtime, rel=0.05)
 
     def test_two_phase_amortized_latency_profile(self):
         trace = ts.make_two_phase_trace(seed=1)
-        o = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE, seed=1)
+        o = ts.simulate(trace, cfg("alto"), LOCAL, REMOTE)
         phase1 = o.amortized_latency_series[1:16]
         phase2 = o.amortized_latency_series[16:]
         assert max(phase1) < 40.0
@@ -177,22 +177,37 @@ class TestFixtureBehaviors:
 class TestComparePolicies:
     def test_baseline_normalizes_to_one(self):
         trace = small_trace(page_count=5)
-        rows = ts.compare_policies(
+        rows, _ = ts.compare_policies(
             trace, [ts.PolicyConfig(policy="first_touch", fast_capacity=5)],
-            LOCAL, REMOTE, seed=0,
+            LOCAL, REMOTE,
         )
         assert rows[0]["normalized_runtime"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("maker", [
+        ts.make_two_phase_trace, ts.make_deep_overlap_trace, ts.make_no_overlap_trace,
+    ])
+    def test_baseline_equals_simulated_all_fast_run(self, maker):
+        # Oracle: the explicit all-fast simulation compare_policies used to run.
+        trace = maker(0)
+        baseline = ts.simulate(
+            trace, ts.PolicyConfig(policy="first_touch", fast_capacity=trace.page_count),
+            LOCAL, REMOTE,
+        )
+        rows, outcomes = ts.compare_policies(trace, [cfg(p) for p in ts.POLICIES], LOCAL, REMOTE)
+        for row, outcome in zip(rows, outcomes):
+            assert outcome.allfast_runtime == baseline.simulated_runtime
+            assert row["normalized_runtime"] == outcome.simulated_runtime / baseline.simulated_runtime
+
     def test_rows_cover_policies(self):
         trace = ts.make_no_overlap_trace(seed=0)
-        rows = ts.compare_policies(trace, [cfg(p) for p in ts.POLICIES], LOCAL, REMOTE, 0)
+        rows, _ = ts.compare_policies(trace, [cfg(p) for p in ts.POLICIES], LOCAL, REMOTE)
         assert [r["policy"] for r in rows] == list(ts.POLICIES)
 
 
 class TestEpochReport:
     def test_single_epoch_single_row(self):
         o = ts.simulate(small_trace(page_count=5), cfg("first_touch", fast_capacity=5),
-                        LOCAL, REMOTE, seed=0)
+                        LOCAL, REMOTE)
         assert len(ts.epoch_report(o)) == 1
 
     def test_gate_series_steps_through_ramp(self):
@@ -209,13 +224,13 @@ class TestEpochReport:
             trace,
             ts.PolicyConfig(policy="alto", fast_capacity=1,
                             promo_threshold_accesses=10**9),
-            LOCAL, REMOTE, seed=0,
+            LOCAL, REMOTE,
         )
         assert sorted(set(o.gate_series[1:])) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
     def test_report_csv(self, tmp_path):
         o = ts.simulate(small_trace(page_count=5), cfg("first_touch", fast_capacity=5),
-                        LOCAL, REMOTE, seed=0)
+                        LOCAL, REMOTE)
         path = tmp_path / "epochs.csv"
         ts.write_epoch_report_csv(o, path)
         lines = path.read_text().splitlines()
