@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .counters import STALL_SOURCES, RunPair
-from .errors import EmptyInput
+from .errors import EmptyInput, ZeroDenominator
 
 _COMPONENT_COUNTERS = {
     "store": "store_buffer_full_stall_cycles",
@@ -40,7 +40,7 @@ class SlowdownReport:
 def measure_slowdown(rp: RunPair) -> float:
     """Relative runtime increase; negative means the remote tier was faster."""
     if rp.local_runtime == 0:
-        raise ZeroDivisionError("local_runtime is zero")
+        raise ZeroDenominator("local_runtime is zero")
     return (rp.remote_runtime - rp.local_runtime) / rp.local_runtime
 
 
@@ -53,7 +53,7 @@ def decompose(rp: RunPair) -> SlowdownReport:
     """
     c = rp.local.total_cycles
     if c == 0:
-        raise ZeroDivisionError("local total_cycles is zero")
+        raise ZeroDenominator("local total_cycles is zero")
     components = {
         src: (getattr(rp.remote, f) - getattr(rp.local, f)) / c
         for src, f in _COMPONENT_COUNTERS.items()

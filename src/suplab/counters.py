@@ -21,6 +21,7 @@ from .errors import (
     MissingColumn,
     NegativeValue,
     NoDemandReads,
+    ZeroDenominator,
 )
 
 # Canonical column order for the CSV/JSON interchange format.
@@ -121,7 +122,7 @@ def stall_fractions(s: CounterSnapshot) -> dict[str, float]:
     """Per-source stall cycles as fractions of total cycles."""
     c = s.total_cycles
     if c == 0:
-        raise ZeroDivisionError("total_cycles is zero")
+        raise ZeroDenominator("total_cycles is zero")
     return {
         "store": s.store_buffer_full_stall_cycles / c,
         "L1": s.stall_l1 / c,
@@ -183,7 +184,10 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSna
                 out.append(_snapshot_from_mapping(record, row_idx))
             return out
     if format == "json":
-        records = json.loads(path.read_text())
+        try:
+            records = json.loads(path.read_text())
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise MalformedRecord(0, f"{path} is not valid JSON: {exc}") from None
         if not isinstance(records, list):
             raise MalformedRecord(0, "top-level JSON value must be an array")
         out = []

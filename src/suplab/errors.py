@@ -41,6 +41,10 @@ class MalformedRecord(SupLabError):
         self.row = row
 
 
+class ZeroDenominator(SupLabError):
+    """A ratio's denominator (total cycles, runtime or occupancy) is zero."""
+
+
 class NoDemandReads(SupLabError):
     """Raised where a per-request latency is undefined (zero offcore reads)."""
 
@@ -87,6 +91,10 @@ class CapacityUnderflow(SupLabError):
 
 class EmptyTrace(SupLabError):
     pass
+
+
+class MalformedTrace(SupLabError):
+    """A trace CSV or its JSON header cannot be parsed."""
 
 
 class MalformedConfig(SupLabError):

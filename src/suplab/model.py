@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Literal, Sequence
 
 from .counters import CounterSnapshot, amortized_offcore_latency
-from .errors import EmptyInput, InvariantViolation, NoDemandReads, load_json_object
+from .errors import EmptyInput, InvariantViolation, NoDemandReads, ZeroDenominator, load_json_object
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
 
@@ -84,13 +84,13 @@ def mlp_correction(amortized_latency: float, params: ModelParams) -> float:
 def metric_dram(s: CounterSnapshot, params: ModelParams) -> float:
     """LLC-miss stall fraction with the overlap correction applied."""
     if s.total_cycles == 0:
-        raise ZeroDivisionError("total_cycles is zero")
+        raise ZeroDenominator("total_cycles is zero")
     base = s.llc_miss_demand_stall_cycles / s.total_cycles
     if s.offcore_demand_requests == 0:
         # No demand reads: no overlap signal, correction collapses to 1/q.
         return base / params.q
     if s.offcore_demand_occupancy == 0:
-        raise ZeroDivisionError("offcore occupancy is zero with requests present")
+        raise ZeroDenominator("offcore occupancy is zero with requests present")
     return base * mlp_correction(amortized_offcore_latency(s), params)
 
 
@@ -102,7 +102,7 @@ def metric_cache(s: CounterSnapshot) -> float:
     cache slowdown to predict.
     """
     if s.total_cycles == 0:
-        raise ZeroDivisionError("total_cycles is zero")
+        raise ZeroDenominator("total_cycles is zero")
     loads = s.l1_demand_hits + s.lfb_hits
     l2pf = s.l2_prefetch_l3_miss + s.l2_prefetch_l3_hit
     if loads == 0 or s.l1_prefetch_total == 0 or l2pf == 0:
@@ -117,7 +117,7 @@ def metric_cache(s: CounterSnapshot) -> float:
 def metric_store(s: CounterSnapshot) -> float:
     """Store-buffer-full stall fraction."""
     if s.total_cycles == 0:
-        raise ZeroDivisionError("total_cycles is zero")
+        raise ZeroDenominator("total_cycles is zero")
     return s.store_buffer_full_stall_cycles / s.total_cycles
 
 

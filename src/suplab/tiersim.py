@@ -13,14 +13,18 @@ first ceil(g*10) of every 10 candidate pages.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
-from .errors import CapacityUnderflow, EmptyTrace, InvariantViolation
+from .errors import CapacityUnderflow, EmptyTrace, InvariantViolation, MalformedTrace
 
 POLICIES = ("first_touch", "tpp", "alto")
 
@@ -29,29 +33,44 @@ _GATE_CHUNK = 10  # candidate pages per admission window
 
 @dataclass(frozen=True)
 class TraceEpoch:
-    """One instruction-interval's demand misses as (page_id, group_size)."""
+    """One instruction-interval's (page_id, group_size) misses: pairs or an (n, 2) array."""
 
-    demand_misses: list[tuple[int, int]]
+    demand_misses: Sequence[tuple[int, int]] | np.ndarray
 
 
 @dataclass(frozen=True)
 class TierTrace:
+    """``epochs`` as given, plus the read-only flat arrays simulations read:
+    all misses in trace order, epoch i at ``epoch_offsets[i]:epoch_offsets[i + 1]``."""
+
     epochs: list[TraceEpoch]
     page_count: int
     wss_pages: int
     epoch_instructions: float = 1e9
+    page_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    group_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    epoch_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.epochs or all(not e.demand_misses for e in self.epochs):
+        rows = [np.asarray(e.demand_misses, dtype=np.int64).reshape(len(e.demand_misses), 2)
+                for e in self.epochs]
+        if not rows or not any(len(r) for r in rows):
             raise EmptyTrace("trace has no demand misses")
         if self.page_count < 1:
             raise InvariantViolation("page_count must be >= 1")
-        for i, epoch in enumerate(self.epochs):
-            for page, group in epoch.demand_misses:
-                if not 0 <= page < self.page_count:
-                    raise InvariantViolation(f"epoch {i}: page {page} out of range")
-                if group < 1:
-                    raise InvariantViolation(f"epoch {i}: group_size must be >= 1")
+        misses = np.concatenate(rows)
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        pages, groups = misses[:, 0].copy(), misses[:, 1].copy()
+        bad = (pages < 0) | (pages >= self.page_count) | (groups < 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            epoch = int(np.searchsorted(offsets, i, side="right")) - 1
+            if not 0 <= pages[i] < self.page_count:
+                raise InvariantViolation(f"epoch {epoch}: page {pages[i]} out of range")
+            raise InvariantViolation(f"epoch {epoch}: group_size must be >= 1")
+        for name, arr in (("page_ids", pages), ("group_sizes", groups), ("epoch_offsets", offsets)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -74,6 +93,9 @@ class PolicyConfig:
             raise InvariantViolation("alto_lower must be < alto_upper")
         if self.alto_steps < 1:
             raise InvariantViolation("alto_steps must be >= 1")
+        for name in ("promo_threshold_accesses", "max_promo_rate"):
+            if not isinstance(getattr(self, name), int):
+                raise InvariantViolation(f"{name} must be an integer")
 
 
 @dataclass
@@ -105,11 +127,33 @@ def alto_gate(amortized_latency: float, cfg: PolicyConfig) -> float:
     return (idx + 1) / cfg.alto_steps
 
 
-def _admit(candidates: list[int], gate: float) -> list[int]:
+def _admit(candidates: np.ndarray, gate: float) -> np.ndarray:
     if gate >= 1.0:
-        return list(candidates)
+        return candidates
     keep = math.ceil(gate * _GATE_CHUNK)
-    return [p for i, p in enumerate(candidates) if i % _GATE_CHUNK < keep]
+    return candidates[np.arange(len(candidates)) % _GATE_CHUNK < keep]
+
+
+def _lru_victims(fast: np.ndarray, last_use: np.ndarray, admitted: np.ndarray, free: int):
+    """Pages demoted as ``admitted`` are promoted in order: past the ``free`` slots, each
+    promotion evicts the least recently used fast page, maybe one promoted before it."""
+    need = len(admitted) - free
+    if need <= 0:
+        return admitted[:0]
+    resident = np.flatnonzero(fast)
+    if need < len(resident):
+        resident = resident[np.argpartition(last_use[resident], need - 1)[:need]]
+    oldest = resident[np.argsort(last_use[resident])]
+    if len(oldest) == need and (last_use[admitted[:-1]] > last_use[oldest[-1]]).all():
+        return oldest   # every victim is older than every page promoted before it
+    heap = list(zip(last_use[oldest].tolist(), oldest.tolist()))   # sorted, so a heap
+    victims = []
+    for j, item in enumerate(zip(last_use[admitted].tolist(), admitted.tolist())):
+        if j < free:
+            heapq.heappush(heap, item)
+        else:   # evict the oldest, then add the promoted page
+            victims.append(heapq.heapreplace(heap, item)[1])
+    return np.array(victims, dtype=np.int64)
 
 
 def simulate(
@@ -124,104 +168,79 @@ def simulate(
     so identical inputs always give identical outcomes.  Residency is fixed
     within an epoch; migrations apply at epoch end.  The outcome also
     carries the runtime the trace would take with every page in the fast
-    tier, summed miss by miss in trace order.
+    tier, summed miss by miss in trace order.  Per-page state lives in
+    arrays indexed by page id; each epoch is array operations over its misses.
     """
-    import heapq
-
     fast_lat = mean_latency_ns(local) * CLOCK_GHZ
     slow_lat = mean_latency_ns(remote) * CLOCK_GHZ
 
-    residency: dict[int, bool] = {}      # page -> True if fast
-    last_use: dict[int, tuple[int, int]] = {}
-    access_count: dict[int, int] = {}
-    lru_heap: list[tuple[int, int, int]] = []   # (epoch, seq, page), lazily stale
+    n_pages = int(trace.page_ids.max()) + 1   # not page_count: a header may overstate it
+    fast = np.zeros(n_pages, dtype=bool)               # page is in the fast tier
+    last_use = np.full(n_pages, -1, np.int64)          # index of its latest miss, -1 if none
+    access_count = np.zeros(n_pages, np.int64)         # slow hits since last migration
     fast_pages = 0
 
     outcome = PolicyOutcome(policy=cfg.policy, simulated_runtime=0.0, allfast_runtime=0.0,
                             promotions=0, demotions=0)
-    stall_cycles_total = 0.0
-    allfast_cycles_total = 0.0
+    stall_cycles_total = allfast_cycles_total = 0.0
 
-    def pop_lru_victim() -> int:
-        while lru_heap:
-            epoch_use, seq_use, page = heapq.heappop(lru_heap)
-            if residency.get(page) and last_use.get(page) == (epoch_use, seq_use):
-                return page
-        raise CapacityUnderflow("no fast-tier page available to demote")
+    offsets = trace.epoch_offsets.tolist()
+    for lo, hi in zip(offsets, offsets[1:]):
+        pages, groups, n_misses = trace.page_ids[lo:hi], trace.group_sizes[lo:hi], hi - lo
 
-    for epoch_idx, epoch in enumerate(trace.epochs):
-        stall = 0.0
-        stall_allfast = 0.0
-        slow_hits = 0
-        candidates: list[int] = []
-        nominated: set[int] = set()
-        for seq, (page, group) in enumerate(epoch.demand_misses):
-            if page not in residency:
-                if fast_pages < cfg.fast_capacity:
-                    residency[page] = True
-                    fast_pages += 1
-                else:
-                    residency[page] = False
-            is_fast = residency[page]
-            lat = fast_lat if is_fast else slow_lat
-            stall += lat / group
-            stall_allfast += fast_lat / group
-            if is_fast:
-                last_use[page] = (epoch_idx, seq)
-                heapq.heappush(lru_heap, (epoch_idx, seq, page))
-            else:
-                slow_hits += 1
-                last_use[page] = (epoch_idx, seq)
-                if cfg.policy != "first_touch":
-                    access_count[page] = access_count.get(page, 0) + 1
-                    if (
-                        access_count[page] >= cfg.promo_threshold_accesses
-                        and page not in nominated
-                    ):
-                        nominated.add(page)
-                        candidates.append(page)
+        # Misses grouped by page: distinct pages, their positions (ascending), counts.
+        order = np.argsort(pages, kind="stable")
+        sorted_pages = pages[order]
+        starts = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
+        uniq = sorted_pages[starts]
+        hits = np.diff(starts, append=n_misses)
 
-        n_misses = len(epoch.demand_misses)
+        new = last_use[uniq] < 0
+        if new.any():
+            by_first_touch = uniq[new][np.argsort(order[starts[new]])]
+            allocated = by_first_touch[: cfg.fast_capacity - fast_pages]
+            fast[allocated] = True
+            fast_pages += len(allocated)
+        last_use[uniq] = lo + order[starts + hits - 1]
+
+        is_fast = fast[pages]
+        lat = np.stack((np.where(is_fast, fast_lat, slow_lat), np.full(n_misses, fast_lat)))
+        sums = np.cumsum(lat / groups, axis=1)   # in miss order, so bit-identical to a loop
+        stall, stall_allfast = sums[:, -1].tolist() if n_misses else (0.0, 0.0)
+        slow_hits = n_misses - int(np.count_nonzero(is_fast))
         amortized = stall / n_misses if n_misses else 0.0
 
-        if cfg.policy == "alto":
-            gate = alto_gate(amortized, cfg)
-        elif cfg.policy == "tpp":
-            gate = 1.0
-        else:
-            gate = 0.0
-        admitted = _admit(candidates, gate)[: cfg.max_promo_rate] if gate > 0 else []
+        gate = alto_gate(amortized, cfg) if cfg.policy == "alto" else float(cfg.policy == "tpp")
 
         promoted = 0
-        for page in admitted:
-            if residency.get(page):
-                continue
-            if fast_pages >= cfg.fast_capacity:
-                victim = pop_lru_victim()
-                residency[victim] = False
-                access_count[victim] = 0
-                fast_pages -= 1
-                outcome.demotions += 1
-            residency[page] = True
-            access_count.pop(page, None)
-            fast_pages += 1
-            heapq.heappush(lru_heap, (*last_use[page], page))
-            promoted += 1
+        if cfg.policy != "first_touch":
+            slow = ~fast[uniq]
+            prior = access_count[uniq[slow]]
+            access_count[uniq[slow]] = prior + hits[slow]
+            if gate > 0:
+                # Candidates in the order of the misses that take them to the threshold.
+                need = np.maximum(1, cfg.promo_threshold_accesses - prior)
+                crosses = hits[slow] >= need
+                at = order[starts[slow][crosses] + need[crosses] - 1]
+                candidates = uniq[slow][crosses][np.argsort(at)]
+                admitted = _admit(candidates, gate)[: cfg.max_promo_rate]
+                victims = _lru_victims(fast, last_use, admitted, cfg.fast_capacity - fast_pages)
+                # Victims last: a page promoted and demoted in one epoch ends slow.
+                fast[admitted] = True
+                fast[victims] = False
+                access_count[admitted] = access_count[victims] = 0
+                promoted = len(admitted)
+                fast_pages += promoted - len(victims)
+                outcome.demotions += len(victims)
         outcome.promotions += promoted
 
         stall_cycles_total += stall
         allfast_cycles_total += stall_allfast
         outcome.promo_rate_series.append(promoted)
         outcome.amortized_latency_series.append(amortized)
-        outcome.slow_tier_access_fraction_series.append(
-            slow_hits / n_misses if n_misses else 0.0
-        )
+        outcome.slow_tier_access_fraction_series.append(slow_hits / n_misses if n_misses else 0.0)
         outcome.gate_series.append(gate)
-        outcome.est_slowdown_series.append(
-            (stall - stall_allfast) / trace.epoch_instructions
-        )
-        if fast_pages > cfg.fast_capacity:
-            raise CapacityUnderflow("fast tier exceeded capacity")
+        outcome.est_slowdown_series.append((stall - stall_allfast) / trace.epoch_instructions)
 
     outcome.simulated_runtime = (
         stall_cycles_total / (CLOCK_GHZ * 1e9)
@@ -283,13 +302,16 @@ def write_epoch_report_csv(outcome: PolicyOutcome, path: str | Path) -> None:
 
 # --- trace file format: misses CSV plus JSON header -----------------------
 
+_TRACE_COLUMNS = ["epoch", "page_id", "group_size"]
+
+
 def write_trace(trace: TierTrace, csv_path: str | Path, header_path: str | Path) -> None:
+    epochs = np.repeat(np.arange(len(trace.epochs)), np.diff(trace.epoch_offsets))
+    rows = np.column_stack((epochs, trace.page_ids, trace.group_sizes))
     with Path(csv_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "page_id", "group_size"])
-        for i, epoch in enumerate(trace.epochs):
-            for page, group in epoch.demand_misses:
-                writer.writerow([i, page, group])
+        writer.writerow(_TRACE_COLUMNS)
+        writer.writerows(rows.tolist())
     header = {
         "page_count": trace.page_count,
         "wss_pages": trace.wss_pages,
@@ -300,23 +322,39 @@ def write_trace(trace: TierTrace, csv_path: str | Path, header_path: str | Path)
 
 
 def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
-    header = json.loads(Path(header_path).read_text())
-    n_epochs = int(header["epochs"])
-    epochs = [TraceEpoch(demand_misses=[]) for _ in range(n_epochs)]
-    with Path(csv_path).open(newline="") as fh:
-        for row_no, row in enumerate(csv.DictReader(fh), start=1):
-            epoch = int(row["epoch"])
-            if not 0 <= epoch < n_epochs:
-                raise InvariantViolation(
-                    f"trace row {row_no}: epoch {epoch} outside [0, {n_epochs})"
-                )
-            epochs[epoch].demand_misses.append((int(row["page_id"]), int(row["group_size"])))
-    return TierTrace(
-        epochs=epochs,
-        page_count=int(header["page_count"]),
-        wss_pages=int(header["wss_pages"]),
-        epoch_instructions=float(header.get("epoch_instructions", 1e9)),
-    )
+    try:
+        header = json.loads(Path(header_path).read_text())
+        n_epochs, page_count, wss_pages = (int(header[key])
+                                           for key in ("epochs", "page_count", "wss_pages"))
+        epoch_instructions = float(header.get("epoch_instructions", 1e9))
+    except KeyError as exc:
+        raise MalformedTrace(f"{header_path}: trace header has no {exc} key") from None
+    except (ValueError, TypeError, OverflowError) as exc:   # JSONDecodeError is a ValueError
+        raise MalformedTrace(f"{header_path}: bad trace header: {exc}") from None
+    try:
+        with Path(csv_path).open() as fh:
+            if fh.readline().rstrip("\r\n").split(",") != _TRACE_COLUMNS:
+                raise MalformedTrace(f"{csv_path}: header row is not {','.join(_TRACE_COLUMNS)}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # a file with no rows
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2,
+                              comments=None)
+    except ValueError as exc:   # includes UnicodeDecodeError
+        raise MalformedTrace(f"{csv_path}: {exc}") from None
+    if data.size and data.shape[1] != len(_TRACE_COLUMNS):
+        raise MalformedTrace(f"{csv_path}: rows have {data.shape[1]} fields")
+    epoch = data[:, 0]
+    outside = (epoch < 0) | (epoch >= n_epochs)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise InvariantViolation(
+            f"{csv_path}: trace row {row + 1}: epoch {epoch[row]} outside [0, {n_epochs})"
+        )
+    order = np.argsort(epoch, kind="stable")
+    bounds = np.searchsorted(epoch[order], np.arange(1, n_epochs))
+    epochs = [TraceEpoch(demand_misses=m) for m in np.split(data[order, 1:], bounds)]
+    return TierTrace(epochs=epochs, page_count=page_count, wss_pages=wss_pages,
+                     epoch_instructions=epoch_instructions)
 
 
 # --- fixture traces --------------------------------------------------------
@@ -324,6 +362,10 @@ def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
 # All builders open with a warmup epoch touching pages [0, 2500) so the
 # fast tier (capacity 2500 in the fixture configs) fills via first touch
 # and later pages allocate on the slow tier.
+
+def _epoch(pages: np.ndarray, group: int) -> TraceEpoch:
+    return TraceEpoch(demand_misses=np.column_stack((pages, np.full(len(pages), group))))
+
 
 def make_two_phase_trace(seed: int = 0) -> TierTrace:
     """tc-twitter analog: an overlapped miss storm, then a low-MLP hot phase.
@@ -333,21 +375,12 @@ def make_two_phase_trace(seed: int = 0) -> TierTrace:
     re-hits a small slow-tier working set with no overlap, where promotion
     actually pays off.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
-    epochs = [TraceEpoch(demand_misses=[(p, 16) for p in range(2500)])]
+    epochs = [_epoch(np.arange(2500), 16)]
     stream = np.arange(2500, 5000)
-    for _ in range(15):
-        misses = []
-        for p in rng.permutation(stream):
-            misses.append((int(p), 16))
-            misses.append((int(p), 16))
-        epochs.append(TraceEpoch(demand_misses=misses))
-    hot = list(range(2500, 3000))
-    for _ in range(30):
-        misses = [(hot[i % 500], 1) for i in range(4000)]
-        epochs.append(TraceEpoch(demand_misses=misses))
+    epochs += [_epoch(np.repeat(rng.permutation(stream), 2), 16) for _ in range(15)]
+    hot = np.tile(np.arange(2500, 3000), 8)   # 4000 misses cycling over 500 pages
+    epochs += [_epoch(hot, 1) for _ in range(30)]
     return TierTrace(epochs=epochs, page_count=5000, wss_pages=3000)
 
 
@@ -357,31 +390,19 @@ def make_deep_overlap_trace(seed: int = 0) -> TierTrace:
     Every page crosses the promotion threshold then never returns, so any
     promotion is pure migration overhead.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     page_count = 40000
-    epochs = [TraceEpoch(demand_misses=[(p, 16) for p in range(2500)])]
     cursor = int(rng.integers(0, page_count - 2500))
-    for _ in range(60):
-        misses = []
-        for _ in range(4000):
-            p = 2500 + cursor % (page_count - 2500)
-            cursor += 1
-            misses.append((p, 16))
-            misses.append((p, 16))
-        epochs.append(TraceEpoch(demand_misses=misses))
+    stream = 2500 + (cursor + np.arange(60 * 4000)) % (page_count - 2500)
+    epochs = [_epoch(np.arange(2500), 16)]
+    epochs += [_epoch(np.repeat(pages, 2), 16) for pages in np.split(stream, 60)]
     return TierTrace(epochs=epochs, page_count=page_count, wss_pages=2500)
 
 
 def make_no_overlap_trace(seed: int = 0) -> TierTrace:
     """tc-kron analog: pointer-chase-like misses, no overlap to exploit."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     page_count = 8000
-    epochs = [TraceEpoch(demand_misses=[(p, 1) for p in range(2500)])]
-    for _ in range(20):
-        pages = rng.integers(0, page_count, size=4000)
-        epochs.append(TraceEpoch(demand_misses=[(int(p), 1) for p in pages]))
+    epochs = [_epoch(np.arange(2500), 1)]
+    epochs += [_epoch(rng.integers(0, page_count, size=4000), 1) for _ in range(20)]
     return TierTrace(epochs=epochs, page_count=page_count, wss_pages=4000)

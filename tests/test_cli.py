@@ -188,10 +188,16 @@ def _tiersim(tmp_path, policy_config, out) -> int:
                     "--policy-config", str(cfg_path), "--out", str(out)])
 
 
-def _assert_data_error(rc, capsys, out):
+def _assert_data_error(rc, capsys, out, names=None):
+    """Exit 2, one stderr line (naming the file ``names``, if given), no output."""
     assert rc == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert names is None or str(names) in err[0]
     assert not out.exists()
+
+
+TRACE_HEADER = {"page_count": 4, "wss_pages": 4, "epoch_instructions": 1e9, "epochs": 2}
 
 
 class TestBadInputs:
@@ -212,6 +218,51 @@ class TestBadInputs:
         ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
         out = tmp_path / "sim"
         _assert_data_error(_tiersim(tmp_path, policy_config, out), capsys, out)
+
+    @pytest.mark.parametrize("body", [
+        "epoch,page_id,group_size\n0,x,1\n",        # not an integer
+        "epoch,page_id,group_size\n0,1.5,1\n",
+        "epoch,page_id,group_size\n0,99999999999999999999,1\n",
+        "epoch,page_id,group_size\n0,1,1\n1,2\n",  # a row with too few fields
+        "epoch,page_id,group_size\n0,1,1\n1,2,1,1\n",
+        "epoch,page_id,group_size\n0,1\n1,2\n",    # every row too short
+        "page_id,epoch,group_size\n0,1,1\n",        # wrong header row
+        "",
+    ])
+    def test_trace_csv_malformed(self, tmp_path, capsys, body):
+        (tmp_path / "t.csv").write_text(body)
+        (tmp_path / "t.json").write_text(json.dumps(TRACE_HEADER))
+        out = tmp_path / "sim"
+        rc = _tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out)
+        _assert_data_error(rc, capsys, out, tmp_path / "t.csv")
+
+    def test_trace_without_misses(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n")
+        (tmp_path / "t.json").write_text(json.dumps(TRACE_HEADER))
+        out = tmp_path / "sim"
+        _assert_data_error(_tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out),
+                           capsys, out)
+
+    @pytest.mark.parametrize("header", [
+        "{bad",
+        "[2]",
+        json.dumps({k: v for k, v in TRACE_HEADER.items() if k != "epochs"}),
+        json.dumps({k: v for k, v in TRACE_HEADER.items() if k != "page_count"}),
+        json.dumps({**TRACE_HEADER, "epochs": "two"}),
+    ])
+    def test_trace_header_malformed(self, tmp_path, capsys, header):
+        (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,0,1\n")
+        (tmp_path / "t.json").write_text(header)
+        out = tmp_path / "sim"
+        rc = _tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out)
+        _assert_data_error(rc, capsys, out, tmp_path / "t.json")
+
+    def test_ingest_json_malformed(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        out = tmp_path / "o"
+        rc = cli.run(["ingest", "--input", str(bad), "--format", "json", "--out", str(out)])
+        _assert_data_error(rc, capsys, out, bad)
 
     def test_workload_malformed_json(self, tmp_path, capsys):
         wjson = tmp_path / "w.json"

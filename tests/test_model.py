@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from suplab import breakdown as bd
+from suplab import counters as cnt
 from suplab import model as mdl
-from suplab.errors import EmptyInput, InvariantViolation
+from suplab.errors import EmptyInput, InvariantViolation, SupLabError, ZeroDenominator
 
 from conftest import snapshot
 
@@ -103,6 +105,28 @@ class TestMetricStore:
     def test_direct_ratio(self):
         s = snapshot(store_buffer_full_stall_cycles=1_500, total_cycles=10_000)
         assert mdl.metric_store(s) == pytest.approx(0.15)
+
+
+class TestZeroCycles:
+    """A window with zero total cycles is a data error, not a ZeroDivisionError."""
+
+    IDLE = dict(
+        stall_cycles_total=0, backend_stall_cycles=0, mem_stall_cycles=0,
+        llc_miss_demand_stall_cycles=0, store_buffer_full_stall_cycles=0,
+        stall_l1=0, stall_l2=0, stall_l3=0, total_cycles=0,
+    )
+
+    @pytest.mark.parametrize("fn", [
+        lambda s: mdl.metric_dram(s, PARAMS), mdl.metric_cache, mdl.metric_store,
+        cnt.stall_fractions,
+        lambda s: bd.decompose(cnt.RunPair(label="idle", local=s, remote=s,
+                                           local_runtime=1.0, remote_runtime=1.0)),
+    ])
+    def test_raises_zero_denominator(self, fn):
+        with pytest.raises(ZeroDenominator) as exc:
+            fn(snapshot(**self.IDLE))
+        assert isinstance(exc.value, SupLabError)
+        assert not isinstance(exc.value, ZeroDivisionError)
 
 
 class TestPredict:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from suplab import devmodel as dm
@@ -54,8 +55,8 @@ class TestAltoGate:
             assert g in (0.2, 0.4, 0.6, 0.8)
 
     def test_admit_first_two_of_every_ten(self):
-        admitted = ts._admit(list(range(25)), 0.2)
-        assert admitted == [0, 1, 10, 11, 20, 21]
+        admitted = ts._admit(np.arange(25), 0.2)
+        assert admitted.tolist() == [0, 1, 10, 11, 20, 21]
 
 
 class TestTraceValidation:
@@ -79,6 +80,11 @@ class TestTraceValidation:
     def test_config_thresholds_ordered(self):
         with pytest.raises(InvariantViolation):
             cfg("alto", alto_lower=100.0, alto_upper=40.0)
+
+    @pytest.mark.parametrize("field", ["promo_threshold_accesses", "max_promo_rate"])
+    def test_config_counts_are_integers(self, field):
+        with pytest.raises(InvariantViolation):
+            cfg("tpp", **{field: 2.0})
 
 
 class TestSimulate:
@@ -243,4 +249,7 @@ class TestTraceIo:
         trace = ts.make_no_overlap_trace(seed=3)
         ts.write_trace(trace, tmp_path / "t.csv", tmp_path / "t.json")
         back = ts.read_trace(tmp_path / "t.csv", tmp_path / "t.json")
-        assert back == trace
+        assert (back.page_count, back.wss_pages, back.epoch_instructions) == \
+            (trace.page_count, trace.wss_pages, trace.epoch_instructions)
+        for field in ("page_ids", "group_sizes", "epoch_offsets"):
+            assert np.array_equal(getattr(back, field), getattr(trace, field))

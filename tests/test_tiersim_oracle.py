@@ -1,0 +1,121 @@
+"""The array-backed simulator and trace builders against the reference loop
+in ``tiersim_oracle``: equal ``PolicyOutcome``s, with plain Python scalars,
+on generated small traces and on the full fixture traces."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tiersim_oracle as oracle
+from suplab import devmodel as dm
+from suplab import tiersim as ts
+
+LOCAL = dm.PRESETS["local-emr"]
+REMOTE = dm.PRESETS["cxl-b"]
+
+MAKERS = ("two_phase", "deep_overlap", "no_overlap")
+
+
+def assert_python_scalars(o: ts.PolicyOutcome) -> None:
+    assert type(o.simulated_runtime) is float and type(o.allfast_runtime) is float
+    assert type(o.promotions) is int and type(o.demotions) is int
+    assert all(type(x) is int for x in o.promo_rate_series)
+    for series in (o.amortized_latency_series, o.slow_tier_access_fraction_series,
+                   o.gate_series, o.est_slowdown_series):
+        assert all(type(x) is float for x in series)
+
+
+def assert_matches_oracle(trace: ts.TierTrace, cfg: ts.PolicyConfig,
+                          oracle_trace: ts.TierTrace | None = None) -> ts.PolicyOutcome:
+    """``oracle_trace``, if given, is the same trace with list-of-pairs epochs."""
+    got = ts.simulate(trace, cfg, LOCAL, REMOTE)
+    assert got == oracle.simulate(trace if oracle_trace is None else oracle_trace, cfg, LOCAL, REMOTE)
+    assert_python_scalars(got)
+    return got
+
+
+@st.composite
+def traces_and_configs(draw):
+    page_count = draw(st.integers(1, 64))
+    touched = draw(st.integers(1, page_count))   # fewer pages touched: more reuse
+    miss = st.tuples(st.integers(0, touched - 1), st.integers(1, 32))
+    epochs = draw(st.lists(st.lists(miss, max_size=40), min_size=1, max_size=8)
+                  .filter(lambda es: any(es)))
+    trace = ts.TierTrace(epochs=[ts.TraceEpoch(demand_misses=e) for e in epochs],
+                         page_count=page_count, wss_pages=page_count)
+    cfg = ts.PolicyConfig(
+        policy=draw(st.sampled_from(ts.POLICIES)),
+        fast_capacity=draw(st.integers(1, page_count)),
+        promo_threshold_accesses=draw(st.integers(1, 3)),
+        max_promo_rate=draw(st.integers(1, 20)),
+    )
+    return trace, cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(traces_and_configs())
+def test_generated_traces_match_oracle(case):
+    assert_matches_oracle(*case)
+
+
+def test_promoted_then_demoted_in_one_epoch_ends_slow():
+    # One fast slot: page 1 is promoted (evicting page 0), then evicted by
+    # page 2's promotion in the same epoch, so its next miss is slow.
+    epochs = [[(0, 1)], [(1, 1), (1, 1), (2, 1), (2, 1)], [(1, 1)]]
+    trace = ts.TierTrace(epochs=[ts.TraceEpoch(demand_misses=e) for e in epochs],
+                         page_count=3, wss_pages=3)
+    cfg = ts.PolicyConfig(policy="tpp", fast_capacity=1, max_promo_rate=20)
+    got = assert_matches_oracle(trace, cfg)
+    assert got.promo_rate_series == [0, 2, 0] and got.demotions == 2
+    assert got.slow_tier_access_fraction_series[2] == 1.0
+
+
+def test_victim_may_be_page_promoted_earlier_in_epoch():
+    # Pages 0 and 1 fill the fast tier, then are used after page 2's last
+    # miss, so page 3's promotion evicts page 2, not page 1.
+    epochs = [[(0, 1), (1, 1)], [(2, 1), (2, 1), (0, 1), (1, 1), (3, 1), (3, 1)], [(2, 1)]]
+    trace = ts.TierTrace(epochs=[ts.TraceEpoch(demand_misses=e) for e in epochs],
+                         page_count=4, wss_pages=4)
+    cfg = ts.PolicyConfig(policy="tpp", fast_capacity=2, max_promo_rate=20)
+    got = assert_matches_oracle(trace, cfg)
+    assert got.slow_tier_access_fraction_series[2] == 1.0
+
+
+def test_state_sized_by_pages_used_not_page_count():
+    # A header may claim far more pages than the trace touches.
+    epochs = [[(0, 1), (1, 1)], [(2, 1), (2, 1), (3, 1)]]
+    trace = ts.TierTrace(epochs=[ts.TraceEpoch(demand_misses=e) for e in epochs],
+                         page_count=10**15, wss_pages=4)
+    assert_matches_oracle(trace, ts.PolicyConfig(policy="tpp", fast_capacity=1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", MAKERS)
+def test_fixture_traces_match_oracle(name, seed):
+    trace = getattr(ts, f"make_{name}_trace")(seed)
+    reference = getattr(oracle, f"make_{name}_trace")(seed)
+    cfgs = [ts.PolicyConfig(policy="first_touch", fast_capacity=2500)]
+    cfgs += [
+        ts.PolicyConfig(policy=policy, fast_capacity=2500,
+                        promo_threshold_accesses=threshold, max_promo_rate=rate)
+        for policy in ("tpp", "alto") for threshold in (1, 2, 3) for rate in (500, 2000)
+    ]
+    for cfg in cfgs:
+        assert_matches_oracle(trace, cfg, reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", MAKERS)
+def test_builders_match_oracle_builders(name, seed):
+    got = getattr(ts, f"make_{name}_trace")(seed)
+    want = getattr(oracle, f"make_{name}_trace")(seed)
+    assert (got.page_count, got.wss_pages, got.epoch_instructions) == \
+        (want.page_count, want.wss_pages, want.epoch_instructions)
+    assert len(got.epochs) == len(want.epochs)
+    for g, w in zip(got.epochs, want.epochs):
+        assert np.array_equal(g.demand_misses, np.array(w.demand_misses))
+    for field in ("page_ids", "group_sizes", "epoch_offsets"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
