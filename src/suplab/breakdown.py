@@ -92,18 +92,13 @@ class AccuracyCdf:
         return len(self.diffs)
 
 
-def estimate_accuracy(pairs: Sequence[RunPair], which: str = "stall") -> AccuracyCdf:
-    """CDF of |stall-based estimate - measured slowdown| over a pair set."""
-    if not pairs:
+def estimate_accuracy(reports: Sequence[SlowdownReport], which: str = "stall") -> AccuracyCdf:
+    """CDF of |stall-based estimate - measured slowdown| over decomposed pairs."""
+    if not reports:
         raise EmptyInput("no run pairs")
     if which not in ("stall", "backend"):
         raise ValueError("which must be 'stall' or 'backend'")
-    diffs = []
-    for rp in pairs:
-        rep = decompose(rp)
-        est = rep.total_stall_estimate if which == "stall" else rep.total_backend_estimate
-        diffs.append(est - rep.total_measured)
-    return AccuracyCdf(diffs)
+    return AccuracyCdf([getattr(r, f"total_{which}_estimate") - r.total_measured for r in reports])
 
 
 def write_report_csv(reports: Sequence[SlowdownReport], path: str | Path) -> None:

@@ -80,16 +80,9 @@ def _write_manifest(out: OutputDir, args: argparse.Namespace, inputs: dict) -> N
     out.write_json("manifest.json", manifest)
 
 
-def _require_files(*paths: str | None) -> None:
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            raise SupLabError(f"input file does not exist: {p}")
-
-
 def _load_device(path_or_preset: str) -> dm.DeviceProfile:
     if path_or_preset in dm.PRESETS:
         return dm.PRESETS[path_or_preset]
-    _require_files(path_or_preset)
     return dm.DeviceProfile.from_json(path_or_preset)
 
 
@@ -162,7 +155,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_ingest(args) -> int:
-    _require_files(args.input)
     out = OutputDir(args.out)
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
     out.write_via("snapshots.csv", lambda p: cnt.write_counter_log(snaps, p, "csv"))
@@ -183,13 +175,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_breakdown(args) -> int:
-    _require_files(args.pairs)
     out = OutputDir(args.out)
     pairs, _ = cnt.read_run_pairs(args.pairs)
     reports = [bd.decompose(rp) for rp in pairs]
+    cdf = bd.estimate_accuracy(reports, which="backend")
     out.write_via("breakdown.csv", lambda p: bd.write_report_csv(reports, p))
     out.write_via("breakdown_long.csv", lambda p: bd.write_report_long_csv(reports, p))
-    cdf = bd.estimate_accuracy(pairs, which="backend")
     out.write_json(
         "accuracy.json",
         {"pairs": len(pairs), "p95_abs_error": cdf.quantile(0.95),
@@ -201,7 +192,6 @@ def _cmd_breakdown(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _require_files(args.runs)
     out = OutputDir(args.out)
     runs = cal.read_calibration_csv(args.runs)
     params = cal.fit_sequential(runs)
@@ -214,7 +204,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    _require_files(args.input, args.params)
     out = OutputDir(args.out)
     params = mdl.ModelParams.from_json(args.params)
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
@@ -232,7 +221,6 @@ def _cmd_interleave(args) -> int:
     if args.action == "scan":
         if not args.workload:
             raise _UsageError("interleave scan requires --workload")
-        _require_files(args.workload)
         w = load_json_object(dm.WorkloadProfile, args.workload)
         curve = il.scan_ratios(w, local, remote, grid=args.grid, seed=args.seed)
         out.write_via("scan.csv", lambda p: il.write_scan_csv(curve, p))
@@ -244,7 +232,6 @@ def _cmd_interleave(args) -> int:
         return 0
     if not args.input or not args.params or not args.fit:
         raise _UsageError("interleave forecast requires --input, --params and --fit")
-    _require_files(args.input, args.params, args.fit)
     params = mdl.ModelParams.from_json(args.params)
     fit = il.InterleaveFit.from_json(args.fit)
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
@@ -259,7 +246,6 @@ def _cmd_interleave(args) -> int:
 
 
 def _cmd_tiersim(args) -> int:
-    _require_files(args.trace, args.trace_header, args.policy_config)
     out = OutputDir(args.out)
     local = _load_device(args.local)
     remote = _load_device(args.remote)
@@ -327,7 +313,7 @@ def _cmd_demo(args) -> int:
     pairs = dm.make_consistency_fixture(200, seed=seed, noise=0.03)
     reports = [bd.decompose(rp) for rp in pairs]
     out.write_via("breakdown.csv", lambda p: bd.write_report_csv(reports, p))
-    cdf = bd.estimate_accuracy(pairs, which="backend")
+    cdf = bd.estimate_accuracy(reports, which="backend")
     lines.append(
         f"breakdown: {cdf.fraction_within(0.05):.1%} of {len(pairs)} pairs within 0.05"
     )
@@ -429,7 +415,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (SupLabError, ZeroDivisionError) as exc:
+    except (SupLabError, ZeroDivisionError, OSError) as exc:   # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyInput,
@@ -22,6 +23,7 @@ from .errors import (
     NegativeValue,
     NoDemandReads,
     ZeroDenominator,
+    require_finite,
 )
 
 # Canonical column order for the CSV/JSON interchange format.
@@ -79,7 +81,8 @@ class CounterSnapshot:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v < 0:
+            if not 0 <= v < math.inf:   # negative, NaN or infinite
+                require_finite(self)
                 raise InvariantViolation(f"{f.name} must be >= 0, got {v}")
         if self.stall_cycles_total > self.total_cycles * (1 + 1e-12):
             raise InvariantViolation("stall_cycles_total exceeds total_cycles")
@@ -132,96 +135,118 @@ def stall_fractions(s: CounterSnapshot) -> dict[str, float]:
     }
 
 
-def _coerce_count(raw: str, row: int, field: str) -> int:
-    text = raw.strip()
+def _real(raw, row: int, field: str) -> float:
+    """A finite, non-negative real from a CSV cell."""
     try:
-        value = int(text)
+        value = float(raw)
     except ValueError:
-        try:
-            as_float = float(text)
-        except ValueError:
-            raise MalformedRecord(row, f"non-numeric {field}={raw!r}") from None
-        if not as_float.is_integer():
-            raise MalformedRecord(row, f"non-integer count {field}={raw!r}") from None
-        value = int(as_float)
+        raise MalformedRecord(row, f"non-numeric {field}={raw!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRecord(row, f"non-finite {field}={raw!r}")
     if value < 0:
         raise NegativeValue(row, field)
     return value
 
 
-def _snapshot_from_mapping(record: dict, row: int) -> CounterSnapshot:
-    lowered = {str(k).strip().lower(): v for k, v in record.items()}
-    values = {}
-    for name in COUNTER_FIELDS:
-        if name not in lowered or lowered[name] in (None, ""):
+def _count(raw, row: int, field: str) -> int:
+    """An unsigned integer count from a CSV cell or a JSON value, read as text:
+    ``1e3`` is a count, while ``true``, ``null`` and ``2.5`` are not."""
+    text = str(raw)
+    try:
+        value = int(text)
+    except ValueError:
+        value = _real(text, row, field)
+        if not value.is_integer():
+            raise MalformedRecord(row, f"non-integer count {field}={raw!r}") from None
+        return int(value)
+    if value < 0:
+        raise NegativeValue(row, field)
+    return value
+
+
+def _snapshot(record: dict, row: int, convert=_count, prefix: str = "") -> CounterSnapshot:
+    return CounterSnapshot(
+        **{f: convert(record[prefix + f], row, prefix + f) for f in COUNTER_FIELDS}
+    )
+
+
+def _header(names: Iterable, required: Iterable[str]) -> list[str]:
+    """Column names stripped and lower-cased, with every required one present."""
+    names = [str(n).strip().lower() for n in names]
+    for name in required:
+        if name not in names:
             raise MissingColumn(name)
-        raw = lowered[name]
-        if isinstance(raw, str):
-            values[name] = _coerce_count(raw, row, name)
-        else:
-            if raw < 0:
-                raise NegativeValue(row, name)
-            values[name] = raw
-    return CounterSnapshot(**values)
+    return names
+
+
+def _csv_records(path: Path, required: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(row number from 1, record) for each data row of a CSV file whose
+    header holds every ``required`` column; a row with the wrong number of
+    fields raises :class:`MalformedRecord`."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames is None:
+                raise EmptyInput(f"{path}: no header row")
+            reader.fieldnames = _header(reader.fieldnames, required)
+            for row, record in enumerate(reader, start=1):
+                if None in record or None in record.values():
+                    raise MalformedRecord(row, "wrong number of fields")
+                yield row, record
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise MalformedRecord(0, f"{path} is not a CSV text file: {exc}") from None
+
+
+def _json_records(path: Path) -> Iterator[tuple[int, dict]]:
+    """(row number from 1, record) for each object of a JSON array.  The
+    first object's keys serve as the header: they must name every counter,
+    and every object must have the same keys."""
+    try:
+        records = json.loads(path.read_text())
+    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+        raise MalformedRecord(0, f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(records, list):
+        raise MalformedRecord(0, "top-level JSON value must be an array")
+    header = None
+    for row, rec in enumerate(records, start=1):
+        if not isinstance(rec, dict):
+            raise MalformedRecord(row, "record is not an object")
+        keys = _header(rec, COUNTER_FIELDS if header is None else ())
+        if header is None:
+            header = set(keys)
+        elif set(keys) != header:
+            raise MalformedRecord(row, "keys differ from the first record's")
+        yield row, dict(zip(keys, rec.values()))
 
 
 def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSnapshot]:
     """Parse a counter log into validated snapshots, one per row/record."""
     path = Path(path)
     if format == "csv":
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise EmptyInput(f"{path}: no header row")
-            header = {h.strip().lower() for h in reader.fieldnames}
-            for name in COUNTER_FIELDS:
-                if name not in header:
-                    raise MissingColumn(name)
-            out = []
-            for row_idx, record in enumerate(reader, start=1):
-                if None in record or None in record.values():
-                    raise MalformedRecord(row_idx, "wrong number of fields")
-                out.append(_snapshot_from_mapping(record, row_idx))
-            return out
-    if format == "json":
-        try:
-            records = json.loads(path.read_text())
-        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
-            raise MalformedRecord(0, f"{path} is not valid JSON: {exc}") from None
-        if not isinstance(records, list):
-            raise MalformedRecord(0, "top-level JSON value must be an array")
-        out = []
-        for idx, rec in enumerate(records, start=1):
-            if not isinstance(rec, dict):
-                raise MalformedRecord(idx, "record is not an object")
-            out.append(_snapshot_from_mapping(rec, idx))
-        return out
-    raise ValueError(f"unknown format: {format!r}")
-
-
-def _format_count(v: float) -> str:
-    # Interchange schema carries unsigned integer counts.
-    return str(int(round(v)))
+        records = _csv_records(path, COUNTER_FIELDS)
+    elif format == "json":
+        records = _json_records(path)
+    else:
+        raise ValueError(f"unknown format: {format!r}")
+    return [_snapshot(record, row) for row, record in records]
 
 
 def write_counter_log(
     snapshots: Sequence[CounterSnapshot], path: str | Path, format: str = "csv"
 ) -> None:
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format: {format!r}")
+    # The interchange schema carries unsigned integer counts.
+    rows = [[int(round(getattr(s, f))) for f in COUNTER_FIELDS] for s in snapshots]
     path = Path(path)
-    if format == "csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(COUNTER_FIELDS)
-            for s in snapshots:
-                writer.writerow([_format_count(getattr(s, f)) for f in COUNTER_FIELDS])
-        return
     if format == "json":
-        payload = [
-            {f: int(round(getattr(s, f))) for f in COUNTER_FIELDS} for s in snapshots
-        ]
+        payload = [dict(zip(COUNTER_FIELDS, row)) for row in rows]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
-    raise ValueError(f"unknown format: {format!r}")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COUNTER_FIELDS)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -235,6 +260,7 @@ class RunPair:
     remote_runtime: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.local_runtime <= 0 or self.remote_runtime <= 0:
             raise InvariantViolation("runtimes must be > 0")
         ref = max(self.local.instructions, self.remote.instructions)
@@ -246,21 +272,16 @@ class RunPair:
                 )
 
 
-PAIR_META_FIELDS = ("label", "local_runtime", "remote_runtime")
-
-
-def _pair_header() -> list[str]:
-    cols = list(PAIR_META_FIELDS)
-    cols += [f"local_{f}" for f in COUNTER_FIELDS]
-    cols += [f"remote_{f}" for f in COUNTER_FIELDS]
-    return cols
+PAIR_FIELDS = ["label", "local_runtime", "remote_runtime"] + [
+    f"{side}_{f}" for side in ("local", "remote") for f in COUNTER_FIELDS
+]
 
 
 def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str, Sequence[str]] | None = None) -> None:
     """Write pairs as CSV; ``extra`` adds leading columns (e.g. calibration kind)."""
     path = Path(path)
     extra = extra or {}
-    header = list(extra.keys()) + _pair_header()
+    header = list(extra.keys()) + PAIR_FIELDS
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -274,39 +295,17 @@ def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str,
 
 def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[RunPair], dict[str, list[str]]]:
     """Read a pairs CSV; returns (pairs, extra column values)."""
-    path = Path(path)
     extra_columns = list(extra_columns)
     pairs: list[RunPair] = []
     extras: dict[str, list[str]] = {k: [] for k in extra_columns}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyInput(f"{path}: no header row")
-        lowered = {h.strip().lower() for h in reader.fieldnames}
-        for col in extra_columns + list(PAIR_META_FIELDS):
-            if col not in lowered:
-                raise MissingColumn(col)
-        for row_idx, record in enumerate(reader, start=1):
-            rec = {str(k).strip().lower(): v for k, v in record.items()}
-            try:
-                local = CounterSnapshot(
-                    **{f: float(rec[f"local_{f}"]) for f in COUNTER_FIELDS}
-                )
-                remote = CounterSnapshot(
-                    **{f: float(rec[f"remote_{f}"]) for f in COUNTER_FIELDS}
-                )
-                pair = RunPair(
-                    label=rec["label"],
-                    local=local,
-                    remote=remote,
-                    local_runtime=float(rec["local_runtime"]),
-                    remote_runtime=float(rec["remote_runtime"]),
-                )
-            except KeyError as exc:
-                raise MissingColumn(str(exc)) from None
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecord(row_idx, str(exc)) from None
-            pairs.append(pair)
-            for k in extra_columns:
-                extras[k].append(rec[k])
+    for row, record in _csv_records(Path(path), extra_columns + PAIR_FIELDS):
+        pairs.append(RunPair(
+            label=record["label"],
+            local=_snapshot(record, row, _real, "local_"),
+            remote=_snapshot(record, row, _real, "remote_"),
+            local_runtime=_real(record["local_runtime"], row, "local_runtime"),
+            remote_runtime=_real(record["remote_runtime"], row, "remote_runtime"),
+        ))
+        for k in extra_columns:
+            extras[k].append(record[k])
     return pairs, extras

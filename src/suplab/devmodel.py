@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .counters import CounterSnapshot, RunPair
-from .errors import InconsistentProfile, InvariantViolation, LoadOutOfRange, load_json_object
+from .errors import (InconsistentProfile, InvariantViolation, LoadOutOfRange,
+                     load_json_object, require_finite)
 from .model import (
     SENSITIVITY_MARGIN,
     ModelParams,
@@ -62,6 +63,7 @@ class DeviceProfile:
     numa_hop_extra_ns: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.base_latency_ns <= 0:
             raise InvariantViolation("base_latency_ns must be > 0")
         if not 0 <= self.tail_prob < 0.1:
@@ -92,6 +94,7 @@ class WorkloadProfile:
     read_bandwidth_demand_gbs: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.instructions <= 0:
             raise InvariantViolation("instructions must be > 0")
         if self.demand_miss_rate < 0 or self.read_bandwidth_demand_gbs < 0:

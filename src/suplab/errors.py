@@ -8,6 +8,8 @@ Every error raised on bad data or bad configuration derives from
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 
@@ -99,6 +101,15 @@ class MalformedTrace(SupLabError):
 
 class MalformedConfig(SupLabError):
     """A JSON config file is not valid JSON or does not fit its dataclass."""
+
+
+def require_finite(obj) -> None:
+    """Raise :class:`InvariantViolation` naming the first float field of the
+    dataclass ``obj`` that is NaN or infinite."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InvariantViolation(f"{type(obj).__name__}.{f.name} must be finite, got {v}")
 
 
 def load_json_object(cls, path: str | Path, many: bool = False):

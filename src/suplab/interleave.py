@@ -33,7 +33,8 @@ from .devmodel import (
     local_snapshot,
     utilization,
 )
-from .errors import EmptyInput, InconsistentProfile, InvariantViolation, MissingFit, load_json_object
+from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, MissingFit,
+                     load_json_object, require_finite)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
 
@@ -68,6 +69,9 @@ class InterleaveFit:
     ratio_intercept: float
     speedup_slope: float
     speedup_intercept: float
+
+    def __post_init__(self):
+        require_finite(self)
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

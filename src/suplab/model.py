@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Literal, Sequence
 
 from .counters import CounterSnapshot, amortized_offcore_latency
-from .errors import EmptyInput, InvariantViolation, NoDemandReads, ZeroDenominator, load_json_object
+from .errors import (EmptyInput, InvariantViolation, NoDemandReads, ZeroDenominator,
+                     load_json_object, require_finite)
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
 
@@ -44,6 +45,7 @@ class ModelParams:
     offcore_threshold: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.k1 <= 0:
             raise InvariantViolation("k1 must be > 0")
         if self.p < 0:

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
-from .errors import CapacityUnderflow, EmptyTrace, InvariantViolation, MalformedTrace
+from .errors import (CapacityUnderflow, EmptyTrace, InvariantViolation, MalformedTrace,
+                     require_finite)
 
 POLICIES = ("first_touch", "tpp", "alto")
 
@@ -85,6 +86,7 @@ class PolicyConfig:
     migration_cost_us: float = 3.0      # blocking cost per promoted page
 
     def __post_init__(self):
+        require_finite(self)
         if self.policy not in POLICIES:
             raise InvariantViolation(f"unknown policy: {self.policy!r}")
         if self.fast_capacity < 1:
@@ -321,12 +323,34 @@ def write_trace(trace: TierTrace, csv_path: str | Path, header_path: str | Path)
     Path(header_path).write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
 
+def _bad_trace_row(csv_path: str | Path) -> str | None:
+    """A message naming the first data row that is not three int64 fields,
+    or None; data rows count from 1, skipping blank lines, as in the
+    epoch-range error."""
+    with Path(csv_path).open(errors="replace") as fh:
+        fh.readline()
+        rows = (line.rstrip("\r\n").split(",") for line in fh if line.strip())
+        for row, cells in enumerate(rows, start=1):
+            if len(cells) != len(_TRACE_COLUMNS):
+                return f"trace row {row} has {len(cells)} fields, expected {len(_TRACE_COLUMNS)}"
+            for name, text in zip(_TRACE_COLUMNS, cells):
+                try:
+                    if -2**63 <= int(text) < 2**63:
+                        continue
+                except ValueError:
+                    pass
+                return f"trace row {row}: {name}={text!r} is not a 64-bit integer"
+    return None
+
+
 def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
     try:
         header = json.loads(Path(header_path).read_text())
         n_epochs, page_count, wss_pages = (int(header[key])
                                            for key in ("epochs", "page_count", "wss_pages"))
         epoch_instructions = float(header.get("epoch_instructions", 1e9))
+        if not math.isfinite(epoch_instructions):
+            raise ValueError(f"epoch_instructions is {epoch_instructions}")
     except KeyError as exc:
         raise MalformedTrace(f"{header_path}: trace header has no {exc} key") from None
     except (ValueError, TypeError, OverflowError) as exc:   # JSONDecodeError is a ValueError
@@ -339,10 +363,10 @@ def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
             warnings.simplefilter("ignore", UserWarning)   # a file with no rows
             data = np.loadtxt(csv_path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2,
                               comments=None)
+        if data.size and data.shape[1] != len(_TRACE_COLUMNS):
+            raise ValueError(f"rows have {data.shape[1]} fields")
     except ValueError as exc:   # includes UnicodeDecodeError
-        raise MalformedTrace(f"{csv_path}: {exc}") from None
-    if data.size and data.shape[1] != len(_TRACE_COLUMNS):
-        raise MalformedTrace(f"{csv_path}: rows have {data.shape[1]} fields")
+        raise MalformedTrace(f"{csv_path}: {_bad_trace_row(csv_path) or exc}") from None
     epoch = data[:, 0]
     outside = (epoch < 0) | (epoch >= n_epochs)
     if outside.any():

@@ -74,9 +74,9 @@ def test_01_breakdown_conservation():
 
 @criterion(2, "stall estimate within 0.05 of measured for >= 95% of noisy pairs")
 def test_02_breakdown_accuracy():
-    pairs = dm.make_consistency_fixture(1000, seed=202, noise=0.03)
+    reports = [bd.decompose(rp) for rp in dm.make_consistency_fixture(1000, seed=202, noise=0.03)]
     for which in ("stall", "backend"):
-        cdf = bd.estimate_accuracy(pairs, which=which)
+        cdf = bd.estimate_accuracy(reports, which=which)
         assert cdf.fraction_within(0.05) >= 0.95
 
 

@@ -81,13 +81,13 @@ class TestEstimateAccuracy:
             bd.estimate_accuracy([])
 
     def test_exact_pairs_have_zero_diff(self):
-        pairs = dm.make_consistency_fixture(20, seed=1, noise=0.0)
-        cdf = bd.estimate_accuracy(pairs, which="backend")
+        reports = [bd.decompose(rp) for rp in dm.make_consistency_fixture(20, seed=1, noise=0.0)]
+        cdf = bd.estimate_accuracy(reports, which="backend")
         assert cdf.quantile(1.0) <= 1e-12
 
     def test_noisy_pairs_p95(self):
-        pairs = dm.make_consistency_fixture(100, seed=2, noise=0.03)
-        cdf = bd.estimate_accuracy(pairs, which="stall")
+        reports = [bd.decompose(rp) for rp in dm.make_consistency_fixture(100, seed=2, noise=0.03)]
+        cdf = bd.estimate_accuracy(reports, which="stall")
         assert cdf.quantile(0.95) <= 0.05
 
     def test_fraction_within(self):

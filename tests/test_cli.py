@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from suplab import breakdown as bd
 from suplab import cli
+from suplab import counters as cnt
 from suplab import devmodel as dm
 from suplab import calibrate as cal
 from suplab import tiersim as ts
 
-from test_counters import FIXTURE_3ROWS
+from test_counters import FIXTURE_3ROWS, fixture_records
 from test_tiersim import small_trace
 
 
@@ -188,13 +191,16 @@ def _tiersim(tmp_path, policy_config, out) -> int:
                     "--policy-config", str(cfg_path), "--out", str(out)])
 
 
-def _assert_data_error(rc, capsys, out, names=None):
-    """Exit 2, one stderr line (naming the file ``names``, if given), no output."""
+def _assert_data_error(rc, capsys, out, names=None) -> str:
+    """Exit 2, one stderr line (naming the file ``names``, if given), no output.
+
+    Returns the stderr line."""
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert names is None or str(names) in err[0]
     assert not out.exists()
+    return err[0]
 
 
 TRACE_HEADER = {"page_count": 4, "wss_pages": 4, "epoch_instructions": 1e9, "epochs": 2}
@@ -219,22 +225,27 @@ class TestBadInputs:
         out = tmp_path / "sim"
         _assert_data_error(_tiersim(tmp_path, policy_config, out), capsys, out)
 
-    @pytest.mark.parametrize("body", [
-        "epoch,page_id,group_size\n0,x,1\n",        # not an integer
-        "epoch,page_id,group_size\n0,1.5,1\n",
-        "epoch,page_id,group_size\n0,99999999999999999999,1\n",
-        "epoch,page_id,group_size\n0,1,1\n1,2\n",  # a row with too few fields
-        "epoch,page_id,group_size\n0,1,1\n1,2,1,1\n",
-        "epoch,page_id,group_size\n0,1\n1,2\n",    # every row too short
-        "page_id,epoch,group_size\n0,1,1\n",        # wrong header row
-        "",
-    ])
+    # trace CSV body: the data row (counted from 1) its error names, if any
+    MALFORMED_TRACE_CSV = {
+        "epoch,page_id,group_size\n0,x,1\n": 1,        # not an integer
+        "epoch,page_id,group_size\n0,1.5,1\n": 1,
+        "epoch,page_id,group_size\n0,99999999999999999999,1\n": 1,
+        "epoch,page_id,group_size\n0,1,1\n1,2\n": 2,  # a row with too few fields
+        "epoch,page_id,group_size\n0,1,1\n1,2,1,1\n": 2,
+        "epoch,page_id,group_size\n0,1\n1,2\n": 1,    # every row too short
+        "page_id,epoch,group_size\n0,1,1\n": None,     # wrong header row
+        "": None,
+    }
+
+    @pytest.mark.parametrize("body", list(MALFORMED_TRACE_CSV))
     def test_trace_csv_malformed(self, tmp_path, capsys, body):
         (tmp_path / "t.csv").write_text(body)
         (tmp_path / "t.json").write_text(json.dumps(TRACE_HEADER))
         out = tmp_path / "sim"
         rc = _tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out)
-        _assert_data_error(rc, capsys, out, tmp_path / "t.csv")
+        err = _assert_data_error(rc, capsys, out, tmp_path / "t.csv")
+        row = re.search(r"trace row (\d+)\b", err)
+        assert (row and int(row.group(1))) == self.MALFORMED_TRACE_CSV[body]
 
     def test_trace_without_misses(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n")
@@ -249,6 +260,7 @@ class TestBadInputs:
         json.dumps({k: v for k, v in TRACE_HEADER.items() if k != "epochs"}),
         json.dumps({k: v for k, v in TRACE_HEADER.items() if k != "page_count"}),
         json.dumps({**TRACE_HEADER, "epochs": "two"}),
+        json.dumps({**TRACE_HEADER, "epoch_instructions": float("nan")}),
     ])
     def test_trace_header_malformed(self, tmp_path, capsys, header):
         (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,0,1\n")
@@ -264,12 +276,103 @@ class TestBadInputs:
         rc = cli.run(["ingest", "--input", str(bad), "--format", "json", "--out", str(out)])
         _assert_data_error(rc, capsys, out, bad)
 
+    @pytest.mark.parametrize("count", [True, 2.5, float("nan")])
+    def test_ingest_json_bad_count(self, tmp_path, capsys, count):
+        records = fixture_records()
+        records[1]["lfb_hits"] = count
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps(records))
+        out = tmp_path / "o"
+        rc = cli.run(["ingest", "--input", str(log), "--format", "json", "--out", str(out)])
+        assert "row 2" in _assert_data_error(rc, capsys, out)
+
+    @pytest.mark.parametrize("change", ["extra field", "nan cell"])
+    def test_breakdown_bad_pairs_row(self, tmp_path, capsys, change):
+        pairs_csv = tmp_path / "pairs.csv"
+        cnt.write_run_pairs(dm.make_consistency_fixture(3, seed=3), pairs_csv)
+        lines = pairs_csv.read_text().splitlines()
+        cells = lines[2].split(",")
+        if change == "extra field":
+            cells.append("1.0")
+        else:
+            cells[5] = "nan"
+        lines[2] = ",".join(cells)
+        pairs_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bd"
+        rc = cli.run(["breakdown", "--pairs", str(pairs_csv), "--out", str(out)])
+        assert "row 2" in _assert_data_error(rc, capsys, out)
+
+    def test_breakdown_no_pairs(self, tmp_path, capsys):
+        pairs_csv = tmp_path / "pairs.csv"
+        cnt.write_run_pairs([], pairs_csv)
+        out = tmp_path / "bd"
+        rc = cli.run(["breakdown", "--pairs", str(pairs_csv), "--out", str(out)])
+        _assert_data_error(rc, capsys, out)
+
+    def test_latcdf_nan_profile(self, tmp_path, capsys):
+        prof = tmp_path / "dev.json"
+        prof.write_text(json.dumps({"name": "d", "base_latency_ns": float("nan"),
+                                    "bandwidth_cap_gbs": 30.0}))
+        out = tmp_path / "lat"
+        rc = cli.run(["latcdf", "--profile", str(prof), "--n", "1000", "--out", str(out)])
+        assert "base_latency_ns" in _assert_data_error(rc, capsys, out)
+
+    def test_scan_nan_workload(self, tmp_path, capsys):
+        w = dm.make_bandwidth_bound_suite(1, seed=2, local=dm.PRESETS["local-emr"])[0]
+        wjson = tmp_path / "w.json"
+        wjson.write_text(json.dumps({**w.__dict__, "mlp_depth": float("inf")}))
+        out = tmp_path / "scan"
+        rc = cli.run(["interleave", "scan", "--workload", str(wjson), "--out", str(out)])
+        assert "mlp_depth" in _assert_data_error(rc, capsys, out)
+
+    def test_ingest_csv_not_text(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"\xff\xfe\x00binary")
+        out = tmp_path / "o"
+        rc = cli.run(["ingest", "--input", str(log), "--out", str(out)])
+        _assert_data_error(rc, capsys, out, log)
+
+    def test_ingest_input_is_a_directory(self, tmp_path, capsys):
+        src = tmp_path / "logs"
+        src.mkdir()
+        out = tmp_path / "o"
+        rc = cli.run(["ingest", "--input", str(src), "--out", str(out)])
+        _assert_data_error(rc, capsys, out, src)
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        rc = cli.run(["latcdf", "--profile", "cxl-b", "--n", "1000", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        assert out.read_text() == "keep\n"
+
     def test_workload_malformed_json(self, tmp_path, capsys):
         wjson = tmp_path / "w.json"
         wjson.write_text("{not json")
         out = tmp_path / "scan"
         rc = cli.run(["interleave", "scan", "--workload", str(wjson), "--out", str(out)])
         _assert_data_error(rc, capsys, out)
+
+
+class TestDecomposeCalls:
+    """breakdown decomposes each pair once; the accuracy CDF reuses the reports."""
+
+    def test_breakdown_once_per_pair(self, tmp_path, monkeypatch):
+        seen = []
+        real = bd.decompose
+
+        def counting(rp):
+            seen.append(rp.label)
+            return real(rp)
+
+        monkeypatch.setattr(bd, "decompose", counting)
+        pairs = dm.make_consistency_fixture(10, seed=3)
+        cnt.write_run_pairs(pairs, tmp_path / "pairs.csv")
+        assert cli.run(["breakdown", "--pairs", str(tmp_path / "pairs.csv"),
+                        "--out", str(tmp_path / "bd")]) == 0
+        assert seen == [rp.label for rp in pairs]
 
 
 class TestSimulateCalls:

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from suplab import counters as cnt
+from suplab import devmodel as dm
+from suplab import interleave as il
+from suplab import tiersim as ts
+from suplab.model import ModelParams
 from suplab.errors import (
     InvariantViolation,
     MalformedRecord,
@@ -220,6 +228,23 @@ def test_amortized_latency_at_least_one_cycle(requests, extra):
     assert cnt.amortized_offcore_latency(s) >= 1.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: snapshot(l1_demand_hits=v),
+    lambda v: cnt.RunPair("x", snapshot(), snapshot(), 1.0, v),
+    lambda v: dm.DeviceProfile(name="d", base_latency_ns=90.0, bandwidth_cap_gbs=v),
+    lambda v: dm.WorkloadProfile(name="w", instructions=1e9, demand_miss_rate=v),
+    lambda v: ModelParams(k1=1.0, k2=1.0, k3=v, k4=1.0, p=0.0, q=1.0, offcore_threshold=40.0),
+    lambda v: il.InterleaveFit("p", ratio_slope=v, ratio_intercept=0.0,
+                               speedup_slope=1.0, speedup_intercept=0.0),
+    lambda v: ts.PolicyConfig(policy="alto", fast_capacity=1, migration_cost_us=v),
+], ids=["CounterSnapshot", "RunPair", "DeviceProfile", "WorkloadProfile", "ModelParams",
+        "InterleaveFit", "PolicyConfig"])
+def test_non_finite_rejected_at_construction(build, value):
+    with pytest.raises(InvariantViolation):
+        build(value)
+
+
 class TestRunPair:
     def test_phase_mismatch_rejected(self, base_snapshot):
         other = dataclasses.replace(base_snapshot, instructions=25_000)
@@ -236,3 +261,131 @@ class TestRunPair:
         cnt.write_run_pairs([pair], path)
         back, _ = cnt.read_run_pairs(path)
         assert back == [pair]
+
+
+# --- one set of rules for every counter reader ------------------------------
+
+def fixture_records() -> list[dict]:
+    """FIXTURE_3ROWS as one dict of integer counts per row."""
+    rows = FIXTURE_3ROWS.splitlines()[1:]
+    return [dict(zip(cnt.COUNTER_FIELDS, map(int, row.split(",")))) for row in rows]
+
+
+def _pair_records(tmp_path) -> list[dict]:
+    pairs = [cnt.RunPair(f"p{i}", snapshot(), snapshot(), 1.0, 1.5) for i in range(3)]
+    cnt.write_run_pairs(pairs, tmp_path / "valid.csv")
+    with (tmp_path / "valid.csv").open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _write_records(path: Path, records: list[dict]) -> None:
+    """JSON: the records as an array.  CSV: the first record's keys as the
+    header, then each record's values as a row."""
+    if path.suffix == ".json":
+        path.write_text(json.dumps(records))
+        return
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(records[0])
+        writer.writerows(r.values() for r in records)
+
+
+def _set_value(value):
+    def mutate(records, column):
+        records[1][column] = value
+    return mutate
+
+
+def _extra_field(records, column):
+    records[1]["extra"] = 999
+
+
+def _drop_column(records, column):
+    for r in records:
+        del r[column]
+
+
+# bad input: (how it changes the records, the error every reader raises)
+BAD_RECORDS = {
+    "true": (_set_value(True), MalformedRecord),
+    "2.5": (_set_value(2.5), MalformedRecord),
+    "NaN": (_set_value(math.nan), MalformedRecord),
+    "-1": (_set_value(-1), NegativeValue),
+    "x": (_set_value("x"), MalformedRecord),
+    "empty cell": (_set_value(""), MalformedRecord),
+    "extra field": (_extra_field, MalformedRecord),
+    "missing column": (_drop_column, MissingColumn),
+}
+COUNT_ONLY = ("true", "2.5")   # valid reals, so they apply to counter logs only
+READERS = {
+    "csv log": ("log.csv", lambda p: cnt.ingest_counter_log(p, "csv")),
+    "json log": ("log.json", lambda p: cnt.ingest_counter_log(p, "json")),
+    "pairs csv": ("pairs.csv", cnt.read_run_pairs),
+}
+
+
+@pytest.mark.parametrize("bad,reader", [
+    (bad, reader) for bad in BAD_RECORDS for reader in READERS
+    if not (reader == "pairs csv" and bad in COUNT_ONLY)
+])
+def test_every_reader_rejects_the_same_bad_input(tmp_path, bad, reader):
+    mutate, error = BAD_RECORDS[bad]
+    name, read = READERS[reader]
+    pairs = reader == "pairs csv"
+    records = _pair_records(tmp_path) if pairs else fixture_records()
+    column = "local_lfb_hits" if pairs else "lfb_hits"
+    mutate(records, column)
+    path = tmp_path / name
+    _write_records(path, records)
+    with pytest.raises(error) as exc:
+        read(path)
+    if error is MissingColumn:
+        assert exc.value.name == column
+    else:
+        assert exc.value.row == 2
+
+
+def _count_snapshots(max_count: int):
+    """Integer-count snapshots that satisfy every CounterSnapshot invariant."""
+    count = st.integers(0, max_count)
+
+    @st.composite
+    def build(draw):
+        total = draw(count)
+        stall = draw(st.integers(0, total))
+        backend = draw(st.integers(0, stall))
+        mem = draw(st.integers(0, backend))
+        requests = draw(count)
+        values = {f: draw(count) for f in cnt.COUNTER_FIELDS}
+        values.update(
+            total_cycles=total, stall_cycles_total=stall, backend_stall_cycles=backend,
+            mem_stall_cycles=mem, llc_miss_demand_stall_cycles=draw(st.integers(0, mem)),
+            offcore_demand_requests=requests,
+            offcore_demand_occupancy=draw(st.integers(requests, max_count)),
+        )
+        return cnt.CounterSnapshot(**values)
+
+    return build()
+
+
+@given(snaps=st.lists(_count_snapshots(10**15), min_size=1, max_size=5),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_counter_log_roundtrip_exact(snaps, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"log.{fmt}"
+        cnt.write_counter_log(snaps, path, fmt)
+        assert cnt.ingest_counter_log(path, fmt) == snaps
+
+
+@given(data=st.data(),
+       scale=st.floats(1e-3, 1e3),
+       runtimes=st.tuples(st.floats(1e-9, 1e9), st.floats(1e-9, 1e9)),
+       label=st.from_regex(r'[A-Za-z0-9_ ,"-]{0,12}', fullmatch=True))
+def test_run_pairs_roundtrip_exact(data, scale, runtimes, label):
+    local, remote = (data.draw(_count_snapshots(10**15)).scaled(scale) for _ in range(2))
+    pair = cnt.RunPair(label, local, dataclasses.replace(remote, instructions=local.instructions),
+                       *runtimes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.csv"
+        cnt.write_run_pairs([pair], path, extra={"kind": ["k"]})
+        assert cnt.read_run_pairs(path, ["kind"]) == ([pair], {"kind": ["k"]})
