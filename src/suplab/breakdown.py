@@ -15,16 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .counters import STALL_SOURCES, RunPair
+from .counters import STALL_COUNTERS, STALL_SOURCES, RunPair
 from .errors import EmptyInput, ZeroDenominator
-
-_COMPONENT_COUNTERS = {
-    "store": "store_buffer_full_stall_cycles",
-    "L1": "stall_l1",
-    "L2": "stall_l2",
-    "L3": "stall_l3",
-    "DRAM": "llc_miss_demand_stall_cycles",
-}
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,7 @@ def decompose(rp: RunPair) -> SlowdownReport:
         raise ZeroDenominator("local total_cycles is zero")
     components = {
         src: (getattr(rp.remote, f) - getattr(rp.local, f)) / c
-        for src, f in _COMPONENT_COUNTERS.items()
+        for src, f in STALL_COUNTERS.items()
     }
     stall_est = (rp.remote.stall_cycles_total - rp.local.stall_cycles_total) / c
     backend_est = (rp.remote.backend_stall_cycles - rp.local.backend_stall_cycles) / c

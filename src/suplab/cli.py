@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ingest, breakdown, calibrate, predict, interleave scan|forecast,
-tiersim, latcdf, demo.  All randomness flows from --seed, outputs are written
-atomically (temp + rename), and every output directory gets a copy of the run
-manifest.  Exit codes: 0 success, 1 usage error, 2 data/invariant error.
+tiersim, latcdf, demo.  All randomness flows from --seed.  Outputs, with a
+copy of the run manifest, are staged beside the output directory and moved
+into it only when the command succeeds, so a failed command leaves no output
+directory.  Exit codes: 0 success, 1 usage error, 2 data/invariant error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -39,45 +41,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 class OutputDir:
-    """Collects outputs and lands each one atomically under one directory.
+    """A hidden staging directory beside ``root``; ``out / name`` is a path in it.
 
-    The directory is created on first write, so a command that fails before
-    producing anything leaves no trace.
+    Nothing appears under ``root`` until :meth:`publish`.  The caller removes
+    ``staging`` afterwards, whether or not the command succeeded.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.root.parent.mkdir(parents=True, exist_ok=True)
+        self.staging = Path(tempfile.mkdtemp(dir=self.root.parent, prefix=f".{self.root.name}."))
 
-    def write_text(self, name: str, text: str) -> Path:
-        return self.write_via(name, lambda p: Path(p).write_text(text))
+    def __truediv__(self, name: str) -> Path:
+        return self.staging / name
 
-    def write_json(self, name: str, payload) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def write_json(self, name: str, payload) -> None:
+        (self / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    def write_via(self, name: str, writer) -> Path:
-        """Run a path-taking writer against a temp file, then rename."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        target = self.root / name
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{name}.")
-        os.close(fd)
-        try:
-            writer(tmp)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return target
+    def publish(self) -> None:
+        """Move each staged file into ``root``, replacing same-named files.
+
+        The manifest is moved last, after every output it describes.
+        """
+        self.root.mkdir(exist_ok=True)
+        for f in sorted(self.staging.iterdir(), key=lambda f: f.name == "manifest.json"):
+            os.replace(f, self.root / f.name)
 
 
 def _write_manifest(out: OutputDir, args: argparse.Namespace, inputs: dict) -> None:
-    manifest = {
-        "subcommand": args.command,
-        "seed": getattr(args, "seed", None),
-        "inputs": inputs,
-        "output_dir": str(out.root),
-    }
-    out.write_json("manifest.json", manifest)
+    out.write_json("manifest.json", {"subcommand": args.command, "seed": args.seed,
+                                     "inputs": inputs, "output_dir": str(out.root)})
 
 
 def _load_device(path_or_preset: str) -> dm.DeviceProfile:
@@ -154,10 +147,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_ingest(args) -> int:
-    out = OutputDir(args.out)
+def _cmd_ingest(args, out: OutputDir) -> tuple[dict, str]:
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
-    out.write_via("snapshots.csv", lambda p: cnt.write_counter_log(snaps, p, "csv"))
+    cnt.write_counter_log(snaps, out / "snapshots.csv", "csv")
     rows = [
         {
             "row": i,
@@ -169,53 +161,42 @@ def _cmd_ingest(args) -> int:
         for i, s in enumerate(snaps)
     ]
     out.write_json("derived.json", rows)
-    _write_manifest(out, args, {"input": args.input})
-    print(f"ingested {len(snaps)} snapshots -> {out.root}")
-    return 0
+    return {"input": args.input}, f"ingested {len(snaps)} snapshots -> {out.root}"
 
 
-def _cmd_breakdown(args) -> int:
-    out = OutputDir(args.out)
+def _cmd_breakdown(args, out: OutputDir) -> tuple[dict, str]:
     pairs, _ = cnt.read_run_pairs(args.pairs)
     reports = [bd.decompose(rp) for rp in pairs]
+    bd.write_report_csv(reports, out / "breakdown.csv")
+    bd.write_report_long_csv(reports, out / "breakdown_long.csv")
     cdf = bd.estimate_accuracy(reports, which="backend")
-    out.write_via("breakdown.csv", lambda p: bd.write_report_csv(reports, p))
-    out.write_via("breakdown_long.csv", lambda p: bd.write_report_long_csv(reports, p))
     out.write_json(
         "accuracy.json",
         {"pairs": len(pairs), "p95_abs_error": cdf.quantile(0.95),
          "within_0.05": cdf.fraction_within(0.05)},
     )
-    _write_manifest(out, args, {"pairs": args.pairs})
-    print(f"decomposed {len(pairs)} pairs -> {out.root}")
-    return 0
+    return {"pairs": args.pairs}, f"decomposed {len(pairs)} pairs -> {out.root}"
 
 
-def _cmd_calibrate(args) -> int:
-    out = OutputDir(args.out)
+def _cmd_calibrate(args, out: OutputDir) -> tuple[dict, str]:
     runs = cal.read_calibration_csv(args.runs)
     params = cal.fit_sequential(runs)
     if args.least_squares:
         params = cal.fit_least_squares(runs, params)
-    out.write_via("params.json", params.to_json)
-    _write_manifest(out, args, {"runs": args.runs})
-    print(f"fitted params -> {out.root / 'params.json'}")
-    return 0
+    params.to_json(out / "params.json")
+    return {"runs": args.runs}, f"fitted params -> {out.root / 'params.json'}"
 
 
-def _cmd_predict(args) -> int:
-    out = OutputDir(args.out)
+def _cmd_predict(args, out: OutputDir) -> tuple[dict, str]:
     params = mdl.ModelParams.from_json(args.params)
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
     preds = [mdl.predict(s, params, label=f"row-{i}") for i, s in enumerate(snaps)]
-    out.write_via("predictions.csv", lambda p: mdl.write_predictions_csv(preds, p))
-    _write_manifest(out, args, {"input": args.input, "params": args.params})
-    print(f"predicted {len(preds)} snapshots -> {out.root}")
-    return 0
+    mdl.write_predictions_csv(preds, out / "predictions.csv")
+    return ({"input": args.input, "params": args.params},
+            f"predicted {len(preds)} snapshots -> {out.root}")
 
 
-def _cmd_interleave(args) -> int:
-    out = OutputDir(args.out)
+def _cmd_interleave(args, out: OutputDir) -> tuple[dict, str]:
     local = _load_device(args.local)
     remote = _load_device(args.remote)
     if args.action == "scan":
@@ -223,13 +204,11 @@ def _cmd_interleave(args) -> int:
             raise _UsageError("interleave scan requires --workload")
         w = load_json_object(dm.WorkloadProfile, args.workload)
         curve = il.scan_ratios(w, local, remote, grid=args.grid, seed=args.seed)
-        out.write_via("scan.csv", lambda p: il.write_scan_csv(curve, p))
+        il.write_scan_csv(curve, out / "scan.csv")
         best_x, best_rt = il.best_scan_point(curve)
         out.write_json("scan_best.json", {"remote_fraction": best_x, "runtime_s": best_rt})
-        _write_manifest(out, args, {"workload": args.workload,
-                                    "local": args.local, "remote": args.remote})
-        print(f"scanned {len(curve)} ratios -> {out.root}")
-        return 0
+        return ({"workload": args.workload, "local": args.local, "remote": args.remote},
+                f"scanned {len(curve)} ratios -> {out.root}")
     if not args.input or not args.params or not args.fit:
         raise _UsageError("interleave forecast requires --input, --params and --fit")
     params = mdl.ModelParams.from_json(args.params)
@@ -239,14 +218,12 @@ def _cmd_interleave(args) -> int:
         il.forecast(s, local, remote, params, fit, label=f"row-{i}")
         for i, s in enumerate(snaps)
     ]
-    out.write_via("forecast.csv", lambda p: il.write_forecast_csv(fcs, p))
-    _write_manifest(out, args, {"input": args.input, "params": args.params, "fit": args.fit})
-    print(f"forecast {len(fcs)} snapshots -> {out.root}")
-    return 0
+    il.write_forecast_csv(fcs, out / "forecast.csv")
+    return ({"input": args.input, "params": args.params, "fit": args.fit},
+            f"forecast {len(fcs)} snapshots -> {out.root}")
 
 
-def _cmd_tiersim(args) -> int:
-    out = OutputDir(args.out)
+def _cmd_tiersim(args, out: OutputDir) -> tuple[dict, str]:
     local = _load_device(args.local)
     remote = _load_device(args.remote)
     trace = ts.read_trace(args.trace, args.trace_header)
@@ -254,44 +231,31 @@ def _cmd_tiersim(args) -> int:
     rows, outcomes = ts.compare_policies(trace, cfgs, local, remote)
     out.write_json("comparison.json", rows)
     for outcome in outcomes:
-        out.write_via(
-            f"epochs_{outcome.policy}.csv",
-            lambda p, oc=outcome: ts.write_epoch_report_csv(oc, p),
-        )
-    _write_manifest(out, args, {"trace": args.trace, "policy_config": args.policy_config,
-                                "local": args.local, "remote": args.remote})
-    print(f"simulated {len(cfgs)} policies -> {out.root}")
-    return 0
+        ts.write_epoch_report_csv(outcome, out / f"epochs_{outcome.policy}.csv")
+    return ({"trace": args.trace, "policy_config": args.policy_config,
+             "local": args.local, "remote": args.remote},
+            f"simulated {len(cfgs)} policies -> {out.root}")
 
 
-def _cmd_latcdf(args) -> int:
-    out = OutputDir(args.out)
+def _cmd_latcdf(args, out: OutputDir) -> tuple[dict, str]:
     dev = _load_device(args.profile)
     samples = dm.sample_latencies(dev, n=args.n, load=args.load, seed=args.seed)
     if args.dump_samples:
-        out.write_via("samples.csv", lambda p: dm.write_latency_samples_csv(samples, p))
+        dm.write_latency_samples_csv(samples, out / "samples.csv")
     qs = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
     pcts = dm.latency_percentiles(samples, qs)
-    out.write_via(
-        "percentiles.csv",
-        lambda p: Path(p).write_text(
-            "q,ns\n" + "".join(f"{q},{pcts[q]!r}\n" for q in qs)
-        ),
-    )
+    (out / "percentiles.csv").write_text("q,ns\n" + "".join(f"{q},{pcts[q]!r}\n" for q in qs))
     spread = pcts[0.999] - pcts[0.5]
     out.write_json(
         "summary.json",
         {"device": dev.name, "n": args.n, "load": args.load,
          "p50": pcts[0.5], "p99.9": pcts[0.999], "p99.9_minus_p50": spread},
     )
-    _write_manifest(out, args, {"profile": args.profile})
-    print(f"{dev.name}: p99.9 - p50 = {spread:.1f} ns -> {out.root}")
-    return 0
+    return {"profile": args.profile}, f"{dev.name}: p99.9 - p50 = {spread:.1f} ns -> {out.root}"
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args, out: OutputDir) -> tuple[dict, str]:
     """Calibrate, predict, forecast, and simulate on the shipped fixtures."""
-    out = OutputDir(args.out)
     seed = args.seed
     local = dm.PRESETS["local-emr"]
     remote = dm.PRESETS["cxl-b"]
@@ -300,9 +264,9 @@ def _cmd_demo(args) -> int:
     # 1. calibrate from synthesized microbenchmarks
     truth = dm.make_reference_params(local, remote)
     runs = dm.make_calibration_runs(local, remote, truth, seed=seed)
-    out.write_via("calibration_runs.csv", lambda p: cal.write_calibration_csv(runs, p))
+    cal.write_calibration_csv(runs, out / "calibration_runs.csv")
     params = cal.fit_sequential(runs)
-    out.write_via("params.json", params.to_json)
+    params.to_json(out / "params.json")
     err = max(
         abs(getattr(params, k) - getattr(truth, k)) / max(abs(getattr(truth, k)), 1e-12)
         for k in ("k1", "k2", "k3", "p", "q")
@@ -312,7 +276,7 @@ def _cmd_demo(args) -> int:
     # 2. breakdown + prediction accuracy on a noisy fixture suite
     pairs = dm.make_consistency_fixture(200, seed=seed, noise=0.03)
     reports = [bd.decompose(rp) for rp in pairs]
-    out.write_via("breakdown.csv", lambda p: bd.write_report_csv(reports, p))
+    bd.write_report_csv(reports, out / "breakdown.csv")
     cdf = bd.estimate_accuracy(reports, which="backend")
     lines.append(
         f"breakdown: {cdf.fraction_within(0.05):.1%} of {len(pairs)} pairs within 0.05"
@@ -332,7 +296,7 @@ def _cmd_demo(args) -> int:
     il_params = dm.make_reference_params(skx_local, skx_znuma)
     fit_wls = dm.make_bandwidth_bound_suite(6, seed=seed, local=skx_local)
     fit = il.fit_interleave(fit_wls, skx_local, skx_znuma, il_params, grid=101, seed=seed)
-    out.write_via("interleave_fit.json", fit.to_json)
+    fit.to_json(out / "interleave_fit.json")
     eval_wls = dm.make_bandwidth_bound_suite(8, seed=seed + 1, local=skx_local)
     fcs = []
     hits = 0
@@ -344,7 +308,7 @@ def _cmd_demo(args) -> int:
         best_x, _ = il.best_scan_point(curve)
         if abs(fc.best_ratio.remote_fraction - best_x) <= 0.03:
             hits += 1
-    out.write_via("interleave_forecast.csv", lambda p: il.write_forecast_csv(fcs, p))
+    il.write_forecast_csv(fcs, out / "interleave_forecast.csv")
     lines.append(f"interleave: {hits}/{len(eval_wls)} forecasts within 3 grid points of scan optimum")
 
     # 4. tiering policies over the fixture traces
@@ -362,11 +326,8 @@ def _cmd_demo(args) -> int:
             f"tiersim {name}: normalized runtime first_touch {by['first_touch']['normalized_runtime']:.2f} "
             f"tpp {by['tpp']['normalized_runtime']:.2f} alto {by['alto']['normalized_runtime']:.2f}"
         )
-        alto_outcome = outcomes[ts.POLICIES.index("alto")]
-        out.write_via(
-            f"tiersim_{name}_alto_epochs.csv",
-            lambda p, oc=alto_outcome: ts.write_epoch_report_csv(oc, p),
-        )
+        ts.write_epoch_report_csv(outcomes[ts.POLICIES.index("alto")],
+                                  out / f"tiersim_{name}_alto_epochs.csv")
 
     # 5. latency CDFs for the shipped presets
     cdf_rows = []
@@ -384,13 +345,13 @@ def _cmd_demo(args) -> int:
         + ", ".join(f"{r['device']}={r['spread']:.0f}" for r in cdf_rows)
     )
 
-    summary = "\n".join(lines) + "\n"
-    out.write_text("summary.txt", summary)
-    _write_manifest(out, args, {"fixtures": "builtin"})
-    sys.stdout.write(summary)
-    return 0
+    summary = "\n".join(lines)
+    (out / "summary.txt").write_text(summary + "\n")
+    return {"fixtures": "builtin"}, summary
 
 
+# Each handler writes its outputs under ``out`` and returns (the manifest's
+# inputs, the line(s) to print); run() writes the manifest and publishes.
 _HANDLERS = {
     "ingest": _cmd_ingest,
     "breakdown": _cmd_breakdown,
@@ -404,20 +365,23 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        out = OutputDir(args.out)
+        try:
+            inputs, message = _HANDLERS[args.command](args, out)
+            _write_manifest(out, args, inputs)
+            out.publish()
+        finally:
+            shutil.rmtree(out.staging, ignore_errors=True)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (SupLabError, ZeroDivisionError, OSError) as exc:   # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
+    print(message)
+    return 0
 
 
 def main() -> None:

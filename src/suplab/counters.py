@@ -48,7 +48,15 @@ COUNTER_FIELDS = (
     "instructions",
 )
 
-STALL_SOURCES = ("store", "L1", "L2", "L3", "DRAM")
+# Each backend stall source and the counter that measures its stall cycles.
+STALL_COUNTERS = {
+    "store": "store_buffer_full_stall_cycles",
+    "L1": "stall_l1",
+    "L2": "stall_l2",
+    "L3": "stall_l3",
+    "DRAM": "llc_miss_demand_stall_cycles",
+}
+STALL_SOURCES = tuple(STALL_COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -126,13 +134,7 @@ def stall_fractions(s: CounterSnapshot) -> dict[str, float]:
     c = s.total_cycles
     if c == 0:
         raise ZeroDenominator("total_cycles is zero")
-    return {
-        "store": s.store_buffer_full_stall_cycles / c,
-        "L1": s.stall_l1 / c,
-        "L2": s.stall_l2 / c,
-        "L3": s.stall_l3 / c,
-        "DRAM": s.llc_miss_demand_stall_cycles / c,
-    }
+    return {src: getattr(s, f) / c for src, f in STALL_COUNTERS.items()}
 
 
 def _real(raw, row: int, field: str) -> float:
@@ -171,11 +173,15 @@ def _snapshot(record: dict, row: int, convert=_count, prefix: str = "") -> Count
 
 
 def _header(names: Iterable, required: Iterable[str]) -> list[str]:
-    """Column names stripped and lower-cased, with every required one present."""
+    """Column names stripped and lower-cased, with every required one present
+    and none repeated (a header error, reported as row 0)."""
     names = [str(n).strip().lower() for n in names]
     for name in required:
         if name not in names:
             raise MissingColumn(name)
+    if len(set(names)) < len(names):
+        repeated = next(n for i, n in enumerate(names) if n in names[:i])
+        raise MalformedRecord(0, f"repeated column {repeated}")
     return names
 
 

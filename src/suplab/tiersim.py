@@ -59,6 +59,9 @@ class TierTrace:
             raise EmptyTrace("trace has no demand misses")
         if self.page_count < 1:
             raise InvariantViolation("page_count must be >= 1")
+        if not 0 < self.epoch_instructions < math.inf:
+            raise InvariantViolation(
+                f"epoch_instructions must be finite and > 0, got {self.epoch_instructions}")
         misses = np.concatenate(rows)
         offsets = np.cumsum([0] + [len(r) for r in rows])
         pages, groups = misses[:, 0].copy(), misses[:, 1].copy()
@@ -89,15 +92,16 @@ class PolicyConfig:
         require_finite(self)
         if self.policy not in POLICIES:
             raise InvariantViolation(f"unknown policy: {self.policy!r}")
+        for name in ("fast_capacity", "promo_threshold_accesses", "max_promo_rate", "alto_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
         if self.fast_capacity < 1:
             raise CapacityUnderflow("fast_capacity must be >= 1")
         if not self.alto_lower < self.alto_upper:
             raise InvariantViolation("alto_lower must be < alto_upper")
         if self.alto_steps < 1:
             raise InvariantViolation("alto_steps must be >= 1")
-        for name in ("promo_threshold_accesses", "max_promo_rate"):
-            if not isinstance(getattr(self, name), int):
-                raise InvariantViolation(f"{name} must be an integer")
 
 
 @dataclass
@@ -349,8 +353,8 @@ def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
         n_epochs, page_count, wss_pages = (int(header[key])
                                            for key in ("epochs", "page_count", "wss_pages"))
         epoch_instructions = float(header.get("epoch_instructions", 1e9))
-        if not math.isfinite(epoch_instructions):
-            raise ValueError(f"epoch_instructions is {epoch_instructions}")
+        if not 0 < epoch_instructions < math.inf:
+            raise ValueError(f"epoch_instructions must be finite and > 0, got {epoch_instructions}")
     except KeyError as exc:
         raise MalformedTrace(f"{header_path}: trace header has no {exc} key") from None
     except (ValueError, TypeError, OverflowError) as exc:   # JSONDecodeError is a ValueError

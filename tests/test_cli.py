@@ -192,7 +192,8 @@ def _tiersim(tmp_path, policy_config, out) -> int:
 
 
 def _assert_data_error(rc, capsys, out, names=None) -> str:
-    """Exit 2, one stderr line (naming the file ``names``, if given), no output.
+    """Exit 2, one stderr line (naming the file ``names``, if given), no output
+    directory and no staging directory beside it.
 
     Returns the stderr line."""
     assert rc == 2
@@ -200,6 +201,7 @@ def _assert_data_error(rc, capsys, out, names=None) -> str:
     assert len(err) == 1
     assert names is None or str(names) in err[0]
     assert not out.exists()
+    assert not list(out.parent.glob(f".{out.name}.*"))
     return err[0]
 
 
@@ -219,6 +221,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("policy_config", [
         [{"policy": "tpp", "fast_capacity": 2500, "bogus": 1}],
         {"policy": "tpp"},
+        {"policy": "tpp", "fast_capacity": 1.5},
     ])
     def test_policy_config_keys(self, tmp_path, capsys, policy_config):
         ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
@@ -261,6 +264,8 @@ class TestBadInputs:
         json.dumps({k: v for k, v in TRACE_HEADER.items() if k != "page_count"}),
         json.dumps({**TRACE_HEADER, "epochs": "two"}),
         json.dumps({**TRACE_HEADER, "epoch_instructions": float("nan")}),
+        json.dumps({**TRACE_HEADER, "epoch_instructions": 0}),
+        json.dumps({**TRACE_HEADER, "epoch_instructions": -1e9}),
     ])
     def test_trace_header_malformed(self, tmp_path, capsys, header):
         (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,0,1\n")
@@ -354,6 +359,55 @@ class TestBadInputs:
         out = tmp_path / "scan"
         rc = cli.run(["interleave", "scan", "--workload", str(wjson), "--out", str(out)])
         _assert_data_error(rc, capsys, out)
+
+
+def _fail(*args, **kwargs):
+    raise OSError("injected write failure")
+
+
+class TestStagedOutput:
+    """Outputs are staged beside --out and published only when the command succeeds."""
+
+    # command: the function made to fail, which runs after an output is staged
+    FAILING = {
+        "demo": (ts, "write_epoch_report_csv"),
+        "tiersim": (ts, "write_epoch_report_csv"),
+        "ingest": (cnt, "stall_fractions"),
+    }
+
+    @pytest.mark.parametrize("command", list(FAILING))
+    def test_failure_leaves_no_output(self, tmp_path, capsys, monkeypatch, counters_csv,
+                                      command):
+        ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"policy": "tpp", "fast_capacity": 2}))
+        argv = {
+            "demo": ["demo", "--seed", "1"],
+            "tiersim": ["tiersim", "--trace", str(tmp_path / "t.csv"),
+                        "--trace-header", str(tmp_path / "t.json"),
+                        "--policy-config", str(tmp_path / "cfg.json")],
+            "ingest": ["ingest", "--input", str(counters_csv)],
+        }[command]
+        monkeypatch.setattr(*self.FAILING[command], _fail)
+        out = tmp_path / "o"
+        _assert_data_error(cli.run(argv + ["--out", str(out)]), capsys, out)
+
+    def test_rerun_overwrites_same_named_files(self, tmp_path):
+        def latcdf(seed, out, *extra):
+            assert cli.run(["latcdf", "--profile", "cxl-b", "--n", "1000", "--seed", str(seed),
+                            "--out", str(tmp_path / out), *extra]) == 0
+
+        latcdf(1, "o", "--dump-samples")
+        first_samples = (tmp_path / "o" / "samples.csv").read_bytes()
+        latcdf(2, "o")
+        latcdf(2, "fresh")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "o"]
+        rerun, fresh = tree_digest(tmp_path / "o"), tree_digest(tmp_path / "fresh")
+        # a file only the first run wrote stays as it was
+        assert rerun.pop("samples.csv") == hashlib.sha256(first_samples).hexdigest()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["seed"] == 2 and manifest["output_dir"] == str(tmp_path / "o")
+        del rerun["manifest.json"], fresh["manifest.json"]
+        assert rerun == fresh
 
 
 class TestDecomposeCalls:

@@ -305,6 +305,11 @@ def _drop_column(records, column):
         del r[column]
 
 
+def _repeat_column(records, column):
+    for r in records:
+        r[column.upper()] = r[column]
+
+
 # bad input: (how it changes the records, the error every reader raises)
 BAD_RECORDS = {
     "true": (_set_value(True), MalformedRecord),
@@ -315,6 +320,7 @@ BAD_RECORDS = {
     "empty cell": (_set_value(""), MalformedRecord),
     "extra field": (_extra_field, MalformedRecord),
     "missing column": (_drop_column, MissingColumn),
+    "repeated column": (_repeat_column, MalformedRecord),   # a header error: row 0
 }
 COUNT_ONLY = ("true", "2.5")   # valid reals, so they apply to counter logs only
 READERS = {
@@ -341,6 +347,8 @@ def test_every_reader_rejects_the_same_bad_input(tmp_path, bad, reader):
         read(path)
     if error is MissingColumn:
         assert exc.value.name == column
+    elif bad == "repeated column":
+        assert exc.value.row == 0 and f"repeated column {column}" in str(exc.value)
     else:
         assert exc.value.row == 2
 

@@ -77,14 +77,22 @@ class TestTraceValidation:
         with pytest.raises(InvariantViolation):
             small_trace(groups=(1, 0, 1))
 
+    @pytest.mark.parametrize("value", [0, -1e9, float("nan"), float("inf")])
+    def test_epoch_instructions_finite_positive(self, value):
+        with pytest.raises(InvariantViolation):
+            ts.TierTrace(epochs=small_trace().epochs, page_count=10, wss_pages=10,
+                         epoch_instructions=value)
+
     def test_config_thresholds_ordered(self):
         with pytest.raises(InvariantViolation):
             cfg("alto", alto_lower=100.0, alto_upper=40.0)
 
-    @pytest.mark.parametrize("field", ["promo_threshold_accesses", "max_promo_rate"])
+    @pytest.mark.parametrize("field", ["promo_threshold_accesses", "max_promo_rate",
+                                       "fast_capacity", "alto_steps"])
     def test_config_counts_are_integers(self, field):
-        with pytest.raises(InvariantViolation):
-            cfg("tpp", **{field: 2.0})
+        for value in (2.0, 2.5, True):
+            with pytest.raises(InvariantViolation):
+                cfg("tpp", **{field: value})
 
 
 class TestSimulate:
