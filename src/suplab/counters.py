@@ -11,9 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyInput,
@@ -22,30 +27,9 @@ from .errors import (
     MissingColumn,
     NegativeValue,
     NoDemandReads,
+    SupLabError,
     ZeroDenominator,
     require_finite,
-)
-
-# Canonical column order for the CSV/JSON interchange format.
-COUNTER_FIELDS = (
-    "total_cycles",
-    "stall_cycles_total",
-    "backend_stall_cycles",
-    "mem_stall_cycles",
-    "llc_miss_demand_stall_cycles",
-    "l1_demand_hits",
-    "lfb_hits",
-    "store_buffer_full_stall_cycles",
-    "stall_l1",
-    "stall_l2",
-    "stall_l3",
-    "offcore_demand_requests",
-    "offcore_demand_occupancy",
-    "l1_prefetch_l3_miss",
-    "l1_prefetch_total",
-    "l2_prefetch_l3_miss",
-    "l2_prefetch_l3_hit",
-    "instructions",
 )
 
 # Each backend stall source and the counter that measures its stall cycles.
@@ -87,11 +71,11 @@ class CounterSnapshot:
     instructions: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in COUNTER_FIELDS:
+            v = getattr(self, name)
             if not 0 <= v < math.inf:   # negative, NaN or infinite
                 require_finite(self)
-                raise InvariantViolation(f"{f.name} must be >= 0, got {v}")
+                raise InvariantViolation(f"{name} must be >= 0, got {v}")
         if self.stall_cycles_total > self.total_cycles * (1 + 1e-12):
             raise InvariantViolation("stall_cycles_total exceeds total_cycles")
         if self.backend_stall_cycles > self.stall_cycles_total * (1 + 1e-12):
@@ -116,6 +100,10 @@ class CounterSnapshot:
     def scaled(self, factor: float) -> "CounterSnapshot":
         """Every counter multiplied by ``factor`` (window rescaling)."""
         return replace(self, **{k: v * factor for k, v in self.as_dict().items()})
+
+
+# Canonical column order for the CSV/JSON interchange format.
+COUNTER_FIELDS = tuple(f.name for f in fields(CounterSnapshot))
 
 
 def amortized_offcore_latency(s: CounterSnapshot) -> float:
@@ -185,56 +173,94 @@ def _header(names: Iterable, required: Iterable[str]) -> list[str]:
     return names
 
 
-def _csv_records(path: Path, required: Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """(row number from 1, record) for each data row of a CSV file whose
-    header holds every ``required`` column; a row with the wrong number of
-    fields raises :class:`MalformedRecord`."""
+# A reader parses its file once into a header and rows, stopping at the first
+# row it cannot parse and keeping that row's error as the ``defect``.  When
+# every cell converts with plain int()/float() and lies in [0, inf), whole
+# tables convert at once.  Otherwise the reference loop runs over the parsed
+# rows: each row's cells through _count/_real, then its objects built, row by
+# row, and the defect last.  That loop fixes every error's class, row, column
+# and precedence.
+
+def _csv_table(path: Path, required: Iterable[str]) -> tuple[list[str], list[list[str]], SupLabError | None]:
+    """(header, data rows, defect) of a CSV file whose header holds every
+    ``required`` column.  Blank lines are skipped and data rows count from 1;
+    the first row with the wrong number of fields, or that is not CSV text,
+    ends the rows and is the defect."""
+    names, rows, defect = None, [], None
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None:
+            names = next(reader, None)
+            if names is None:
                 raise EmptyInput(f"{path}: no header row")
-            reader.fieldnames = _header(reader.fieldnames, required)
-            for row, record in enumerate(reader, start=1):
-                if None in record or None in record.values():
-                    raise MalformedRecord(row, "wrong number of fields")
-                yield row, record
+            names = _header(names, required)
+            for cells in filter(None, reader):
+                if len(cells) != len(names):
+                    defect = MalformedRecord(len(rows) + 1, "wrong number of fields")
+                    break
+                rows.append(cells)
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise MalformedRecord(0, f"{path} is not a CSV text file: {exc}") from None
+            defect = MalformedRecord(0, f"{path} is not a CSV text file: {exc}")
+            if names is None:
+                raise defect from None
+    return names, rows, defect
 
 
-def _json_records(path: Path) -> Iterator[tuple[int, dict]]:
-    """(row number from 1, record) for each object of a JSON array.  The
-    first object's keys serve as the header: they must name every counter,
-    and every object must have the same keys."""
+def _json_table(path: Path) -> tuple[list[tuple], SupLabError | None]:
+    """(rows, defect) of a JSON array of objects: each object's COUNTER_FIELDS
+    values, in that order.  The first object's keys serve as the header: they
+    must name every counter, and every object must have the same keys."""
     try:
         records = json.loads(path.read_text())
     except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
         raise MalformedRecord(0, f"{path} is not valid JSON: {exc}") from None
     if not isinstance(records, list):
         raise MalformedRecord(0, "top-level JSON value must be an array")
-    header = None
+    rows, first, header, get = [], None, None, None
     for row, rec in enumerate(records, start=1):
-        if not isinstance(rec, dict):
-            raise MalformedRecord(row, "record is not an object")
-        keys = _header(rec, COUNTER_FIELDS if header is None else ())
-        if header is None:
-            header = set(keys)
-        elif set(keys) != header:
-            raise MalformedRecord(row, "keys differ from the first record's")
-        yield row, dict(zip(keys, rec.values()))
+        try:
+            if not isinstance(rec, dict):
+                raise MalformedRecord(row, "record is not an object")
+            if rec.keys() == first:   # the first object's keys, so its checked header
+                rows.append(get(rec))
+                continue
+            names = _header(rec, COUNTER_FIELDS if header is None else ())
+            if header is None:
+                first, header = rec.keys(), set(names)
+            elif set(names) != header:
+                raise MalformedRecord(row, "keys differ from the first record's")
+            pick = itemgetter(*map(dict(zip(names, rec)).__getitem__, COUNTER_FIELDS))
+            get = get or pick
+            rows.append(pick(rec))
+        except SupLabError as exc:
+            return rows, exc
+    return rows, None
 
 
 def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSnapshot]:
     """Parse a counter log into validated snapshots, one per row/record."""
     path = Path(path)
+    counts = None
     if format == "csv":
-        records = _csv_records(path, COUNTER_FIELDS)
+        names, rows, defect = _csv_table(path, COUNTER_FIELDS)
+        rows = list(map(itemgetter(*map(names.index, COUNTER_FIELDS)), rows))
+        with suppress(ValueError):
+            counts = None if defect else [list(map(int, cells)) for cells in rows]
     elif format == "json":
-        records = _json_records(path)
+        rows, defect = _json_table(path)
+        if not defect and set(map(type, chain.from_iterable(rows))) <= {int}:
+            counts = rows   # JSON integers, never bools
     else:
         raise ValueError(f"unknown format: {format!r}")
-    return [_snapshot(record, row) for row, record in records]
+    if counts is not None and min(map(min, counts), default=0) >= 0:
+        return [CounterSnapshot(*c) for c in counts]
+    snapshots = [
+        CounterSnapshot(*[_count(v, row, f) for f, v in zip(COUNTER_FIELDS, cells)])
+        for row, cells in enumerate(rows, start=1)
+    ]
+    if defect:
+        raise defect
+    return snapshots
 
 
 def write_counter_log(
@@ -266,8 +292,8 @@ class RunPair:
     remote_runtime: float
 
     def __post_init__(self):
-        require_finite(self)
-        if self.local_runtime <= 0 or self.remote_runtime <= 0:
+        if not (0 < self.local_runtime < math.inf and 0 < self.remote_runtime < math.inf):
+            require_finite(self)
             raise InvariantViolation("runtimes must be > 0")
         ref = max(self.local.instructions, self.remote.instructions)
         if ref > 0:
@@ -281,6 +307,14 @@ class RunPair:
 PAIR_FIELDS = ["label", "local_runtime", "remote_runtime"] + [
     f"{side}_{f}" for side in ("local", "remote") for f in COUNTER_FIELDS
 ]
+# The numeric columns in the order a pair's cells convert: local, remote, runtimes.
+_PAIR_NUMBERS = PAIR_FIELDS[3:] + PAIR_FIELDS[1:3]
+
+
+def _nonnegative_finite(table: list[list[float]]) -> bool:
+    """Every value of the table is >= 0 and finite (NaN fails both tests)."""
+    values = np.array(table, dtype=float)
+    return bool(((values >= 0) & (values < np.inf)).all())
 
 
 def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str, Sequence[str]] | None = None) -> None:
@@ -302,16 +336,30 @@ def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str,
 def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[RunPair], dict[str, list[str]]]:
     """Read a pairs CSV; returns (pairs, extra column values)."""
     extra_columns = list(extra_columns)
-    pairs: list[RunPair] = []
-    extras: dict[str, list[str]] = {k: [] for k in extra_columns}
-    for row, record in _csv_records(Path(path), extra_columns + PAIR_FIELDS):
-        pairs.append(RunPair(
-            label=record["label"],
-            local=_snapshot(record, row, _real, "local_"),
-            remote=_snapshot(record, row, _real, "remote_"),
-            local_runtime=_real(record["local_runtime"], row, "local_runtime"),
-            remote_runtime=_real(record["remote_runtime"], row, "remote_runtime"),
-        ))
-        for k in extra_columns:
-            extras[k].append(record[k])
+    names, rows, defect = _csv_table(Path(path), extra_columns + PAIR_FIELDS)
+    label = names.index("label")
+    numbers = itemgetter(*map(names.index, _PAIR_NUMBERS))
+    values = None
+    with suppress(ValueError):
+        values = None if defect else [list(map(float, numbers(cells))) for cells in rows]
+    if values is not None and _nonnegative_finite(values):
+        n = len(COUNTER_FIELDS)
+        pairs = [
+            RunPair(cells[label], CounterSnapshot(*v[:n]), CounterSnapshot(*v[n:2 * n]), *v[2 * n:])
+            for cells, v in zip(rows, values)
+        ]
+    else:
+        pairs = []
+        for row, cells in enumerate(rows, start=1):
+            record = dict(zip(names, cells))
+            pairs.append(RunPair(
+                label=record["label"],
+                local=_snapshot(record, row, _real, "local_"),
+                remote=_snapshot(record, row, _real, "remote_"),
+                local_runtime=_real(record["local_runtime"], row, "local_runtime"),
+                remote_runtime=_real(record["remote_runtime"], row, "remote_runtime"),
+            ))
+        if defect:
+            raise defect
+    extras = {k: list(map(itemgetter(names.index(k)), rows)) for k in extra_columns}
     return pairs, extras

@@ -123,9 +123,13 @@ def load_json_object(cls, path: str | Path, many: bool = False):
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-        objs = [cls(**item) for item in (raw if many and isinstance(raw, list) else [raw])]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
         raise MalformedConfig(f"{path}: malformed JSON: {exc}") from None
+    items = raw if many and isinstance(raw, list) else [raw]
+    if not all(isinstance(item, dict) for item in items):
+        raise MalformedConfig(f"{path}: expected a JSON object")
+    try:
+        objs = [cls(**item) for item in items]
     except TypeError as exc:
         raise MalformedConfig(f"{path}: {exc}") from None
     return objs if many else objs[0]

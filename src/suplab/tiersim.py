@@ -180,7 +180,14 @@ def simulate(
     fast_lat = mean_latency_ns(local) * CLOCK_GHZ
     slow_lat = mean_latency_ns(remote) * CLOCK_GHZ
 
-    n_pages = int(trace.page_ids.max()) + 1   # not page_count: a header may overstate it
+    # Per-page state is indexed by page id, so sparse ids (far more id values
+    # than misses) are renumbered densely first.  The mapping keeps id order,
+    # so every tie-break by id, and so every output, stays the same.
+    page_ids = trace.page_ids
+    n_pages = int(page_ids.max()) + 1   # not page_count: a header may overstate it
+    if n_pages > 8 * len(page_ids) + 2**20:
+        ids, page_ids = np.unique(page_ids, return_inverse=True)
+        n_pages = len(ids)
     fast = np.zeros(n_pages, dtype=bool)               # page is in the fast tier
     last_use = np.full(n_pages, -1, np.int64)          # index of its latest miss, -1 if none
     access_count = np.zeros(n_pages, np.int64)         # slow hits since last migration
@@ -192,7 +199,7 @@ def simulate(
 
     offsets = trace.epoch_offsets.tolist()
     for lo, hi in zip(offsets, offsets[1:]):
-        pages, groups, n_misses = trace.page_ids[lo:hi], trace.group_sizes[lo:hi], hi - lo
+        pages, groups, n_misses = page_ids[lo:hi], trace.group_sizes[lo:hi], hi - lo
 
         # Misses grouped by page: distinct pages, their positions (ascending), counts.
         order = np.argsort(pages, kind="stable")
@@ -347,14 +354,28 @@ def _bad_trace_row(csv_path: str | Path) -> str | None:
     return None
 
 
+def _header_count(header: dict, key: str) -> int:
+    """An unsigned integer, as the counter readers take one from JSON (``4.0``
+    reads as 4); booleans, text and fractions raise ``ValueError``."""
+    value = header[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be an unsigned integer, got {value!r}")
+    return value
+
+
 def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
     try:
         header = json.loads(Path(header_path).read_text())
-        n_epochs, page_count, wss_pages = (int(header[key])
+        if not isinstance(header, dict):
+            raise ValueError("trace header is not a JSON object")
+        n_epochs, page_count, wss_pages = (_header_count(header, key)
                                            for key in ("epochs", "page_count", "wss_pages"))
-        epoch_instructions = float(header.get("epoch_instructions", 1e9))
-        if not 0 < epoch_instructions < math.inf:
-            raise ValueError(f"epoch_instructions must be finite and > 0, got {epoch_instructions}")
+        epoch_instructions = header.get("epoch_instructions", 1e9)
+        if type(epoch_instructions) not in (int, float) or not 0 < epoch_instructions < math.inf:
+            raise ValueError(f"epoch_instructions must be finite and > 0, got {epoch_instructions!r}")
+        epoch_instructions = float(epoch_instructions)
     except KeyError as exc:
         raise MalformedTrace(f"{header_path}: trace header has no {exc} key") from None
     except (ValueError, TypeError, OverflowError) as exc:   # JSONDecodeError is a ValueError

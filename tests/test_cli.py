@@ -181,6 +181,14 @@ class TestPipelines:
         assert {r["policy"] for r in rows} == {"tpp", "alto"}
         assert (out / "epochs_tpp.csv").exists()
 
+    def test_tiersim_huge_page_id(self, tmp_path):
+        # Per-page state follows the pages used, not the largest id.
+        (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,999999999999,1\n")
+        (tmp_path / "t.json").write_text(json.dumps({**TRACE_HEADER, "page_count": 10**12}))
+        out = tmp_path / "sim"
+        assert _tiersim(tmp_path, {"policy": "alto", "fast_capacity": 1}, out) == 0
+        assert json.loads((out / "comparison.json").read_text())[0]["promotions"] == 0
+
 
 def _tiersim(tmp_path, policy_config, out) -> int:
     """Run tiersim over tmp_path/t.csv + t.json with the given policy config."""
@@ -266,6 +274,10 @@ class TestBadInputs:
         json.dumps({**TRACE_HEADER, "epoch_instructions": float("nan")}),
         json.dumps({**TRACE_HEADER, "epoch_instructions": 0}),
         json.dumps({**TRACE_HEADER, "epoch_instructions": -1e9}),
+        json.dumps({**TRACE_HEADER, "epochs": 1.9}),
+        json.dumps({**TRACE_HEADER, "page_count": True}),
+        json.dumps({**TRACE_HEADER, "wss_pages": "4"}),
+        json.dumps({**TRACE_HEADER, "epoch_instructions": "1e9"}),
     ])
     def test_trace_header_malformed(self, tmp_path, capsys, header):
         (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,0,1\n")
@@ -352,6 +364,34 @@ class TestBadInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(out) in err[0]
         assert out.read_text() == "keep\n"
+
+    # Each command's config flag, and top-level values where it wants an object
+    # (tiersim's policy config may also be an array of objects).
+    NOT_AN_OBJECT = [
+        (["interleave", "scan", "--workload", "{cfg}"], [[], [{"name": "w"}], 3]),
+        (["latcdf", "--profile", "{cfg}", "--n", "1000"], [[], [{"name": "d"}], "cxl-b"]),
+        (["predict", "--input", "{log}", "--params", "{cfg}"], [[], [{"k1": 1.0}], None]),
+        (["tiersim", "--trace", "{trace}", "--trace-header", "{trace_header}",
+          "--policy-config", "{cfg}"], [3, [3], [{"policy": "tpp", "fast_capacity": 1}, "tpp"]]),
+    ]
+
+    @pytest.mark.parametrize("argv,payload,message", [
+        pytest.param(argv, json.dumps(c).encode(), "expected a JSON object",
+                     id=f"{argv[0]}-{json.dumps(c)}")
+        for argv, configs in NOT_AN_OBJECT for c in configs
+    ] + [
+        pytest.param(argv, b"\xff\xfe\x00{", "malformed JSON", id=f"{argv[0]}-not-text")
+        for argv, _ in NOT_AN_OBJECT
+    ])
+    def test_config_not_an_object(self, tmp_path, capsys, counters_csv, argv, payload, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(payload)
+        ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
+        paths = {"cfg": cfg, "log": counters_csv, "trace": tmp_path / "t.csv",
+                 "trace_header": tmp_path / "t.json"}
+        out = tmp_path / "o"
+        rc = cli.run([a.format(**paths) for a in argv] + ["--out", str(out)])
+        assert f"{cfg}: {message}" in _assert_data_error(rc, capsys, out)
 
     def test_workload_malformed_json(self, tmp_path, capsys):
         wjson = tmp_path / "w.json"

@@ -6,9 +6,10 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from suplab import counters as cnt
 from suplab import devmodel as dm
@@ -21,8 +22,10 @@ from suplab.errors import (
     MissingColumn,
     NegativeValue,
     NoDemandReads,
+    SupLabError,
 )
 
+import counters_oracle as oracle
 from conftest import snapshot
 
 FIXTURE_3ROWS = """\
@@ -397,3 +400,233 @@ def test_run_pairs_roundtrip_exact(data, scale, runtimes, label):
         path = Path(tmp) / "pairs.csv"
         cnt.write_run_pairs([pair], path, extra={"kind": ["k"]})
         assert cnt.read_run_pairs(path, ["kind"]) == ([pair], {"kind": ["k"]})
+
+
+# --- the whole-table readers against the row-by-row reference readers --------
+
+COUNT_SPELLINGS = (str, str, str, lambda v: f" {v} ", lambda v: repr(float(v)))  # 1000 -> "1000.0"
+REAL_SPELLINGS = (repr, repr, lambda v: f"{v:.17g}", lambda v: f"{v:.17e}")
+
+
+@st.composite
+def _csv_grid(draw, header: list[str], rows: list[dict], spellings):
+    """A CSV file as (header, rows of cells): the columns in any order, maybe
+    upper-cased, with a "note" column or not, each value in one of ``spellings``."""
+    columns = draw(st.permutations(header + draw(st.sampled_from([[], ["note"]]))))
+    names = [c.upper() for c in columns] if draw(st.booleans()) else list(columns)
+    grid = [
+        [draw(st.sampled_from(spellings))(r[c]) if isinstance(r.get(c), (int, float))
+         else r.get(c, "n") for c in columns]
+        for r in rows
+    ]
+    return names, grid
+
+
+def _write_grid(path: Path, names: list[str], grid: list[list[str]], blank_after=()) -> None:
+    """The grid as CSV, with a blank line after each data row in ``blank_after``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for i, cells in enumerate(grid):
+            writer.writerow(cells)
+            if i in blank_after:
+                fh.write("\r\n")
+
+
+@st.composite
+def counter_logs(draw):
+    """(format, file text writer) for a valid counter log in any spelling the
+    reference reader accepts; JSON counts may be integral reals (1000.0)."""
+    snaps = draw(st.lists(_count_snapshots(10**15), min_size=1, max_size=5))
+    rows = [s.as_dict() for s in snaps]
+    if draw(st.sampled_from(["csv", "json"])) == "csv":
+        names, grid = draw(_csv_grid(list(cnt.COUNTER_FIELDS), rows, COUNT_SPELLINGS))
+        blank = draw(st.sets(st.integers(0, len(grid) - 1), max_size=2))
+        return "csv", lambda path: _write_grid(path, names, grid, blank)
+    records, extra = [], draw(st.sampled_from([[], ["note"]]))
+    for r in rows:
+        keys = draw(st.permutations(list(r) + extra))
+        upper = draw(st.booleans())
+        records.append({
+            (k.upper() if upper else k):
+                draw(st.sampled_from((int, int, float)))(r[k]) if k in r else "n"
+            for k in keys
+        })
+    return "json", lambda path: path.write_text(json.dumps(records))
+
+
+def _pair_rows(draw) -> list[dict]:
+    rows = []
+    for i in range(draw(st.integers(1, 3))):
+        local = draw(_count_snapshots(10**15)).scaled(draw(st.floats(1e-3, 1e3)))
+        remote = dataclasses.replace(draw(_count_snapshots(10**15)),
+                                     instructions=local.instructions)
+        row = {"kind": f"k{i}", "label": draw(st.from_regex(r'[A-Za-z0-9 ,"-]{0,8}', fullmatch=True)),
+               "local_runtime": draw(st.floats(1e-9, 1e9)),
+               "remote_runtime": draw(st.floats(1e-9, 1e9))}
+        row.update({f"local_{f}": float(v) for f, v in local.as_dict().items()})
+        row.update({f"remote_{f}": float(v) for f, v in remote.as_dict().items()})
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def pairs_files(draw):
+    """A writer for a valid pairs CSV with a "kind" extra column, in any column
+    order, case and real spelling, with or without blank lines."""
+    names, grid = draw(_csv_grid(["kind"] + cnt.PAIR_FIELDS, _pair_rows(draw), REAL_SPELLINGS))
+    blank = draw(st.sets(st.integers(0, len(grid) - 1), max_size=2))
+    return lambda path: _write_grid(path, names, grid, blank)
+
+
+def _outcome(read, path: Path, *args):
+    """A reader's result for a file, or its error's type and message."""
+    try:
+        return read(path, *args)
+    except SupLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _value_types(snapshots) -> set[type]:
+    return {type(v) for s in snapshots for v in s.as_dict().values()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=counter_logs())
+def test_counter_log_reader_matches_reference(log):
+    fmt, write = log
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"log.{fmt}"
+        write(path)
+        with mock.patch.object(cnt, "_count", wraps=cnt._count) as per_cell:
+            got = cnt.ingest_counter_log(path, fmt)
+        want = oracle.ingest_counter_log(path, fmt)
+        assert got == want
+        assert _value_types(got) == _value_types(want) == {int}
+        # Plain integer cells take the whole-table path; any other spelling
+        # (" 5 " is plain: int() reads it) sends the file to the per-cell loop.
+        text = path.read_text()
+        plain = ".0" not in text and "e+" not in text
+        assert per_cell.called != plain
+
+
+@settings(max_examples=50, deadline=None)
+@given(write=pairs_files())
+def test_pairs_reader_matches_reference(write):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.csv"
+        write(path)
+        with mock.patch.object(cnt, "_real", wraps=cnt._real) as per_cell:
+            got = cnt.read_run_pairs(path, ["kind"])
+        want = oracle.read_run_pairs(path, ["kind"])
+        assert got == want
+        snaps = [s for p in got[0] for s in (p.local, p.remote)]
+        assert _value_types(snaps) == {float}
+        assert {type(p.local_runtime) for p in got[0]} == {float}
+        assert not per_cell.called
+
+
+# Defects a file can carry, one cell or row each.  The readers must report
+# the same error as the reference for any mix of them, so the first in
+# row-major order wins, whichever step finds it: a bad cell, a row of the
+# wrong length, or an object that breaks an invariant (stalls above total
+# cycles) before a later bad cell in the same row.
+BAD_CELLS = ["x", "-1", "2.5", "nan", "inf", "", "true", "0", str(10**17), "1" * 140_000]
+
+
+@st.composite
+def damaged(draw, names: list[str], grid: list[list[str]]):
+    """The grid with one to three defects: bad cells, short or long rows, or
+    stall cycles above total cycles."""
+    grid = [list(cells) for cells in grid]
+    stalls = [i for i, n in enumerate(names) if n.lower().endswith("stall_cycles_total")]
+    for _ in range(draw(st.integers(1, 3))):
+        cells = grid[draw(st.integers(0, len(grid) - 1))]
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "stalls", "short", "long"]))
+        if kind == "short":
+            cells.pop()
+        elif kind == "long":
+            cells.append("1")
+        elif kind == "stalls" and len(cells) == len(names):
+            cells[draw(st.sampled_from(stalls))] = str(10**20)
+        else:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(BAD_CELLS))
+    return grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), reader=st.sampled_from(["csv log", "pairs csv"]))
+def test_csv_readers_report_the_reference_error(data, reader):
+    if reader == "csv log":
+        rows = [s.as_dict() for s in data.draw(st.lists(_count_snapshots(10**15), min_size=1, max_size=4))]
+        names, grid = data.draw(_csv_grid(list(cnt.COUNTER_FIELDS), rows, (str,)))
+        read, ref, args = cnt.ingest_counter_log, oracle.ingest_counter_log, ()
+    else:
+        names, grid = data.draw(_csv_grid(["kind"] + cnt.PAIR_FIELDS, _pair_rows(data.draw), (repr,)))
+        read, ref, args = cnt.read_run_pairs, oracle.read_run_pairs, (["kind"],)
+    grid = data.draw(damaged(names, grid))
+    blank = data.draw(st.sets(st.integers(0, len(grid) - 1), max_size=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        _write_grid(path, names, grid, blank)
+        assert _outcome(read, path, *args) == _outcome(ref, path, *args)
+
+
+BAD_JSON_VALUES = ["x", "7", -1, 2.5, True, None, math.nan, 10**17, [1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_reader_reports_the_reference_error(data):
+    snaps = data.draw(st.lists(_count_snapshots(10**15), min_size=1, max_size=4))
+    records: list = [s.as_dict() for s in snaps]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(records) - 1))
+        kind = data.draw(st.sampled_from(["value", "value", "value", "not an object",
+                                          "missing key", "extra key", "repeated key"]))
+        if kind == "not an object":
+            records[i] = 1
+        elif isinstance(records[i], dict):
+            key = data.draw(st.sampled_from(cnt.COUNTER_FIELDS))
+            if kind == "missing key":
+                records[i].pop(key, None)
+            elif kind == "extra key":
+                records[i]["note"] = 1
+            elif kind == "repeated key":
+                records[i][key.upper()] = 1
+            elif key in records[i]:
+                records[i][key] = data.draw(st.sampled_from(BAD_JSON_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.json"
+        path.write_text(json.dumps(records))
+        assert (_outcome(cnt.ingest_counter_log, path, "json")
+                == _outcome(oracle.ingest_counter_log, path, "json"))
+
+
+# --- writer output always takes the whole-table path --------------------------
+
+def _no_per_cell(*args):
+    raise AssertionError("per-cell converter called")
+
+
+@pytest.fixture(scope="module")
+def pairs_500() -> list[cnt.RunPair]:
+    return dm.make_consistency_fixture(500, seed=5)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_written_logs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500, fmt):
+    path = tmp_path / f"log.{fmt}"
+    cnt.write_counter_log([p.local for p in pairs_500], path, fmt)
+    monkeypatch.setattr(cnt, "_count", _no_per_cell)
+    monkeypatch.setattr(cnt, "_real", _no_per_cell)
+    snaps = cnt.ingest_counter_log(path, fmt)
+    assert len(snaps) == 500 and _value_types(snaps) == {int}
+
+
+def test_written_pairs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500):
+    path = tmp_path / "pairs.csv"
+    cnt.write_run_pairs(pairs_500, path, extra={"kind": ["k"] * 500})
+    monkeypatch.setattr(cnt, "_count", _no_per_cell)
+    monkeypatch.setattr(cnt, "_real", _no_per_cell)
+    assert cnt.read_run_pairs(path, ["kind"]) == (pairs_500, {"kind": ["k"] * 500})

@@ -92,6 +92,19 @@ def test_state_sized_by_pages_used_not_page_count():
     assert_matches_oracle(trace, ts.PolicyConfig(policy="tpp", fast_capacity=1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(traces_and_configs(), st.integers(2**21, 10**12))
+def test_sparse_page_ids_match_oracle(case, stride):
+    # Ids far apart: the simulator renumbers them densely instead of sizing
+    # its per-page state by the largest id, and nothing else changes.
+    trace, cfg = case
+    sparse = ts.TierTrace(
+        epochs=[ts.TraceEpoch(demand_misses=[(p * stride + 1, g) for p, g in e.demand_misses])
+                for e in trace.epochs],
+        page_count=trace.page_count * stride + 1, wss_pages=trace.wss_pages)
+    assert assert_matches_oracle(sparse, cfg) == ts.simulate(trace, cfg, LOCAL, REMOTE)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", MAKERS)
 def test_fixture_traces_match_oracle(name, seed):
