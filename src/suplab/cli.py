@@ -70,7 +70,8 @@ class OutputDir:
 
 def _write_manifest(out: OutputDir, args: argparse.Namespace, inputs: dict) -> None:
     out.write_json("manifest.json", {"subcommand": args.command, "seed": args.seed,
-                                     "inputs": inputs, "output_dir": str(out.root)})
+                                     "args": vars(args), "inputs": inputs,
+                                     "output_dir": str(out.root)})
 
 
 def _load_device(path_or_preset: str) -> dm.DeviceProfile:
@@ -79,72 +80,21 @@ def _load_device(path_or_preset: str) -> dm.DeviceProfile:
     return dm.DeviceProfile.from_json(path_or_preset)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out", help="output directory")
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:   # numpy's generators take only non-negative seeds
+        raise ValueError(text)
+    return value
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="counter log format")
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, kept as data for COMMANDS."""
+    return flags, kwargs
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="suplab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse and validate a counter log")
-    _add_common(p)
-    _add_format(p)
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("breakdown", help="decompose slowdowns for a pairs CSV")
-    _add_common(p)
-    p.add_argument("--pairs", required=True)
-
-    p = sub.add_parser("calibrate", help="fit model parameters from a runs CSV")
-    _add_common(p)
-    p.add_argument("--runs", required=True)
-    p.add_argument("--least-squares", action="store_true",
-                   help="refine k1..k4 with a least-squares pass")
-
-    p = sub.add_parser("predict", help="predict slowdowns for a counter log")
-    _add_common(p)
-    _add_format(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--params", required=True)
-
-    p = sub.add_parser("interleave", help="ratio scanning and best-shot forecasts")
-    _add_common(p)
-    _add_format(p)
-    p.add_argument("action", choices=("scan", "forecast"))
-    p.add_argument("--local", default="local-emr", help="device preset name or profile JSON")
-    p.add_argument("--remote", default="cxl-a")
-    p.add_argument("--workload", help="workload profile JSON (scan)")
-    p.add_argument("--input", help="counter log of a local run (forecast)")
-    p.add_argument("--params", help="ModelParams JSON (forecast)")
-    p.add_argument("--fit", help="InterleaveFit JSON (forecast)")
-    p.add_argument("--grid", type=int, default=101)
-
-    p = sub.add_parser("tiersim", help="simulate tiering policies over a trace")
-    _add_common(p)
-    p.add_argument("--trace", required=True, help="trace CSV")
-    p.add_argument("--trace-header", required=True, help="trace header JSON")
-    p.add_argument("--policy-config", required=True, help="PolicyConfig JSON (or list)")
-    p.add_argument("--local", default="local-emr")
-    p.add_argument("--remote", default="cxl-b")
-
-    p = sub.add_parser("latcdf", help="sample device latencies and report percentiles")
-    _add_common(p)
-    p.add_argument("--profile", required=True, help="device preset name or profile JSON")
-    p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--load", type=float, default=0.0)
-    p.add_argument("--dump-samples", action="store_true",
-                   help="also write the raw samples as a single-column CSV")
-
-    p = sub.add_parser("demo", help="end-to-end fixture pipeline")
-    _add_common(p)
-    return parser
+_COMMON = (_arg("--seed", type=non_negative_int, default=0),
+           _arg("--out", default="out", help="output directory"))
+_FORMAT = _arg("--format", choices=("csv", "json"), default="csv", help="counter log format")
 
 
 def _cmd_ingest(args, out: OutputDir) -> tuple[dict, str]:
@@ -350,26 +300,72 @@ def _cmd_demo(args, out: OutputDir) -> tuple[dict, str]:
     return {"fixtures": "builtin"}, summary
 
 
-# Each handler writes its outputs under ``out`` and returns (the manifest's
-# inputs, the line(s) to print); run() writes the manifest and publishes.
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "breakdown": _cmd_breakdown,
-    "calibrate": _cmd_calibrate,
-    "predict": _cmd_predict,
-    "interleave": _cmd_interleave,
-    "tiersim": _cmd_tiersim,
-    "latcdf": _cmd_latcdf,
-    "demo": _cmd_demo,
+# name: (help, handler, arguments after --seed and --out).  Each handler
+# writes its outputs under ``out`` and returns (the manifest's inputs, the
+# line(s) to print); run() writes the manifest and publishes.
+COMMANDS = {
+    "ingest": ("parse and validate a counter log", _cmd_ingest,
+               (_FORMAT, _arg("--input", required=True))),
+    "breakdown": ("decompose slowdowns for a pairs CSV", _cmd_breakdown,
+                  (_arg("--pairs", required=True),)),
+    "calibrate": ("fit model parameters from a runs CSV", _cmd_calibrate,
+                  (_arg("--runs", required=True),
+                   _arg("--least-squares", action="store_true",
+                        help="refine k1..k4 with a least-squares pass"))),
+    "predict": ("predict slowdowns for a counter log", _cmd_predict,
+                (_FORMAT, _arg("--input", required=True), _arg("--params", required=True))),
+    "interleave": ("ratio scanning and best-shot forecasts", _cmd_interleave,
+                   (_FORMAT, _arg("action", choices=("scan", "forecast")),
+                    _arg("--local", default="local-emr", help="device preset name or profile JSON"),
+                    _arg("--remote", default="cxl-a"),
+                    _arg("--workload", help="workload profile JSON (scan)"),
+                    _arg("--input", help="counter log of a local run (forecast)"),
+                    _arg("--params", help="ModelParams JSON (forecast)"),
+                    _arg("--fit", help="InterleaveFit JSON (forecast)"),
+                    _arg("--grid", type=int, default=101))),
+    "tiersim": ("simulate tiering policies over a trace", _cmd_tiersim,
+                (_arg("--trace", required=True, help="trace CSV"),
+                 _arg("--trace-header", required=True, help="trace header JSON"),
+                 _arg("--policy-config", required=True, help="PolicyConfig JSON (or list)"),
+                 _arg("--local", default="local-emr"),
+                 _arg("--remote", default="cxl-b"))),
+    "latcdf": ("sample device latencies and report percentiles", _cmd_latcdf,
+               (_arg("--profile", required=True, help="device preset name or profile JSON"),
+                _arg("--n", type=int, default=1_000_000),
+                _arg("--load", type=float, default=0.0),
+                _arg("--dump-samples", action="store_true",
+                     help="also write the raw samples as a single-column CSV"))),
+    "demo": ("end-to-end fixture pipeline", _cmd_demo, ()),
 }
 
 
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of ``command`` alone or, with none, the full tree, which gives
+    the top-level help and the errors for a missing or unknown command."""
+    if command is None:
+        parser = _Parser(prog="suplab", description=__doc__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_)
+                   for name, (help_, _, _) in COMMANDS.items()}
+    else:
+        parser = _Parser(prog=f"suplab {command}")
+        parser.set_defaults(command=command)
+        parsers = {command: parser}
+    for name, p in parsers.items():
+        for flags, kwargs in (*_COMMON, *COMMANDS[name][2]):
+            p.add_argument(*flags, **kwargs)
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # Build only the named command's parser, a fraction of the full tree's cost.
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
         out = OutputDir(args.out)
         try:
-            inputs, message = _HANDLERS[args.command](args, out)
+            inputs, message = COMMANDS[args.command][1](args, out)
             _write_manifest(out, args, inputs)
             out.publish()
         finally:

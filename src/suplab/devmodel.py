@@ -36,7 +36,7 @@ from .model import (
 )
 
 CLOCK_GHZ = 2.1
-CYCLES_PER_NS = CLOCK_GHZ
+MAX_SAMPLES = 20_000_000  # cap on sample_latencies' n: ~0.5 GB peak with latcdf's sort
 KAPPA = 0.5          # queueing shape: extra latency = base * KAPPA * rho/(1-rho)
 OVERLOAD_KNEE = 0.95  # past this utilization the queueing curve continues linearly
 CPI_BASE = 0.35      # non-memory cycles per instruction in synthesized runs
@@ -142,7 +142,7 @@ def mean_latency_ns(dev: DeviceProfile, load: float = 0.0) -> float:
 
 
 def latency_cycles(dev: DeviceProfile, load: float = 0.0) -> float:
-    return mean_latency_ns(dev, load) * CYCLES_PER_NS
+    return mean_latency_ns(dev, load) * CLOCK_GHZ
 
 
 def sample_latencies(
@@ -156,8 +156,8 @@ def sample_latencies(
     """
     if not 0 <= load < 1:
         raise LoadOutOfRange(f"load must be in [0, 1), got {load}")
-    if n < 1:
-        raise InvariantViolation("n must be >= 1")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise InvariantViolation(f"n must be in [1, {MAX_SAMPLES}], got {n}")
     rng = np.random.default_rng(seed)
     body = (
         dev.base_latency_ns

@@ -37,6 +37,8 @@ from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, Missin
                      load_json_object, require_finite)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
+MAX_GRID = 1_000_001  # cap on scan_ratios' grid: one Python-level simulation per point
+
 
 @dataclass(frozen=True)
 class InterleaveRatio:
@@ -176,8 +178,8 @@ def scan_ratios(
     noise from its own derived seed (``scan_point_seed``); without, the
     seed is unused and none is derived.
     """
-    if grid < 2:
-        raise InvariantViolation("grid must be >= 2")
+    if not 2 <= grid <= MAX_GRID:
+        raise InvariantViolation(f"grid must be in [2, {MAX_GRID}], got {grid}")
     if w.read_bandwidth_demand_gbs > local.bandwidth_cap_gbs + remote.bandwidth_cap_gbs:
         raise InconsistentProfile(
             "bandwidth demand exceeds combined tier capacity; no ratio is feasible"

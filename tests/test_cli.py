@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suplab import breakdown as bd
 from suplab import cli
 from suplab import counters as cnt
 from suplab import devmodel as dm
 from suplab import calibrate as cal
+from suplab import interleave as il
 from suplab import tiersim as ts
 
 from test_counters import FIXTURE_3ROWS, fixture_records
@@ -66,6 +70,63 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
         assert manifest["subcommand"] == "ingest"
+
+    def test_manifest_records_every_argument(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.run(["latcdf", "--profile", "cxl-b", "--n", "10", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["args"] == {"command": "latcdf", "dump_samples": False, "load": 0.0,
+                                    "n": 10, "out": str(out), "profile": "cxl-b", "seed": 0}
+        assert list(manifest["args"]) == sorted(manifest["args"])
+
+
+# Each command's required arguments, in groups; the files need not exist.
+REQUIRED_ARGS = {
+    "ingest": [["--input", "x.csv"]],
+    "breakdown": [["--pairs", "x.csv"]],
+    "calibrate": [["--runs", "x.csv"]],
+    "predict": [["--input", "x.csv"], ["--params", "p.json"]],
+    "interleave": [["scan"], ["--workload", "w.json"]],
+    "tiersim": [["--trace", "t.csv"], ["--trace-header", "t.json"], ["--policy-config", "c.json"]],
+    "latcdf": [["--profile", "cxl-b"]],
+    "demo": [],
+}
+
+
+class Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        required = [token for group in REQUIRED_ARGS[command] for token in group]
+        argv = [command, *required, "--seed", "-1", "--out", str(out)]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["usage error: argument --seed: invalid non_negative_int value: '-1'"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_latcdf_sample_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dm.np.random, "default_rng", _reached)
+        out = tmp_path / "o"
+        rc = cli.run(["latcdf", "--profile", "cxl-b", "--n", str(dm.MAX_SAMPLES + 1),
+                      "--out", str(out)])
+        assert "n must be in [1, 20000000]" in _assert_data_error(rc, capsys, out)
+
+    def test_scan_grid_cap(self, tmp_path, capsys, monkeypatch):
+        wjson = tmp_path / "w.json"
+        wjson.write_text(json.dumps(dm.make_workload_suite(1, seed=0)[0].__dict__))
+        monkeypatch.setattr(il, "simulate_ratio_point", _reached)
+        out = tmp_path / "o"
+        rc = cli.run(["interleave", "scan", "--workload", str(wjson),
+                      "--grid", str(il.MAX_GRID + 1), "--out", str(out)])
+        assert "grid must be in [2, 1000001]" in _assert_data_error(rc, capsys, out)
 
 
 class TestLatCdf:
@@ -493,3 +554,100 @@ class TestSimulateCalls:
     def test_demo_three_traces_three_policies(self, tmp_path, calls):
         assert cli.run(["demo", "--seed", "1", "--out", str(tmp_path / "demo")]) == 0
         assert calls == list(ts.POLICIES) * 3
+
+
+def _values(kwargs: dict) -> tuple[str, ...]:
+    """Values to try for one argument: good ones and bad ones."""
+    if "choices" in kwargs:
+        return (*kwargs["choices"], "xml")
+    if kwargs.get("type") in (int, cli.non_negative_int):
+        return ("7", "0", "-1", "2.5", "x")
+    if kwargs.get("type") is float:
+        return ("0.5", "-1", "nan", "x")
+    return ("a.csv", "cxl-b", "-x")
+
+
+def _groups(command: str) -> list[list[str]]:
+    """Argument groups for one command: flags with values, ``--flag=value``,
+    abbreviations, a missing value, unknown flags, stray words and help."""
+    groups = [["-h"], ["--help"], ["--bogus"], ["--bogus=1"], ["stray"], ["--"], ["-1"]]
+    for flags, kwargs in (*cli._COMMON, *cli.COMMANDS[command][2]):
+        flag = flags[0]
+        if not flag.startswith("-"):
+            groups += [[v] for v in _values(kwargs)]
+        elif kwargs.get("action") == "store_true":
+            groups += [[flag], [flag[:-2]], [f"{flag}=1"]]
+        else:
+            for v in _values(kwargs):
+                groups += [[flag, v], [f"{flag}={v}"], [flag[:3], v], [flag[:-1], v]]
+            groups.append([flag])
+    return groups
+
+
+@st.composite
+def _arguments(draw, command: str) -> list[str]:
+    kept = [group for group in REQUIRED_ARGS[command] if draw(st.integers(0, 3)) > 0]
+    extra = draw(st.lists(st.sampled_from(_groups(command)), max_size=6))
+    groups = draw(st.permutations(kept + extra))
+    return [token for group in groups for token in group]
+
+
+def _outcome(parse) -> tuple:
+    """The namespace, the usage error or the exit (code and help text) of ``parse()``.
+
+    The namespace is compared by repr, under which ``--load nan`` equals itself."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            return "parsed", repr(sorted(vars(parse()).items()))
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, printed.getvalue()
+
+
+class TestParser:
+    """run() builds only the named command's parser; it parses like the full tree."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_command_parser_matches_full_tree(self, command, data):
+        argv = data.draw(_arguments(command))
+        fast = _outcome(lambda: cli.build_parser(command).parse_args(argv))
+        assert fast == _outcome(lambda: cli.build_parser().parse_args([command, *argv]))
+
+    @pytest.mark.parametrize("argv,kind", [
+        (["ingest", "--inp", "a.csv", "--format=json"], "parsed"),
+        (["predict", "--input", "a", "--input", "b", "--params", "p"], "parsed"),
+        (["interleave", "forecast", "--seed", "3", "--grid=11"], "parsed"),
+        (["calibrate", "--runs", "r.csv", "--least"], "parsed"),
+        (["demo"], "parsed"),
+        (["interleave", "sideways"], "usage error"),
+        (["interleave", "scan", "--f", "x"], "usage error"),
+        (["ingest", "--format", "xml", "--input", "a"], "usage error"),
+        (["tiersim", "--trace", "t.csv"], "usage error"),
+        (["latcdf", "--profile", "cxl-b", "--bogus"], "usage error"),
+        (["latcdf", "-h"], "exit"),
+    ])
+    def test_hand_picked_argvs(self, argv, kind):
+        fast = _outcome(lambda: cli.build_parser(argv[0]).parse_args(argv[1:]))
+        assert fast[0] == kind
+        assert fast == _outcome(lambda: cli.build_parser().parse_args(argv))
+
+    def test_run_builds_only_the_named_parser_each_call(self, tmp_path, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        for _ in range(2):
+            assert cli.run(["latcdf", "--profile", "cxl-b", "--n", "10",
+                            "--out", str(tmp_path / "o")]) == 0
+        assert cli.run(["latcdf-x"]) == 1
+        assert cli.run([]) == 1
+        assert built == ["latcdf", "latcdf", None, None]
+        assert real("latcdf") is not real("latcdf")

@@ -58,6 +58,19 @@ class TestSampleLatencies:
         with pytest.raises(LoadOutOfRange):
             dm.sample_latencies(LOCAL, 10, load=1.0, seed=0)
 
+    def test_sample_cap_checked_before_drawing(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(seed):
+            raise Reached
+
+        monkeypatch.setattr(dm.np.random, "default_rng", reached)
+        with pytest.raises(InvariantViolation, match=f"n must be in \\[1, {dm.MAX_SAMPLES}\\]"):
+            dm.sample_latencies(LOCAL, dm.MAX_SAMPLES + 1, seed=0)
+        with pytest.raises(Reached):
+            dm.sample_latencies(LOCAL, dm.MAX_SAMPLES, seed=0)
+
     def test_queueing_monotone_and_diverging(self):
         loads = [0.0, 0.3, 0.6, 0.8, 0.9]
         means = [dm.sample_latencies(LOCAL, 20_000, ld, seed=7).mean() for ld in loads]
@@ -137,7 +150,7 @@ class TestSynthesizeRunpair:
         assert lam_remote == pytest.approx(expected, rel=1e-12)
 
     def test_mlp8_at_320_cycles_gives_40(self):
-        dev = dm.DeviceProfile(name="lab", base_latency_ns=320.0 / dm.CYCLES_PER_NS,
+        dev = dm.DeviceProfile(name="lab", base_latency_ns=320.0 / dm.CLOCK_GHZ,
                                bandwidth_cap_gbs=50.0)
         w = dm.WorkloadProfile(name="m8", instructions=1e8, demand_miss_rate=10.0,
                                mlp_depth=8.0)

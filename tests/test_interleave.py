@@ -80,6 +80,20 @@ class TestScanRatios:
         with pytest.raises(InvariantViolation):
             il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=1, seed=0)
 
+    def test_grid_cap_checked_before_scanning(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        w = dm.make_workload_suite(1, seed=0)[0]
+        monkeypatch.setattr(il, "simulate_ratio_point", reached)
+        with pytest.raises(InvariantViolation, match=f"grid must be in \\[2, {il.MAX_GRID}\\]"):
+            il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=il.MAX_GRID + 1, seed=0)
+        with pytest.raises(Reached):
+            il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=il.MAX_GRID, seed=0)
+
     def test_identical_tiers_flat_curve(self):
         # identical unloaded tiers: splitting pages changes nothing
         w = dm.WorkloadProfile(name="flat", instructions=1e9, demand_miss_rate=5.0,
