@@ -18,6 +18,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -62,9 +63,8 @@ class TierTrace:
         if not 0 < self.epoch_instructions < math.inf:
             raise InvariantViolation(
                 f"epoch_instructions must be finite and > 0, got {self.epoch_instructions}")
-        misses = np.concatenate(rows)
+        pages, groups = (np.concatenate([r[:, col] for r in rows]) for col in (0, 1))
         offsets = np.cumsum([0] + [len(r) for r in rows])
-        pages, groups = misses[:, 0].copy(), misses[:, 1].copy()
         bad = (pages < 0) | (pages >= self.page_count) | (groups < 1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -75,6 +75,27 @@ class TierTrace:
         for name, arr in (("page_ids", pages), ("group_sizes", groups), ("epoch_offsets", offsets)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _grouping(self) -> tuple[np.ndarray, int, list[tuple[np.ndarray, ...]]]:
+        """The policy-free work of every simulation, done on the first: page ids,
+        renumbered densely if sparse (far more id values than misses) and in id
+        order, so every tie-break and output stays the same; their count; and per
+        epoch the misses' stable order by page, the page runs' starts, the pages
+        and their hits."""
+        page_ids = self.page_ids
+        n_pages = int(page_ids.max()) + 1   # not page_count: a header may overstate it
+        if n_pages > 8 * len(page_ids) + 2**20:
+            ids, page_ids = np.unique(page_ids, return_inverse=True)
+            n_pages = len(ids)
+        epochs = []
+        offsets = self.epoch_offsets.tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            order = np.argsort(page_ids[lo:hi], kind="stable")
+            sorted_pages = page_ids[lo:hi][order]
+            starts = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
+            epochs.append((order, starts, sorted_pages[starts], np.diff(starts, append=hi - lo)))
+        return page_ids, n_pages, epochs
 
 
 @dataclass(frozen=True)
@@ -175,19 +196,13 @@ def simulate(
     within an epoch; migrations apply at epoch end.  The outcome also
     carries the runtime the trace would take with every page in the fast
     tier, summed miss by miss in trace order.  Per-page state lives in
-    arrays indexed by page id; each epoch is array operations over its misses.
+    arrays indexed by page id; each epoch is array operations over its misses,
+    grouped by page once per trace (``TierTrace._grouping``).
     """
     fast_lat = mean_latency_ns(local) * CLOCK_GHZ
     slow_lat = mean_latency_ns(remote) * CLOCK_GHZ
 
-    # Per-page state is indexed by page id, so sparse ids (far more id values
-    # than misses) are renumbered densely first.  The mapping keeps id order,
-    # so every tie-break by id, and so every output, stays the same.
-    page_ids = trace.page_ids
-    n_pages = int(page_ids.max()) + 1   # not page_count: a header may overstate it
-    if n_pages > 8 * len(page_ids) + 2**20:
-        ids, page_ids = np.unique(page_ids, return_inverse=True)
-        n_pages = len(ids)
+    page_ids, n_pages, grouping = trace._grouping
     fast = np.zeros(n_pages, dtype=bool)               # page is in the fast tier
     last_use = np.full(n_pages, -1, np.int64)          # index of its latest miss, -1 if none
     access_count = np.zeros(n_pages, np.int64)         # slow hits since last migration
@@ -198,16 +213,8 @@ def simulate(
     stall_cycles_total = allfast_cycles_total = 0.0
 
     offsets = trace.epoch_offsets.tolist()
-    for lo, hi in zip(offsets, offsets[1:]):
+    for lo, hi, (order, starts, uniq, hits) in zip(offsets, offsets[1:], grouping):
         pages, groups, n_misses = page_ids[lo:hi], trace.group_sizes[lo:hi], hi - lo
-
-        # Misses grouped by page: distinct pages, their positions (ascending), counts.
-        order = np.argsort(pages, kind="stable")
-        sorted_pages = pages[order]
-        starts = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
-        uniq = sorted_pages[starts]
-        hits = np.diff(starts, append=n_misses)
-
         new = last_use[uniq] < 0
         if new.any():
             by_first_touch = uniq[new][np.argsort(order[starts[new]])]
@@ -393,17 +400,23 @@ def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
     except ValueError as exc:   # includes UnicodeDecodeError
         raise MalformedTrace(f"{csv_path}: {_bad_trace_row(csv_path) or exc}") from None
     epoch = data[:, 0]
-    outside = (epoch < 0) | (epoch >= n_epochs)
-    if outside.any():
-        row = int(np.argmax(outside))
-        raise InvariantViolation(
-            f"{csv_path}: trace row {row + 1}: epoch {epoch[row]} outside [0, {n_epochs})"
-        )
-    order = np.argsort(epoch, kind="stable")
-    bounds = np.searchsorted(epoch[order], np.arange(1, n_epochs))
-    epochs = [TraceEpoch(demand_misses=m) for m in np.split(data[order, 1:], bounds)]
-    return TierTrace(epochs=epochs, page_count=page_count, wss_pages=wss_pages,
-                     epoch_instructions=epoch_instructions)
+    ordered = data[np.argsort(epoch, kind="stable")] if (epoch[1:] < epoch[:-1]).any() else data
+    try:   # write_trace writes epochs in order; sorted, their range is the ends'
+        if len(data) and not 0 <= ordered[0, 0] <= ordered[-1, 0] < n_epochs:
+            raise InvariantViolation("epoch out of range")
+        bounds = np.searchsorted(ordered[:, 0], np.arange(1, n_epochs))
+        epochs = [TraceEpoch(demand_misses=m) for m in np.split(ordered[:, 1:], bounds)]   # views
+        return TierTrace(epochs=epochs, page_count=page_count, wss_pages=wss_pages,
+                         epoch_instructions=epoch_instructions)
+    except InvariantViolation:   # name the first bad row, in file order
+        epoch, pages, groups = data.T
+        bad = (epoch < 0) | (epoch >= n_epochs) | (pages < 0) | (pages >= page_count) | (groups < 1)
+        row = int(np.argmax(bad))
+        e, p, g = data[row].tolist()
+        raise InvariantViolation(f"{csv_path}: trace row {row + 1}: " + (
+            f"epoch {e} outside [0, {n_epochs})" if not 0 <= e < n_epochs else
+            f"page {p} outside [0, {page_count})" if not 0 <= p < page_count else
+            f"group_size {g} must be >= 1")) from None
 
 
 # --- fixture traces --------------------------------------------------------

@@ -307,6 +307,14 @@ class TestBadInputs:
         "epoch,page_id,group_size\n0,1\n1,2\n": 1,    # every row too short
         "page_id,epoch,group_size\n0,1,1\n": None,     # wrong header row
         "": None,
+        # out of range (page_count 4): rows count in file order, also when
+        # the epochs are out of order
+        "epoch,page_id,group_size\n0,0,1\n1,4,1\n": 2,
+        "epoch,page_id,group_size\n0,0,1\n\n0,1,0\n": 2,
+        "epoch,page_id,group_size\n1,-1,1\n0,0,1\n": 1,
+        "epoch,page_id,group_size\n1,1,1\n0,0,1\n\n0,9,1\n": 3,
+        "epoch,page_id,group_size\n1,1,1\n0,0,1\n0,1,-2\n": 3,
+        "epoch,page_id,group_size\n1,1,1\n1,2,0\n0,0,1\n": 2,
     }
 
     @pytest.mark.parametrize("body", list(MALFORMED_TRACE_CSV))

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suplab import devmodel as dm
 from suplab import tiersim as ts
 from suplab.errors import EmptyTrace, InvariantViolation
+
+from test_tiersim_oracle import traces_and_configs
 
 LOCAL = dm.PRESETS["local-emr"]
 REMOTE = dm.PRESETS["cxl-b"]
@@ -70,11 +76,11 @@ class TestTraceValidation:
                          wss_pages=5)
 
     def test_page_out_of_range(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"^epoch 0: page 99 out of range$"):
             small_trace(pages=(0, 99, 2))
 
     def test_group_size_positive(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"^epoch 0: group_size must be >= 1$"):
             small_trace(groups=(1, 0, 1))
 
     @pytest.mark.parametrize("value", [0, -1e9, float("nan"), float("inf")])
@@ -218,6 +224,36 @@ class TestComparePolicies:
         assert [r["policy"] for r in rows] == list(ts.POLICIES)
 
 
+class TestGroupingShared:
+    def test_grouped_once_per_trace(self, monkeypatch):
+        # The per-epoch grouping of a trace's misses is made on its first
+        # simulation and reused by every later one, whatever the policy.
+        groupings, sims = [], []
+        prop = vars(ts.TierTrace)["_grouping"]
+        group, simulate = prop.func, ts.simulate
+
+        def counting_group(trace):
+            groupings.append(id(trace))
+            return group(trace)
+
+        def counting_simulate(trace, c, *args, **kwargs):
+            sims.append(c.policy)
+            return simulate(trace, c, *args, **kwargs)
+
+        monkeypatch.setattr(prop, "func", counting_group)
+        monkeypatch.setattr(ts, "simulate", counting_simulate)
+        trace = ts.make_no_overlap_trace(seed=0)
+        ts.compare_policies(trace, [cfg(p) for p in ts.POLICIES], LOCAL, REMOTE)
+        assert sims == list(ts.POLICIES)
+        assert groupings == [id(trace)]
+        ts.simulate(trace, cfg("alto", max_promo_rate=7), LOCAL, REMOTE)
+        assert groupings == [id(trace)]
+        other = ts.TierTrace(epochs=trace.epochs, page_count=trace.page_count,
+                             wss_pages=trace.wss_pages)
+        ts.simulate(other, cfg("tpp"), LOCAL, REMOTE)
+        assert groupings == [id(trace), id(other)]
+
+
 class TestEpochReport:
     def test_single_epoch_single_row(self):
         o = ts.simulate(small_trace(page_count=5), cfg("first_touch", fast_capacity=5),
@@ -261,3 +297,27 @@ class TestTraceIo:
             (trace.page_count, trace.wss_pages, trace.epoch_instructions)
         for field in ("page_ids", "group_sizes", "epoch_offsets"):
             assert np.array_equal(getattr(back, field), getattr(trace, field))
+        assert all(e.demand_misses.base is not None for e in back.epochs)   # views, not copies
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces_and_configs(), st.randoms(use_true_random=False))
+    def test_file_order_does_not_matter(self, tmp_path_factory, case, rnd):
+        # Rows shuffled across epochs, each epoch's rows kept in order, read the
+        # same as the sorted file write_trace writes.
+        trace, config = case
+        d = tmp_path_factory.mktemp("order")
+        ts.write_trace(trace, d / "sorted.csv", d / "t.json")
+        head, *rows = (d / "sorted.csv").read_text().splitlines()
+        labels = [row.split(",")[0] for row in rows]
+        by_epoch = {e: iter([r for r, label in zip(rows, labels) if label == e]) for e in labels}
+        rnd.shuffle(labels)
+        (d / "shuffled.csv").write_text("\n".join([head] + [next(by_epoch[e]) for e in labels]) + "\n")
+        got, want = (ts.read_trace(d / name, d / "t.json") for name in ("shuffled.csv", "sorted.csv"))
+        for field in ("page_ids", "group_sizes", "epoch_offsets"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert [len(e.demand_misses) for e in got.epochs] == \
+            [len(e.demand_misses) for e in want.epochs] == \
+            [len(e.demand_misses) for e in trace.epochs]
+        for policy in ts.POLICIES:
+            c = dataclasses.replace(config, policy=policy)
+            assert ts.simulate(got, c, LOCAL, REMOTE) == ts.simulate(want, c, LOCAL, REMOTE)

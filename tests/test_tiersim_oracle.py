@@ -38,6 +38,16 @@ def assert_matches_oracle(trace: ts.TierTrace, cfg: ts.PolicyConfig,
 
 
 @st.composite
+def configs(draw, page_count: int):
+    return ts.PolicyConfig(
+        policy=draw(st.sampled_from(ts.POLICIES)),
+        fast_capacity=draw(st.integers(1, page_count)),
+        promo_threshold_accesses=draw(st.integers(1, 3)),
+        max_promo_rate=draw(st.integers(1, 20)),
+    )
+
+
+@st.composite
 def traces_and_configs(draw):
     page_count = draw(st.integers(1, 64))
     touched = draw(st.integers(1, page_count))   # fewer pages touched: more reuse
@@ -46,13 +56,15 @@ def traces_and_configs(draw):
                   .filter(lambda es: any(es)))
     trace = ts.TierTrace(epochs=[ts.TraceEpoch(demand_misses=e) for e in epochs],
                          page_count=page_count, wss_pages=page_count)
-    cfg = ts.PolicyConfig(
-        policy=draw(st.sampled_from(ts.POLICIES)),
-        fast_capacity=draw(st.integers(1, page_count)),
-        promo_threshold_accesses=draw(st.integers(1, 3)),
-        max_promo_rate=draw(st.integers(1, 20)),
-    )
-    return trace, cfg
+    return trace, draw(configs(page_count))
+
+
+def spread(trace: ts.TierTrace, stride: int) -> ts.TierTrace:
+    """The same trace with page id p renamed p * stride + 1."""
+    return ts.TierTrace(
+        epochs=[ts.TraceEpoch(demand_misses=[(p * stride + 1, g) for p, g in e.demand_misses])
+                for e in trace.epochs],
+        page_count=trace.page_count * stride + 1, wss_pages=trace.wss_pages)
 
 
 @settings(max_examples=400, deadline=None)
@@ -98,11 +110,19 @@ def test_sparse_page_ids_match_oracle(case, stride):
     # Ids far apart: the simulator renumbers them densely instead of sizing
     # its per-page state by the largest id, and nothing else changes.
     trace, cfg = case
-    sparse = ts.TierTrace(
-        epochs=[ts.TraceEpoch(demand_misses=[(p * stride + 1, g) for p, g in e.demand_misses])
-                for e in trace.epochs],
-        page_count=trace.page_count * stride + 1, wss_pages=trace.wss_pages)
-    assert assert_matches_oracle(sparse, cfg) == ts.simulate(trace, cfg, LOCAL, REMOTE)
+    assert assert_matches_oracle(spread(trace, stride), cfg) == ts.simulate(trace, cfg, LOCAL, REMOTE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.one_of(st.just(1), st.integers(2**21, 10**12)))
+def test_one_trace_under_several_configs_matches_oracle(data, stride):
+    # The first simulation of a trace groups its misses by page (renumbering
+    # sparse ids); the later ones, under other configs, reuse that grouping.
+    trace, cfg = data.draw(traces_and_configs())
+    cfgs = [cfg, *data.draw(st.lists(configs(trace.page_count), min_size=1, max_size=3))]
+    trace = spread(trace, stride)
+    for cfg in cfgs:
+        assert_matches_oracle(trace, cfg)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
