@@ -10,7 +10,6 @@ directory.  Exit codes: 0 success, 1 usage error, 2 data/invariant error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -24,7 +23,7 @@ from . import devmodel as dm
 from . import interleave as il
 from . import model as mdl
 from . import tiersim as ts
-from .errors import SupLabError, load_json_object
+from .errors import SupLabError, dump_json, load_json_object
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -56,7 +55,7 @@ class OutputDir:
         return self.staging / name
 
     def write_json(self, name: str, payload) -> None:
-        (self / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        dump_json(self / name, payload)
 
     def publish(self) -> None:
         """Move each staged file into ``root``, replacing same-named files.

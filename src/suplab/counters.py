@@ -29,6 +29,7 @@ from .errors import (
     NoDemandReads,
     SupLabError,
     ZeroDenominator,
+    dump_json,
     require_finite,
 )
 
@@ -273,7 +274,7 @@ def write_counter_log(
     path = Path(path)
     if format == "json":
         payload = [dict(zip(COUNTER_FIELDS, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        dump_json(path, payload)
         return
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

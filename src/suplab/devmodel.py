@@ -16,7 +16,6 @@ device profiles and cycle-based counters interoperate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -25,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .counters import CounterSnapshot, RunPair
-from .errors import (InconsistentProfile, InvariantViolation, LoadOutOfRange,
-                     load_json_object, require_finite)
+from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, LoadOutOfRange,
+                     dump_json, load_json_object, require_finite)
 from .model import (
     SENSITIVITY_MARGIN,
     ModelParams,
@@ -74,7 +73,7 @@ class DeviceProfile:
             raise InvariantViolation("tail_scale/jitter/numa_hop must be >= 0")
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        dump_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DeviceProfile":
@@ -185,8 +184,6 @@ def latency_percentiles(
     """Nearest-rank percentiles (q in (0,1)); monotone in q by construction."""
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
-        from .errors import EmptyInput
-
         raise EmptyInput("no latency samples")
     for q in qs:
         if not 0 < q < 1:
@@ -285,14 +282,12 @@ def synthesize_runpair(
     seed: int = 0,
     consistency_noise: float = 0.0,
     dram_noise: tuple[float, float] = (0.0, 0.0),
-    reference_gap_cycles: float | None = None,
-    label: str | None = None,
 ) -> RunPair:
     """Generate a local/remote counter pair consistent with the model.
 
     The local snapshot encodes the workload's characteristics on ``local``;
     the remote snapshot adds per-source stall deltas planted from the model
-    metrics (scaled by the latency gap between the two devices, so an
+    metrics (planted only when the two devices' latencies differ, so an
     identical device pair yields zero slowdown), with remote occupancy
     following the remote device's amortized latency.  The runtime delta
     equals the backend-stall delta up to ``consistency_noise`` (relative,
@@ -324,10 +319,7 @@ def synthesize_runpair(
         raise InconsistentProfile("mlp_depth deeper than remote device latency")
 
     gap = lc_rem - lc_loc
-    if reference_gap_cycles is None:
-        gamma = 1.0 if gap != 0 else 0.0
-    else:
-        gamma = gap / reference_gap_cycles
+    gamma = 1.0 if gap != 0 else 0.0
 
     m_d = metric_dram(local_snap, params)
     m_c = metric_cache(local_snap)
@@ -378,7 +370,7 @@ def synthesize_runpair(
     if t_remote <= 0:
         raise InconsistentProfile("planted slowdown drives remote runtime negative")
     return RunPair(
-        label=label if label is not None else w.name,
+        label=w.name,
         local=local_snap,
         remote=remote_snap,
         local_runtime=t_local,
@@ -424,68 +416,17 @@ def local_snapshot(w: WorkloadProfile, dev: DeviceProfile) -> CounterSnapshot:
 
 CALIBRATION_MLP_DEPTHS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
-
-def _calibration_workloads(
-    mlp_depths: Sequence[float], instructions: float
-) -> list[tuple[str, WorkloadProfile]]:
-    wls = [
-        (
-            "pointer_chase",
-            WorkloadProfile(
-                name=f"ptr-chase-mlp{m:g}", instructions=instructions,
-                demand_miss_rate=15.0, mlp_depth=m,
-            ),
-        )
-        for m in mlp_depths
-    ]
-    # Store- and cache-revealing runs keep their DRAM term small so noise on
-    # the overall slowdown does not swamp the k3/k2 divisions.
-    wls.append(
-        (
-            "store_bound",
-            WorkloadProfile(
-                name="store-bound-a", instructions=instructions,
-                demand_miss_rate=0.2, store_intensity=0.75,
-            ),
-        )
-    )
-    wls.append(
-        (
-            "store_bound",
-            WorkloadProfile(
-                name="store-bound-b", instructions=instructions,
-                demand_miss_rate=0.1, store_intensity=0.55,
-            ),
-        )
-    )
-    wls.append(
-        (
-            "list_traversal",
-            WorkloadProfile(
-                name="list-traversal-a", instructions=instructions,
-                demand_miss_rate=0.05, prefetch_reliance=1.0,
-            ),
-        )
-    )
-    wls.append(
-        (
-            "list_traversal",
-            WorkloadProfile(
-                name="list-traversal-b", instructions=instructions,
-                demand_miss_rate=0.1, prefetch_reliance=0.85,
-            ),
-        )
-    )
-    wls.append(
-        (
-            "mixed",
-            WorkloadProfile(
-                name="mixed", instructions=instructions, demand_miss_rate=5.0,
-                mlp_depth=2.0, prefetch_reliance=0.5, store_intensity=0.4,
-            ),
-        )
-    )
-    return wls
+# The calibration runs after the pointer chases, one per row:
+# (kind, name, demand_miss_rate, mlp_depth, prefetch_reliance, store_intensity).
+# Store- and cache-revealing runs keep their DRAM term small so noise on
+# the overall slowdown does not swamp the k3/k2 divisions.
+_CALIBRATION_TABLE = (
+    ("store_bound", "store-bound-a", 0.2, 1.0, 0.0, 0.75),
+    ("store_bound", "store-bound-b", 0.1, 1.0, 0.0, 0.55),
+    ("list_traversal", "list-traversal-a", 0.05, 1.0, 1.0, 0.0),
+    ("list_traversal", "list-traversal-b", 0.1, 1.0, 0.85, 0.0),
+    ("mixed", "mixed", 5.0, 2.0, 0.5, 0.4),
+)
 
 
 def make_calibration_runs(
@@ -495,38 +436,44 @@ def make_calibration_runs(
     seed: int = 0,
     mlp_depths: Sequence[float] = CALIBRATION_MLP_DEPTHS,
     noise: float = 0.0,
-    instructions: float = 1e9,
 ):
-    """Synthesize the microbenchmark run set the calibration fit consumes."""
+    """Synthesize the microbenchmark run set the calibration fit consumes:
+    a pointer chase at each of ``mlp_depths``, then ``_CALIBRATION_TABLE``."""
     from .calibrate import CalibrationRun
 
+    chases = [("pointer_chase", f"ptr-chase-mlp{m:g}", 15.0, m, 0.0, 0.0) for m in mlp_depths]
     runs = []
-    for i, (kind, w) in enumerate(_calibration_workloads(mlp_depths, instructions)):
-        pair = synthesize_runpair(
-            w, local, remote, params, seed=seed * 1_000_003 + i,
-            consistency_noise=noise,
-        )
+    for i, (kind, name, dmr, mlp, pf, st) in enumerate(chases + list(_CALIBRATION_TABLE)):
+        w = WorkloadProfile(name=name, instructions=1e9, demand_miss_rate=dmr, mlp_depth=mlp,
+                            prefetch_reliance=pf, store_intensity=st)
+        pair = synthesize_runpair(w, local, remote, params, seed=seed * 1_000_003 + i,
+                                  consistency_noise=noise)
         runs.append(CalibrationRun(kind=kind, pair=pair))
     return runs
 
 
+def _suite(prefix, n, seed, dmr, mlp, pf, st, bw, cap=1.0) -> list[WorkloadProfile]:
+    """``n`` profiles named ``{prefix}-0000`` on, each field drawn uniformly
+    from its ``(low, high)`` range in this order; bandwidth demand is ``bw``
+    times ``cap``."""
+    rng = np.random.default_rng(seed)
+    return [
+        WorkloadProfile(
+            name=f"{prefix}-{i:04d}",
+            instructions=1e9,
+            demand_miss_rate=float(rng.uniform(*dmr)),
+            mlp_depth=float(rng.uniform(*mlp)),
+            prefetch_reliance=float(rng.uniform(*pf)),
+            store_intensity=float(rng.uniform(*st)),
+            read_bandwidth_demand_gbs=float(rng.uniform(*bw)) * cap,
+        )
+        for i in range(n)
+    ]
+
+
 def make_workload_suite(n: int, seed: int = 0) -> list[WorkloadProfile]:
     """A diverse mixed suite: DRAM-heavy, cache-heavy, store-heavy, and blends."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        out.append(
-            WorkloadProfile(
-                name=f"wl-{i:04d}",
-                instructions=1e9,
-                demand_miss_rate=float(rng.uniform(0.5, 18.0)),
-                mlp_depth=float(rng.uniform(1.0, 8.0)),
-                prefetch_reliance=float(rng.uniform(0.0, 0.9)),
-                store_intensity=float(rng.uniform(0.0, 0.7)),
-                read_bandwidth_demand_gbs=float(rng.uniform(0.0, 8.0)),
-            )
-        )
-    return out
+    return _suite("wl", n, seed, (0.5, 18.0), (1.0, 8.0), (0.0, 0.9), (0.0, 0.7), (0.0, 8.0))
 
 
 def make_bandwidth_bound_suite(
@@ -545,23 +492,8 @@ def make_bandwidth_bound_suite(
     platform; CXL-class remotes with little bandwidth headroom want a
     milder mix (lower demand, shallow overlap, sparse misses).
     """
-    local = local or PRESETS["local-emr"]
-    rng = np.random.default_rng(seed)
-    cap = local.bandwidth_cap_gbs
-    out = []
-    for i in range(n):
-        out.append(
-            WorkloadProfile(
-                name=f"bw-{i:04d}",
-                instructions=1e9,
-                demand_miss_rate=float(rng.uniform(*dmr_range)),
-                mlp_depth=float(rng.uniform(*mlp_range)),
-                prefetch_reliance=float(rng.uniform(0.1, 0.5)),
-                store_intensity=float(rng.uniform(0.0, 0.2)),
-                read_bandwidth_demand_gbs=float(rng.uniform(*demand_range)) * cap,
-            )
-        )
-    return out
+    cap = (local or PRESETS["local-emr"]).bandwidth_cap_gbs
+    return _suite("bw", n, seed, dmr_range, mlp_range, (0.1, 0.5), (0.0, 0.2), demand_range, cap)
 
 
 # Mix for the CXL-A-class interleaving fixture: mild local oversubscription
@@ -576,54 +508,30 @@ def make_latency_bound_suite(
     n: int, seed: int = 0, local: DeviceProfile | None = None
 ) -> list[WorkloadProfile]:
     """Pointer-chase-flavored profiles far from any bandwidth limit."""
-    local = local or PRESETS["local-emr"]
-    rng = np.random.default_rng(seed)
-    cap = local.bandwidth_cap_gbs
-    out = []
-    for i in range(n):
-        out.append(
-            WorkloadProfile(
-                name=f"lat-{i:04d}",
-                instructions=1e9,
-                demand_miss_rate=float(rng.uniform(2.0, 14.0)),
-                mlp_depth=float(rng.uniform(1.0, 4.0)),
-                prefetch_reliance=float(rng.uniform(0.0, 0.4)),
-                store_intensity=float(rng.uniform(0.0, 0.3)),
-                read_bandwidth_demand_gbs=float(rng.uniform(0.0, 0.25)) * cap,
-            )
-        )
-    return out
+    cap = (local or PRESETS["local-emr"]).bandwidth_cap_gbs
+    return _suite("lat", n, seed, (2.0, 14.0), (1.0, 4.0), (0.0, 0.4), (0.0, 0.3), (0.0, 0.25), cap)
 
 
-def make_consistency_fixture(
-    n: int,
-    seed: int = 0,
-    noise: float = 0.03,
-    local: DeviceProfile | None = None,
-    remote: DeviceProfile | None = None,
-) -> list[RunPair]:
-    """Run pairs whose runtime delta deviates from the stall delta by +-noise."""
-    local = local or PRESETS["local-emr"]
-    remote = remote or PRESETS["cxl-b"]
+def make_consistency_fixture(n: int, seed: int = 0, noise: float = 0.03) -> list[RunPair]:
+    """Local-EMR/CXL-B run pairs whose runtime delta deviates from the stall
+    delta by +-noise."""
+    local, remote = PRESETS["local-emr"], PRESETS["cxl-b"]
     params = make_reference_params(local, remote)
-    pairs = []
-    for i, w in enumerate(make_workload_suite(n, seed)):
-        pairs.append(
-            synthesize_runpair(
-                w, local, remote, params, seed=seed * 7_919 + i,
-                consistency_noise=noise,
-            )
-        )
-    return pairs
+    return [
+        synthesize_runpair(w, local, remote, params, seed=seed * 7_919 + i,
+                           consistency_noise=noise)
+        for i, w in enumerate(make_workload_suite(n, seed))
+    ]
 
 
+# Per accuracy tier: the remote preset against local-EMR, and the
 # DRAM-component noise (relative sigma, absolute sigma) tuned so the fixed
 # fixture suites land on the reference accuracy bands: the stable-tier
 # analog sits in the low-to-mid 0.9s for within-5%, the noisier-tier analog
 # degrades to the high-0.7s.
-ACCURACY_NOISE = {
-    "znuma": (0.11, 0.013),
-    "cxlb": (0.15, 0.014),
+ACCURACY_TIERS = {
+    "znuma": ("numa", (0.11, 0.013)),
+    "cxlb": ("cxl-b", (0.15, 0.014)),
 }
 
 # Heavier noise mix whose suite lands near the reference Pearson
@@ -635,8 +543,6 @@ def make_accuracy_suite(
     n: int,
     seed: int = 0,
     tier: str = "znuma",
-    local: DeviceProfile | None = None,
-    remote: DeviceProfile | None = None,
     noise: tuple[float, float] | None = None,
 ):
     """(predicted, measured) DRAM-slowdown points for the accuracy harness.
@@ -647,14 +553,13 @@ def make_accuracy_suite(
     slowdown), 20% heavy.
     """
     from .breakdown import decompose
-    from .model import metric_dram as _metric_dram
 
-    if tier not in ACCURACY_NOISE:
-        raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(ACCURACY_NOISE)}")
-    local = local or PRESETS["local-emr"]
-    remote = remote or (PRESETS["numa"] if tier == "znuma" else PRESETS["cxl-b"])
+    if tier not in ACCURACY_TIERS:
+        raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(ACCURACY_TIERS)}")
+    remote_name, tier_noise = ACCURACY_TIERS[tier]
+    local, remote = PRESETS["local-emr"], PRESETS[remote_name]
     params = make_reference_params(local, remote)
-    dram_noise = noise if noise is not None else ACCURACY_NOISE[tier]
+    dram_noise = noise if noise is not None else tier_noise
     rng = np.random.default_rng(seed)
     points = []
     for i in range(n):
@@ -671,7 +576,7 @@ def make_accuracy_suite(
             w, local, remote, params, seed=seed * 104_729 + i,
             dram_noise=dram_noise,
         )
-        predicted = params.k1 * _metric_dram(pair.local, params)
+        predicted = params.k1 * metric_dram(pair.local, params)
         measured = decompose(pair).components["DRAM"]
         points.append((predicted, measured))
     return points

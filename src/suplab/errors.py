@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the JSON config loader.
+"""Exception types shared across the package, and the JSON file reader and writer.
 
 Every error raised on bad data or bad configuration derives from
 :class:`SupLabError` so callers (and the CLI) can distinguish data problems
@@ -133,3 +133,9 @@ def load_json_object(cls, path: str | Path, many: bool = False):
     except TypeError as exc:
         raise MalformedConfig(f"{path}: {exc}") from None
     return objs if many else objs[0]
+
+
+def dump_json(path: str | Path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON with sorted keys, two-space
+    indents and a final newline: the one layout of every JSON file written."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -11,7 +11,6 @@ slowdown model ``slowdown_at`` instead.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +33,7 @@ from .devmodel import (
     utilization,
 )
 from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, MissingFit,
-                     load_json_object, require_finite)
+                     dump_json, load_json_object, require_finite)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
 MAX_GRID = 1_000_001  # cap on scan_ratios' grid: one Python-level simulation per point
@@ -76,7 +75,7 @@ class InterleaveFit:
         require_finite(self)
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        dump_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "InterleaveFit":
@@ -247,24 +246,17 @@ def forecast(
     ``slowdown_at``).
     """
     r_d, r_c, r_s = r_components(s, params)
-    if classify_sensitivity(s, params) != "bandwidth_bound":
-        return InterleaveForecast(
-            label=label, r_dram=r_d, r_cache=r_c, r_store=r_s,
-            best_ratio=InterleaveRatio(0.0), predicted_speedup=0.0, beneficial=False,
-        )
-    if fit is None:
-        raise MissingFit("bandwidth-bound forecast needs a per-platform InterleaveFit")
-    r_total = r_d + r_c + r_s
-    best = min(max(fit.ratio_slope * r_total + fit.ratio_intercept, 0.0), 1.0)
-    gain = fit.speedup_slope * r_total + fit.speedup_intercept
-    if gain <= 0.0:
-        return InterleaveForecast(
-            label=label, r_dram=r_d, r_cache=r_c, r_store=r_s,
-            best_ratio=InterleaveRatio(0.0), predicted_speedup=gain, beneficial=False,
-        )
+    best, gain = 0.0, 0.0
+    if classify_sensitivity(s, params) == "bandwidth_bound":
+        if fit is None:
+            raise MissingFit("bandwidth-bound forecast needs a per-platform InterleaveFit")
+        r_total = r_d + r_c + r_s
+        gain = fit.speedup_slope * r_total + fit.speedup_intercept
+        if gain > 0.0:
+            best = min(max(fit.ratio_slope * r_total + fit.ratio_intercept, 0.0), 1.0)
     return InterleaveForecast(
         label=label, r_dram=r_d, r_cache=r_c, r_store=r_s,
-        best_ratio=InterleaveRatio(best), predicted_speedup=gain, beneficial=True,
+        best_ratio=InterleaveRatio(best), predicted_speedup=gain, beneficial=gain > 0.0,
     )
 
 

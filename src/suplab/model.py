@@ -14,7 +14,6 @@ all three metrics are counter ratios taken from a run on local memory:
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Literal, Sequence
 
 from .counters import CounterSnapshot, amortized_offcore_latency
 from .errors import (EmptyInput, InvariantViolation, NoDemandReads, ZeroDenominator,
-                     load_json_object, require_finite)
+                     dump_json, load_json_object, require_finite)
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
 
@@ -56,7 +55,7 @@ class ModelParams:
             raise InvariantViolation("offcore_threshold must be > 0")
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        dump_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ModelParams":

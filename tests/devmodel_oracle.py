@@ -1,0 +1,395 @@
+"""The synthetic-suite builders and ``synthesize_runpair`` as they were before
+``devmodel`` built its suites from range tuples and one calibration table.
+
+Kept as the reference that ``test_devmodel_oracle.py`` compares the table-driven
+builders against for equality.  The device model they call (presets, local
+counters, reference parameters) is imported, not copied: it did not change.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from suplab.counters import CounterSnapshot, RunPair
+from suplab.devmodel import (
+    CACHE_LEVEL_SPLIT,
+    CLOCK_GHZ,
+    OTHER_BACKEND_FRAC,
+    PRESETS,
+    DeviceProfile,
+    WorkloadProfile,
+    _local_counters,
+    latency_cycles,
+    make_reference_params,
+    utilization,
+)
+from suplab.errors import InconsistentProfile
+from suplab.model import ModelParams, metric_cache, metric_dram, metric_store
+
+
+def synthesize_runpair(
+    w: WorkloadProfile,
+    local: DeviceProfile,
+    remote: DeviceProfile,
+    params: ModelParams,
+    seed: int = 0,
+    consistency_noise: float = 0.0,
+    dram_noise: tuple[float, float] = (0.0, 0.0),
+    reference_gap_cycles: float | None = None,
+    label: str | None = None,
+) -> RunPair:
+    """Generate a local/remote counter pair consistent with the model.
+
+    The local snapshot encodes the workload's characteristics on ``local``;
+    the remote snapshot adds per-source stall deltas planted from the model
+    metrics (scaled by the latency gap between the two devices, so an
+    identical device pair yields zero slowdown), with remote occupancy
+    following the remote device's amortized latency.  The runtime delta
+    equals the backend-stall delta up to ``consistency_noise`` (relative,
+    uniform); ``dram_noise`` = (relative sigma, absolute sigma) perturbs
+    only the planted DRAM component.
+    """
+    if (
+        w.read_bandwidth_demand_gbs > local.bandwidth_cap_gbs
+        and w.read_bandwidth_demand_gbs > remote.bandwidth_cap_gbs
+    ):
+        raise InconsistentProfile(
+            "bandwidth demand exceeds both tiers' capacity; no queueing solution"
+        )
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(-1.0, 1.0) * consistency_noise
+    a_noise = rng.normal() * dram_noise[0]
+    b_noise = rng.normal() * dram_noise[1]
+
+    loc = _local_counters(w, local)
+    local_snap = CounterSnapshot(**loc)
+    c = loc["total_cycles"]
+
+    rho_r = utilization(w.read_bandwidth_demand_gbs, remote)
+    lc_loc = latency_cycles(local, utilization(w.read_bandwidth_demand_gbs, local))
+    lc_rem = latency_cycles(remote, rho_r)
+    lam_rem = lc_rem / w.mlp_depth
+    n_miss = loc["offcore_demand_requests"]
+    if n_miss > 0 and lam_rem < 1.0:
+        raise InconsistentProfile("mlp_depth deeper than remote device latency")
+
+    gap = lc_rem - lc_loc
+    if reference_gap_cycles is None:
+        gamma = 1.0 if gap != 0 else 0.0
+    else:
+        gamma = gap / reference_gap_cycles
+
+    m_d = metric_dram(local_snap, params)
+    m_c = metric_cache(local_snap)
+    m_s = metric_store(local_snap)
+
+    d_dram = c * (params.k1 * m_d * gamma * (1.0 + a_noise) + b_noise * gamma)
+    d_dram = max(d_dram, -0.5 * loc["llc_miss_demand_stall_cycles"])
+    d_cache = c * params.k2 * m_c * gamma
+    d_store = c * params.k3 * m_s * gamma
+    d_other = c * params.k4 * gamma
+    if loc["store_buffer_full_stall_cycles"] + d_store < 0:
+        raise InconsistentProfile("planted store delta drives counters negative")
+    if OTHER_BACKEND_FRAC * w.instructions + d_other < 0:
+        raise InconsistentProfile("planted intercept drives counters negative")
+
+    dc1, dc2, dc3 = (d_cache * f for f in CACHE_LEVEL_SPLIT)
+    rem = dict(loc)
+    rem["llc_miss_demand_stall_cycles"] = loc["llc_miss_demand_stall_cycles"] + d_dram
+    rem["store_buffer_full_stall_cycles"] = loc["store_buffer_full_stall_cycles"] + d_store
+    rem["stall_l1"] = loc["stall_l1"] + dc1
+    rem["stall_l2"] = loc["stall_l2"] + dc2
+    rem["stall_l3"] = loc["stall_l3"] + dc3
+    rem["mem_stall_cycles"] = (
+        rem["llc_miss_demand_stall_cycles"] + rem["stall_l2"] + rem["stall_l3"]
+    )
+    d_total = d_dram + d_cache + d_store + d_other
+    rem["backend_stall_cycles"] = loc["backend_stall_cycles"] + d_total
+    rem["stall_cycles_total"] = loc["stall_cycles_total"] + d_total
+    rem["total_cycles"] = loc["total_cycles"] + d_total
+    rem["offcore_demand_occupancy"] = n_miss * lam_rem
+
+    # Prefetcher shift on the slower tier: L2 prefetches that missed L3
+    # migrate to L1-prefetch L3 misses one-for-one, surfacing as LFB hits.
+    if gap > 0 and loc["l2_prefetch_l3_miss"] > 0:
+        shift = min(0.3 * gap / max(lc_loc, 1.0), 0.9) * loc["l2_prefetch_l3_miss"]
+        rem["l2_prefetch_l3_miss"] = loc["l2_prefetch_l3_miss"] - shift
+        rem["l1_prefetch_l3_miss"] = loc["l1_prefetch_l3_miss"] + shift
+        rem["l1_prefetch_total"] = loc["l1_prefetch_total"] + shift
+        moved = min(shift, 0.5 * loc["l1_demand_hits"])
+        rem["lfb_hits"] = loc["lfb_hits"] + moved
+        rem["l1_demand_hits"] = loc["l1_demand_hits"] - moved
+
+    remote_snap = CounterSnapshot(**rem)
+    clock_hz = CLOCK_GHZ * 1e9
+    t_local = c / clock_hz
+    s_planted = d_total / c
+    t_remote = t_local * (1.0 + s_planted * (1.0 + eps))
+    if t_remote <= 0:
+        raise InconsistentProfile("planted slowdown drives remote runtime negative")
+    return RunPair(
+        label=label if label is not None else w.name,
+        local=local_snap,
+        remote=remote_snap,
+        local_runtime=t_local,
+        remote_runtime=t_remote,
+    )
+
+
+# --- calibration-run and fixture-suite builders ---------------------------
+
+CALIBRATION_MLP_DEPTHS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+
+
+def _calibration_workloads(
+    mlp_depths: Sequence[float], instructions: float
+) -> list[tuple[str, WorkloadProfile]]:
+    wls = [
+        (
+            "pointer_chase",
+            WorkloadProfile(
+                name=f"ptr-chase-mlp{m:g}", instructions=instructions,
+                demand_miss_rate=15.0, mlp_depth=m,
+            ),
+        )
+        for m in mlp_depths
+    ]
+    # Store- and cache-revealing runs keep their DRAM term small so noise on
+    # the overall slowdown does not swamp the k3/k2 divisions.
+    wls.append(
+        (
+            "store_bound",
+            WorkloadProfile(
+                name="store-bound-a", instructions=instructions,
+                demand_miss_rate=0.2, store_intensity=0.75,
+            ),
+        )
+    )
+    wls.append(
+        (
+            "store_bound",
+            WorkloadProfile(
+                name="store-bound-b", instructions=instructions,
+                demand_miss_rate=0.1, store_intensity=0.55,
+            ),
+        )
+    )
+    wls.append(
+        (
+            "list_traversal",
+            WorkloadProfile(
+                name="list-traversal-a", instructions=instructions,
+                demand_miss_rate=0.05, prefetch_reliance=1.0,
+            ),
+        )
+    )
+    wls.append(
+        (
+            "list_traversal",
+            WorkloadProfile(
+                name="list-traversal-b", instructions=instructions,
+                demand_miss_rate=0.1, prefetch_reliance=0.85,
+            ),
+        )
+    )
+    wls.append(
+        (
+            "mixed",
+            WorkloadProfile(
+                name="mixed", instructions=instructions, demand_miss_rate=5.0,
+                mlp_depth=2.0, prefetch_reliance=0.5, store_intensity=0.4,
+            ),
+        )
+    )
+    return wls
+
+
+def make_calibration_runs(
+    local: DeviceProfile,
+    remote: DeviceProfile,
+    params: ModelParams,
+    seed: int = 0,
+    mlp_depths: Sequence[float] = CALIBRATION_MLP_DEPTHS,
+    noise: float = 0.0,
+    instructions: float = 1e9,
+):
+    """Synthesize the microbenchmark run set the calibration fit consumes."""
+    from suplab.calibrate import CalibrationRun
+
+    runs = []
+    for i, (kind, w) in enumerate(_calibration_workloads(mlp_depths, instructions)):
+        pair = synthesize_runpair(
+            w, local, remote, params, seed=seed * 1_000_003 + i,
+            consistency_noise=noise,
+        )
+        runs.append(CalibrationRun(kind=kind, pair=pair))
+    return runs
+
+
+def make_workload_suite(n: int, seed: int = 0) -> list[WorkloadProfile]:
+    """A diverse mixed suite: DRAM-heavy, cache-heavy, store-heavy, and blends."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        out.append(
+            WorkloadProfile(
+                name=f"wl-{i:04d}",
+                instructions=1e9,
+                demand_miss_rate=float(rng.uniform(0.5, 18.0)),
+                mlp_depth=float(rng.uniform(1.0, 8.0)),
+                prefetch_reliance=float(rng.uniform(0.0, 0.9)),
+                store_intensity=float(rng.uniform(0.0, 0.7)),
+                read_bandwidth_demand_gbs=float(rng.uniform(0.0, 8.0)),
+            )
+        )
+    return out
+
+
+def make_bandwidth_bound_suite(
+    n: int,
+    seed: int = 0,
+    local: DeviceProfile | None = None,
+    demand_range: tuple[float, float] = (1.0, 1.45),
+    mlp_range: tuple[float, float] = (3.0, 8.0),
+    dmr_range: tuple[float, float] = (8.0, 20.0),
+) -> list[WorkloadProfile]:
+    """Streaming profiles whose demand pressures or exceeds the local tier.
+
+    Demand is relative to the local cap; with enough queueing the amortized
+    offcore latency blows past the sensitivity threshold and interleaving
+    relief is on the table.  The defaults oversubscribe a 5:3-style
+    platform; CXL-class remotes with little bandwidth headroom want a
+    milder mix (lower demand, shallow overlap, sparse misses).
+    """
+    local = local or PRESETS["local-emr"]
+    rng = np.random.default_rng(seed)
+    cap = local.bandwidth_cap_gbs
+    out = []
+    for i in range(n):
+        out.append(
+            WorkloadProfile(
+                name=f"bw-{i:04d}",
+                instructions=1e9,
+                demand_miss_rate=float(rng.uniform(*dmr_range)),
+                mlp_depth=float(rng.uniform(*mlp_range)),
+                prefetch_reliance=float(rng.uniform(0.1, 0.5)),
+                store_intensity=float(rng.uniform(0.0, 0.2)),
+                read_bandwidth_demand_gbs=float(rng.uniform(*demand_range)) * cap,
+            )
+        )
+    return out
+
+
+# Mix for the CXL-A-class interleaving fixture: mild local oversubscription
+# with no overlap, so relief from the low-bandwidth remote tier lands in
+# the single-digit-percent band.
+CXLA_SUITE_KWARGS = dict(
+    demand_range=(0.55, 0.80), mlp_range=(1.0, 1.0), dmr_range=(0.5, 0.9)
+)
+
+
+def make_latency_bound_suite(
+    n: int, seed: int = 0, local: DeviceProfile | None = None
+) -> list[WorkloadProfile]:
+    """Pointer-chase-flavored profiles far from any bandwidth limit."""
+    local = local or PRESETS["local-emr"]
+    rng = np.random.default_rng(seed)
+    cap = local.bandwidth_cap_gbs
+    out = []
+    for i in range(n):
+        out.append(
+            WorkloadProfile(
+                name=f"lat-{i:04d}",
+                instructions=1e9,
+                demand_miss_rate=float(rng.uniform(2.0, 14.0)),
+                mlp_depth=float(rng.uniform(1.0, 4.0)),
+                prefetch_reliance=float(rng.uniform(0.0, 0.4)),
+                store_intensity=float(rng.uniform(0.0, 0.3)),
+                read_bandwidth_demand_gbs=float(rng.uniform(0.0, 0.25)) * cap,
+            )
+        )
+    return out
+
+
+def make_consistency_fixture(
+    n: int,
+    seed: int = 0,
+    noise: float = 0.03,
+    local: DeviceProfile | None = None,
+    remote: DeviceProfile | None = None,
+) -> list[RunPair]:
+    """Run pairs whose runtime delta deviates from the stall delta by +-noise."""
+    local = local or PRESETS["local-emr"]
+    remote = remote or PRESETS["cxl-b"]
+    params = make_reference_params(local, remote)
+    pairs = []
+    for i, w in enumerate(make_workload_suite(n, seed)):
+        pairs.append(
+            synthesize_runpair(
+                w, local, remote, params, seed=seed * 7_919 + i,
+                consistency_noise=noise,
+            )
+        )
+    return pairs
+
+
+# DRAM-component noise (relative sigma, absolute sigma) tuned so the fixed
+# fixture suites land on the reference accuracy bands: the stable-tier
+# analog sits in the low-to-mid 0.9s for within-5%, the noisier-tier analog
+# degrades to the high-0.7s.
+ACCURACY_NOISE = {
+    "znuma": (0.11, 0.013),
+    "cxlb": (0.15, 0.014),
+}
+
+# Heavier noise mix whose suite lands near the reference Pearson
+# coefficient of ~0.965; used by correlation-anchor tests.
+PEARSON_ANCHOR_NOISE = (0.19, 0.017)
+
+
+def make_accuracy_suite(
+    n: int,
+    seed: int = 0,
+    tier: str = "znuma",
+    local: DeviceProfile | None = None,
+    remote: DeviceProfile | None = None,
+    noise: tuple[float, float] | None = None,
+):
+    """(predicted, measured) DRAM-slowdown points for the accuracy harness.
+
+    Predictions come from the model on the local snapshot; measurements are
+    the decomposed DRAM component of a pair planted with tier-specific
+    noise (overridable via ``noise``).  80% of profiles are mild (small
+    slowdown), 20% heavy.
+    """
+    from suplab.breakdown import decompose
+    from suplab.model import metric_dram as _metric_dram
+
+    if tier not in ACCURACY_NOISE:
+        raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(ACCURACY_NOISE)}")
+    local = local or PRESETS["local-emr"]
+    remote = remote or (PRESETS["numa"] if tier == "znuma" else PRESETS["cxl-b"])
+    params = make_reference_params(local, remote)
+    dram_noise = noise if noise is not None else ACCURACY_NOISE[tier]
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        heavy = rng.uniform() < 0.2
+        w = WorkloadProfile(
+            name=f"{tier}-{i:04d}",
+            instructions=1e9,
+            demand_miss_rate=float(rng.uniform(8.0, 20.0)) if heavy else float(rng.uniform(0.3, 3.5)),
+            mlp_depth=float(rng.uniform(1.0, 3.0)) if heavy else float(rng.uniform(1.0, 8.0)),
+            prefetch_reliance=float(rng.uniform(0.0, 0.4)),
+            store_intensity=float(rng.uniform(0.0, 0.3)),
+        )
+        pair = synthesize_runpair(
+            w, local, remote, params, seed=seed * 104_729 + i,
+            dram_noise=dram_noise,
+        )
+        predicted = params.k1 * _metric_dram(pair.local, params)
+        measured = decompose(pair).components["DRAM"]
+        points.append((predicted, measured))
+    return points

@@ -347,6 +347,8 @@ class TestBadInputs:
         json.dumps({**TRACE_HEADER, "page_count": True}),
         json.dumps({**TRACE_HEADER, "wss_pages": "4"}),
         json.dumps({**TRACE_HEADER, "epoch_instructions": "1e9"}),
+        json.dumps({**TRACE_HEADER, "epochs": 100_000_000_000_000}),
+        json.dumps({**TRACE_HEADER, "epochs": 2**70}),
     ])
     def test_trace_header_malformed(self, tmp_path, capsys, header):
         (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,0,1\n")
