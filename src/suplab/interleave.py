@@ -141,6 +141,12 @@ def simulate_ratio_point(
     """
     if not 0.0 <= x <= 1.0:
         raise InvariantViolation("ratio must be in [0, 1]")
+    return _ratio_runtime(w, local, remote, x, latency_cycles(local, 0.0), seed, jitter_rel)
+
+
+def _ratio_runtime(w, local, remote, x, lc_l0, seed, jitter_rel) -> float:
+    """``simulate_ratio_point`` given the unloaded local latency ``lc_l0``
+    (cycles), which is the same at every point of a scan."""
     I = w.instructions
     n_miss = I * w.demand_miss_rate / 1000.0
     rho_l = utilization((1.0 - x) * w.read_bandwidth_demand_gbs, local)
@@ -148,7 +154,6 @@ def simulate_ratio_point(
     lc_l = latency_cycles(local, rho_l)
     lc_r = latency_cycles(remote, rho_r)
     mixed = (1.0 - x) * lc_l + x * lc_r
-    lc_l0 = latency_cycles(local, 0.0)
     cycles = (
         I * CPI_BASE
         + n_miss * mixed / w.mlp_depth
@@ -184,11 +189,12 @@ def scan_ratios(
             "bandwidth demand exceeds combined tier capacity; no ratio is feasible"
         )
 
+    lc_l0 = latency_cycles(local, 0.0)
     curve = []
     for j in range(grid):
         x = j / (grid - 1)
         point_seed = scan_point_seed(seed, j) if jitter_rel > 0.0 else 0
-        curve.append((x, simulate_ratio_point(w, local, remote, x, point_seed, jitter_rel)))
+        curve.append((x, _ratio_runtime(w, local, remote, x, lc_l0, point_seed, jitter_rel)))
     return curve
 
 

@@ -1,13 +1,19 @@
-"""The synthetic-suite builders and ``synthesize_runpair`` as they were before
-``devmodel`` built its suites from range tuples and one calibration table.
+"""Earlier forms of ``devmodel`` code, kept as the references that
+``test_devmodel_oracle.py`` compares the current code against for equality:
 
-Kept as the reference that ``test_devmodel_oracle.py`` compares the table-driven
-builders against for equality.  The device model they call (presets, local
-counters, reference parameters) is imported, not copied: it did not change.
+* ``sample_latencies`` and ``write_latency_samples_csv`` as they were before
+  sampling worked in place on reused buffers and the sample dump was written
+  in chunks;
+* the synthetic-suite builders and ``synthesize_runpair`` as they were before
+  ``devmodel`` built its suites from range tuples and one calibration table.
+
+The device model they call (presets, local counters, reference parameters,
+queueing delay) is imported, not copied: it did not change.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +22,7 @@ from suplab.counters import CounterSnapshot, RunPair
 from suplab.devmodel import (
     CACHE_LEVEL_SPLIT,
     CLOCK_GHZ,
+    MAX_SAMPLES,
     OTHER_BACKEND_FRAC,
     PRESETS,
     DeviceProfile,
@@ -23,10 +30,45 @@ from suplab.devmodel import (
     _local_counters,
     latency_cycles,
     make_reference_params,
+    queueing_delay_ns,
     utilization,
 )
-from suplab.errors import InconsistentProfile
+from suplab.errors import InconsistentProfile, InvariantViolation, LoadOutOfRange
 from suplab.model import ModelParams, metric_cache, metric_dram, metric_store
+
+
+def sample_latencies(
+    dev: DeviceProfile, n: int, load: float = 0.0, seed: int = 0
+) -> np.ndarray:
+    """Draw ``n`` request latencies (ns) at a fixed utilization.
+
+    Sample = base + hop + queueing(load) + Gaussian jitter, floored at 0,
+    plus an exponential excess with probability ``tail_prob``.
+    Deterministic for a fixed seed.
+    """
+    if not 0 <= load < 1:
+        raise LoadOutOfRange(f"load must be in [0, 1), got {load}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise InvariantViolation(f"n must be in [1, {MAX_SAMPLES}], got {n}")
+    rng = np.random.default_rng(seed)
+    body = (
+        dev.base_latency_ns
+        + dev.numa_hop_extra_ns
+        + queueing_delay_ns(dev, load)
+        + rng.normal(0.0, 1.0, size=n) * dev.jitter_sigma_ns
+    )
+    np.clip(body, 0.0, None, out=body)
+    tail_hits = rng.uniform(size=n) < dev.tail_prob
+    excess = rng.exponential(1.0, size=n) * dev.tail_scale_ns
+    return body + tail_hits * excess
+
+
+def write_latency_samples_csv(samples: Sequence[float] | np.ndarray, path: str | Path) -> None:
+    """Single-column CSV of latency samples in ns."""
+    with Path(path).open("w") as fh:
+        fh.write("latency_ns\n")
+        for v in np.asarray(samples, dtype=float):
+            fh.write(f"{float(v)!r}\n")
 
 
 def synthesize_runpair(

@@ -122,7 +122,7 @@ class TestArgumentBounds:
     def test_scan_grid_cap(self, tmp_path, capsys, monkeypatch):
         wjson = tmp_path / "w.json"
         wjson.write_text(json.dumps(dm.make_workload_suite(1, seed=0)[0].__dict__))
-        monkeypatch.setattr(il, "simulate_ratio_point", _reached)
+        monkeypatch.setattr(il, "_ratio_runtime", _reached)
         out = tmp_path / "o"
         rc = cli.run(["interleave", "scan", "--workload", str(wjson),
                       "--grid", str(il.MAX_GRID + 1), "--out", str(out)])
@@ -404,6 +404,17 @@ class TestBadInputs:
         out = tmp_path / "lat"
         rc = cli.run(["latcdf", "--profile", str(prof), "--n", "1000", "--out", str(out)])
         assert "base_latency_ns" in _assert_data_error(rc, capsys, out)
+
+    @pytest.mark.parametrize("field", ["tail_scale_ns", "jitter_sigma_ns"])
+    def test_latcdf_overflowing_profile(self, tmp_path, capsys, field):
+        # finite parameters whose samples overflow: no NaN percentiles, exit 2
+        prof = tmp_path / "dev.json"
+        prof.write_text(json.dumps({"name": "d", "base_latency_ns": 100.0,
+                                    "bandwidth_cap_gbs": 30.0, "tail_prob": 0.01,
+                                    field: 1e308}))
+        out = tmp_path / "lat"
+        rc = cli.run(["latcdf", "--profile", str(prof), "--n", "10000", "--out", str(out)])
+        assert "overflow" in _assert_data_error(rc, capsys, out)
 
     def test_scan_nan_workload(self, tmp_path, capsys):
         w = dm.make_bandwidth_bound_suite(1, seed=2, local=dm.PRESETS["local-emr"])[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,37 @@ class TestSampleLatencies:
         lines = path.read_text().splitlines()
         assert lines[0] == "latency_ns"
         assert [float(v) for v in lines[1:]] == list(samples)
+
+    @pytest.mark.parametrize("field", ["tail_scale_ns", "jitter_sigma_ns"])
+    def test_overflowing_samples_rejected(self, field):
+        # finite parameters whose samples overflow are a data error, not NaN percentiles
+        dev = dataclasses.replace(LOCAL, **{field: 1e308})
+        with pytest.raises(InvariantViolation, match="overflow"):
+            dm.sample_latencies(dev, 10_000, seed=0)
+        assert np.isfinite(dm.sample_latencies(
+            dataclasses.replace(LOCAL, **{field: 1e300}), 10_000, seed=0)).all()
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSamplingMemory:
+    """Peak traced memory of sampling and of the sample dump at 1M samples."""
+
+    def test_sampling_holds_two_buffers(self):
+        # the 8-byte result, one 8-byte draw buffer and a 1-byte tail mask per sample
+        assert _peak_bytes(dm.sample_latencies, REMOTE, 1_000_000, 0.5, 1) <= 18_000_000
+
+    def test_dump_memory_bounded_by_chunk(self, tmp_path):
+        # one join over the whole 1M-sample file peaks at ~108 MB
+        samples = dm.sample_latencies(REMOTE, 1_000_000, 0.5, seed=1)
+        assert _peak_bytes(dm.write_latency_samples_csv, samples, tmp_path / "s.csv") <= 8_000_000
 
 
 class TestLatencyPercentiles:

@@ -1,9 +1,12 @@
-"""The table-driven suite builders and ``synthesize_runpair`` against their
-earlier per-builder loops in ``devmodel_oracle``: equal results for every
-generated size, seed, preset, range mix, accuracy tier and MLP-depth set."""
+"""Current ``devmodel`` code against its earlier forms in ``devmodel_oracle``:
+bit-identical latency samples for every generated device profile, load, size
+and seed, byte-identical sample dumps around the chunk size, and equal results
+from the table-driven suite builders for every generated size, seed, preset,
+range mix, accuracy tier and MLP-depth set."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,49 @@ DEVICE_PAIRS = st.sampled_from([
     if dm.latency_cycles(b) > dm.latency_cycles(a)
 ])
 NOISE = st.one_of(st.none(), st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.03)))
+# Device profiles with no tail and with tails up to just under 0.1, no jitter
+# and any jitter or tail scale that cannot overflow a sample.
+DEVICES = st.builds(
+    dm.DeviceProfile,
+    name=st.just("d"),
+    base_latency_ns=st.floats(1e-3, 1e4),
+    bandwidth_cap_gbs=st.just(30.0),
+    tail_prob=st.one_of(st.just(0.0), st.floats(0.0, 0.1, exclude_max=True),
+                        st.floats(0.099, 0.1, exclude_max=True)),
+    tail_scale_ns=st.one_of(st.just(0.0), st.floats(0.0, 1e4), st.floats(0.0, 1e300)),
+    jitter_sigma_ns=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e300)),
+    numa_hop_extra_ns=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dev=DEVICES, load=st.floats(0.0, 1.0, exclude_max=True),
+       n=st.integers(1, 4000), seed=SEEDS)
+def test_sample_latencies(dev, load, n, seed):
+    new = dm.sample_latencies(dev, n, load=load, seed=seed)
+    assert new.dtype == float and new.shape == (n,)
+    assert new.tobytes() == oracle.sample_latencies(dev, n, load=load, seed=seed).tobytes()
+
+
+@pytest.mark.parametrize("preset", list(dm.PRESETS))
+@pytest.mark.parametrize("load", [0.0, 0.5, 0.8])
+def test_sample_latencies_presets(preset, load):
+    dev = dm.PRESETS[preset]
+    for seed in (0, 1, 7):
+        assert (dm.sample_latencies(dev, 100_000, load=load, seed=seed).tobytes()
+                == oracle.sample_latencies(dev, 100_000, load=load, seed=seed).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, dm.SAMPLES_CSV_CHUNK - 1, dm.SAMPLES_CSV_CHUNK,
+                               dm.SAMPLES_CSV_CHUNK + 1, 3 * dm.SAMPLES_CSV_CHUNK + 5])
+def test_samples_csv(tmp_path, n):
+    samples = dm.sample_latencies(dm.PRESETS["cxl-b"], n, load=0.5, seed=n)
+    dm.write_latency_samples_csv(samples, tmp_path / "new.csv")
+    oracle.write_latency_samples_csv(samples, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a plain sequence is written the same as its array
+    dm.write_latency_samples_csv(samples.tolist(), tmp_path / "list.csv")
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -88,7 +88,7 @@ class TestScanRatios:
             raise Reached
 
         w = dm.make_workload_suite(1, seed=0)[0]
-        monkeypatch.setattr(il, "simulate_ratio_point", reached)
+        monkeypatch.setattr(il, "_ratio_runtime", reached)
         with pytest.raises(InvariantViolation, match=f"grid must be in \\[2, {il.MAX_GRID}\\]"):
             il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=il.MAX_GRID + 1, seed=0)
         with pytest.raises(Reached):
@@ -120,6 +120,29 @@ class TestScanRatios:
         )
         assert curve[0][1] == all_local
         assert curve[-1][1] == all_remote
+
+    @pytest.mark.parametrize("jitter_rel", [0.0, 0.01])
+    def test_every_point_matches_its_simulation(self, jitter_rel):
+        local, remote = dm.PRESETS["local-emr"], dm.PRESETS["cxl-a"]
+        for w in dm.make_bandwidth_bound_suite(3, seed=6, local=local, **dm.CXLA_SUITE_KWARGS):
+            curve = il.scan_ratios(w, local, remote, grid=51, seed=3, jitter_rel=jitter_rel)
+            assert curve == [
+                (x, il.simulate_ratio_point(
+                    w, local, remote, x,
+                    seed=il.scan_point_seed(3, j) if jitter_rel > 0.0 else 0,
+                    jitter_rel=jitter_rel))
+                for j, (x, _) in enumerate(curve)
+            ]
+
+    def test_unloaded_local_latency_once_per_scan(self, monkeypatch):
+        # two loaded latencies per point, and the unloaded local one once
+        calls = []
+        latency_cycles = il.latency_cycles
+        monkeypatch.setattr(il, "latency_cycles",
+                            lambda *args: calls.append(args) or latency_cycles(*args))
+        w = dm.make_bandwidth_bound_suite(1, seed=2, local=SKX_LOCAL)[0]
+        il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=101, seed=0)
+        assert len(calls) == 2 * 101 + 1
 
     def test_bandwidth_bound_argmin_in_band(self):
         for w in dm.make_bandwidth_bound_suite(6, seed=9, local=SKX_LOCAL):
