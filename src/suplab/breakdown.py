@@ -9,14 +9,13 @@ can improve on the remote tier.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .counters import STALL_COUNTERS, STALL_SOURCES, RunPair
-from .errors import EmptyInput, ZeroDenominator
+from .errors import EmptyInput, ZeroDenominator, write_table
 
 
 @dataclass(frozen=True)
@@ -95,29 +94,20 @@ def estimate_accuracy(reports: Sequence[SlowdownReport], which: str = "stall") -
 
 def write_report_csv(reports: Sequence[SlowdownReport], path: str | Path) -> None:
     """One row per pair: measured, estimates, five components, residual."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["label", "measured", "stall_estimate", "backend_estimate"]
-            + [f"comp_{src}" for src in STALL_SOURCES]
-            + ["residual"]
-        )
-        for r in reports:
-            writer.writerow(
-                [r.label, repr(r.total_measured), repr(r.total_stall_estimate),
-                 repr(r.total_backend_estimate)]
-                + [repr(r.components[src]) for src in STALL_SOURCES]
-                + [repr(r.residual)]
-            )
+    attrs = ("label", "total_measured", "total_stall_estimate", "total_backend_estimate")
+    write_table(path, ["label", "measured", "stall_estimate", "backend_estimate",
+                       *(f"comp_{src}" for src in STALL_SOURCES), "residual"],
+                [[getattr(r, a) for r in reports] for a in attrs]
+                + [[r.components[src] for r in reports] for src in STALL_SOURCES]
+                + [[r.residual for r in reports]])
 
 
 def write_report_long_csv(reports: Sequence[SlowdownReport], path: str | Path) -> None:
     """Stacked-bar-friendly long format: one (label, source, value) row each."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "source", "value"])
-        for r in reports:
-            for src in STALL_SOURCES:
-                writer.writerow([r.label, src, repr(r.components[src])])
-            writer.writerow([r.label, "other", repr(r.residual)])
-            writer.writerow([r.label, "measured", repr(r.total_measured)])
+    sources = (*STALL_SOURCES, "other", "measured")
+    write_table(
+        path, ["label", "source", "value"],
+        [[r.label for r in reports for _ in sources], sources * len(reports),
+         [v for r in reports for v in (*map(r.components.__getitem__, STALL_SOURCES),
+                                       r.residual, r.total_measured)]],
+    )

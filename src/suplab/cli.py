@@ -23,7 +23,7 @@ from . import devmodel as dm
 from . import interleave as il
 from . import model as mdl
 from . import tiersim as ts
-from .errors import SupLabError, dump_json, load_json_object
+from .errors import SupLabError, dump_json, load_json_object, write_table
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -99,17 +99,7 @@ _FORMAT = _arg("--format", choices=("csv", "json"), default="csv", help="counter
 def _cmd_ingest(args, out: OutputDir) -> tuple[dict, str]:
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
     cnt.write_counter_log(snaps, out / "snapshots.csv", "csv")
-    rows = [
-        {
-            "row": i,
-            "amortized_offcore_latency": (
-                cnt.amortized_offcore_latency(s) if s.offcore_demand_requests > 0 else None
-            ),
-            "stall_fractions": cnt.stall_fractions(s) if s.total_cycles > 0 else None,
-        }
-        for i, s in enumerate(snaps)
-    ]
-    out.write_json("derived.json", rows)
+    cnt.write_derived_json(snaps, out / "derived.json")
     return {"input": args.input}, f"ingested {len(snaps)} snapshots -> {out.root}"
 
 
@@ -193,7 +183,7 @@ def _cmd_latcdf(args, out: OutputDir) -> tuple[dict, str]:
         dm.write_latency_samples_csv(samples, out / "samples.csv")
     qs = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
     pcts = dm.latency_percentiles(samples, qs)
-    (out / "percentiles.csv").write_text("q,ns\n" + "".join(f"{q},{pcts[q]!r}\n" for q in qs))
+    write_table(out / "percentiles.csv", ["q", "ns"], [qs, [pcts[q] for q in qs]], "\n")
     spread = pcts[0.999] - pcts[0.5]
     out.write_json(
         "summary.json",

@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,6 +32,8 @@ from .errors import (
     ZeroDenominator,
     dump_json,
     require_finite,
+    require_finite_values,
+    write_table,
 )
 
 # Each backend stall source and the counter that measures its stall cycles.
@@ -42,6 +45,7 @@ STALL_COUNTERS = {
     "DRAM": "llc_miss_demand_stall_cycles",
 }
 STALL_SOURCES = tuple(STALL_COUNTERS)
+FLOAT_MAX = sys.float_info.max   # a count past it does not convert to a float
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,10 @@ class CounterSnapshot:
     def __post_init__(self):
         for name in COUNTER_FIELDS:
             v = getattr(self, name)
-            if not 0 <= v < math.inf:   # negative, NaN or infinite
+            if not 0 <= v <= FLOAT_MAX:   # negative, NaN, infinite or past the float range
                 require_finite(self)
-                raise InvariantViolation(f"{name} must be >= 0, got {v}")
+                raise InvariantViolation(f"{name} must be >= 0, got {v}" if v < 0
+                                         else f"{name} exceeds the float range")
         if self.stall_cycles_total > self.total_cycles * (1 + 1e-12):
             raise InvariantViolation("stall_cycles_total exceeds total_cycles")
         if self.backend_stall_cycles > self.stall_cycles_total * (1 + 1e-12):
@@ -152,6 +157,8 @@ def _count(raw, row: int, field: str) -> int:
         return int(value)
     if value < 0:
         raise NegativeValue(row, field)
+    if value > FLOAT_MAX:
+        raise MalformedRecord(row, f"count {field} exceeds the float range")
     return value
 
 
@@ -253,7 +260,8 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSna
             counts = rows   # JSON integers, never bools
     else:
         raise ValueError(f"unknown format: {format!r}")
-    if counts is not None and min(map(min, counts), default=0) >= 0:
+    if counts is not None and 0 <= min(map(min, counts), default=0) \
+            and max(map(max, counts), default=0) <= FLOAT_MAX:
         return [CounterSnapshot(*c) for c in counts]
     snapshots = [
         CounterSnapshot(*[_count(v, row, f) for f, v in zip(COUNTER_FIELDS, cells)])
@@ -264,22 +272,35 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSna
     return snapshots
 
 
-def write_counter_log(
-    snapshots: Sequence[CounterSnapshot], path: str | Path, format: str = "csv"
-) -> None:
+def write_counter_log(snapshots: Sequence[CounterSnapshot], path: str | Path,
+                      format: str = "csv") -> None:
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format: {format!r}")
-    # The interchange schema carries unsigned integer counts.
-    rows = [[int(round(getattr(s, f))) for f in COUNTER_FIELDS] for s in snapshots]
-    path = Path(path)
+    rows = list(map(attrgetter(*COUNTER_FIELDS), snapshots))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:   # the schema's integer counts
+        rows = [[int(round(v)) for v in row] for row in rows]
     if format == "json":
-        payload = [dict(zip(COUNTER_FIELDS, row)) for row in rows]
-        dump_json(path, payload)
-        return
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNTER_FIELDS)
-        writer.writerows(rows)
+        dump_json(path, [dict(zip(COUNTER_FIELDS, row)) for row in rows])
+    else:
+        write_table(path, COUNTER_FIELDS, list(zip(*rows)))
+
+
+def write_derived_json(snapshots: Sequence[CounterSnapshot], path: str | Path) -> None:
+    """Per snapshot its row, amortized offcore latency and stall fractions, ``null``
+    where undefined: :func:`dump_json`'s bytes without its pure-Python indenting encoder."""
+    keys = sorted(STALL_SOURCES)
+    get = itemgetter(*keys)
+    lats = [amortized_offcore_latency(s) if s.offcore_demand_requests > 0 else None
+            for s in snapshots]
+    fracs = [get(stall_fractions(s)) if s.total_cycles > 0 else None for s in snapshots]
+    require_finite_values(path, "amortized_offcore_latency", [v for v in lats if v is not None])
+    require_finite_values(path, "stall_fractions", [v for f in fracs if f for v in f])
+    template = "{\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }"
+    records = ",\n".join(
+        f'  {{\n    "amortized_offcore_latency": {"null" if lat is None else repr(lat)},\n'
+        f'    "row": {i},\n    "stall_fractions": {"null" if f is None else template % f}\n  }}'
+        for i, (lat, f) in enumerate(zip(lats, fracs)))
+    Path(path).write_text(f"[\n{records}\n]\n" if records else "[]\n")
 
 
 @dataclass(frozen=True)
@@ -320,18 +341,12 @@ def _nonnegative_finite(table: list[list[float]]) -> bool:
 
 def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str, Sequence[str]] | None = None) -> None:
     """Write pairs as CSV; ``extra`` adds leading columns (e.g. calibration kind)."""
-    path = Path(path)
     extra = extra or {}
-    header = list(extra.keys()) + PAIR_FIELDS
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, p in enumerate(pairs):
-            row = [extra[k][i] for k in extra]
-            row += [p.label, repr(float(p.local_runtime)), repr(float(p.remote_runtime))]
-            row += [repr(float(getattr(p.local, f))) for f in COUNTER_FIELDS]
-            row += [repr(float(getattr(p.remote, f))) for f in COUNTER_FIELDS]
-            writer.writerow(row)
+    counts = attrgetter(*COUNTER_FIELDS)
+    numbers = np.array([(p.local_runtime, p.remote_runtime, *counts(p.local), *counts(p.remote))
+                        for p in pairs], dtype=float)
+    write_table(path, [*extra, *PAIR_FIELDS],
+                [*extra.values(), [p.label for p in pairs], *numbers.T])
 
 
 def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[RunPair], dict[str, list[str]]]:

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .counters import CounterSnapshot, RunPair
-from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, LoadOutOfRange,
-                     dump_json, load_json_object, require_finite)
+from .errors import (TABLE_CHUNK, EmptyInput, InconsistentProfile, InvariantViolation,
+                     LoadOutOfRange, dump_json, load_json_object, require_finite, write_table)
 from .model import (
     SENSITIVITY_MARGIN,
     ModelParams,
@@ -36,7 +36,7 @@ from .model import (
 
 CLOCK_GHZ = 2.1
 MAX_SAMPLES = 20_000_000  # cap on sample_latencies' n: latcdf peaks at 0.34 GB (17 B/sample)
-SAMPLES_CSV_CHUNK = 16_384  # samples formatted per write by write_latency_samples_csv
+SAMPLES_CSV_CHUNK = TABLE_CHUNK  # samples formatted per write by write_latency_samples_csv
 KAPPA = 0.5          # queueing shape: extra latency = base * KAPPA * rho/(1-rho)
 OVERLOAD_KNEE = 0.95  # past this utilization the queueing curve continues linearly
 CPI_BASE = 0.35      # non-memory cycles per instruction in synthesized runs
@@ -176,13 +176,9 @@ def sample_latencies(
 
 
 def write_latency_samples_csv(samples: Sequence[float] | np.ndarray, path: str | Path) -> None:
-    """Single-column CSV of latency samples in ns, each the ``repr`` of its float;
-    formatted and written a chunk at a time, so memory does not grow with the file."""
-    arr = np.asarray(samples, dtype=float)
-    with Path(path).open("w") as fh:
-        fh.write("latency_ns\n")
-        for i in range(0, arr.size, SAMPLES_CSV_CHUNK):
-            fh.write("\n".join(map(repr, arr[i:i + SAMPLES_CSV_CHUNK].tolist())) + "\n")
+    """Single-column CSV of latency samples in ns, each the ``repr`` of its float,
+    with LF line ends; written a chunk at a time, so memory does not grow with the file."""
+    write_table(path, ["latency_ns"], [np.asarray(samples, dtype=float)], "\n")
 
 
 def latency_percentiles(

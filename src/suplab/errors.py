@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the JSON file reader and writer.
+"""Exception types shared across the package, and the file readers and writers
+every module shares: JSON in and out, and CSV tables out.
 
 Every error raised on bad data or bad configuration derives from
 :class:`SupLabError` so callers (and the CLI) can distinguish data problems
@@ -9,8 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
+
+TABLE_CHUNK = 16_384        # rows formatted per write by write_table
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')   # the characters csv.writer quotes a field for
 
 
 class SupLabError(Exception):
@@ -137,5 +144,47 @@ def load_json_object(cls, path: str | Path, many: bool = False):
 
 def dump_json(path: str | Path, payload) -> None:
     """Write ``payload`` to ``path`` as JSON with sorted keys, two-space
-    indents and a final newline: the one layout of every JSON file written."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    indents and a final newline: the one layout of every JSON file written.
+    A NaN or an infinity in it is an :class:`InvariantViolation` naming the file."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantViolation(f"{Path(path).name}: {exc}") from None
+    Path(path).write_text(text + "\n")
+
+
+def require_finite_values(path: str | Path, column: str, values) -> None:
+    """One reduction over a column: a NaN or an infinity in it is an
+    :class:`InvariantViolation` naming the file and the column."""
+    if not (np.isfinite(values).all() if isinstance(values, np.ndarray)
+            else all(map(math.isfinite, values))):
+        raise InvariantViolation(f"{Path(path).name}: {column} holds a NaN or an infinity")
+
+
+def _fields(values) -> list[str]:
+    """Column values as ``csv.writer`` writes them: numbers as their ``repr``,
+    text quoted where ``csv.writer`` quotes it."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not values or not isinstance(values[0], str):
+        return list(map(repr, values))
+    if not _NEEDS_QUOTES.search("".join(values)):
+        return list(values)
+    return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in values]
+
+
+def write_table(path: str | Path, header, columns, newline: str = "\r\n") -> None:
+    """Write a CSV table given column by column under ``header``, a chunk of
+    rows per write.  A column whose first value is a string is text; any other
+    holds numbers, and when the first is a float it goes through
+    :func:`require_finite_values` first.  Lines end in ``newline``, CRLF as
+    ``csv.writer``'s."""
+    for name, col in zip(header, columns):
+        if len(col) and isinstance(col[0], float):
+            require_finite_values(path, name, col)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(_fields(header)) + newline)
+        for i in range(0, len(columns[0]) if columns else 0, TABLE_CHUNK):
+            cells = [_fields(col[i:i + TABLE_CHUNK]) for col in columns]
+            rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+            fh.write(newline.join(rows) + newline)

@@ -10,7 +10,6 @@ slowdown model ``slowdown_at`` instead.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +32,7 @@ from .devmodel import (
     utilization,
 )
 from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, MissingFit,
-                     dump_json, load_json_object, require_finite)
+                     dump_json, load_json_object, require_finite, write_table)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
 MAX_GRID = 1_000_001  # cap on scan_ratios' grid: one Python-level simulation per point
@@ -267,23 +266,14 @@ def forecast(
 
 
 def write_scan_csv(curve: Sequence[tuple[float, float]], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["remote_fraction", "runtime_s"])
-        for x, rt in curve:
-            writer.writerow([repr(x), repr(rt)])
+    write_table(path, ["remote_fraction", "runtime_s"], list(zip(*curve)))
 
 
 def write_forecast_csv(forecasts: Sequence[InterleaveForecast], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["label", "r_dram", "r_cache", "r_store",
-             "best_remote_fraction", "predicted_speedup", "beneficial"]
-        )
-        for f in forecasts:
-            writer.writerow(
-                [f.label, repr(f.r_dram), repr(f.r_cache), repr(f.r_store),
-                 repr(f.best_ratio.remote_fraction), repr(f.predicted_speedup),
-                 str(f.beneficial).lower()]
-            )
+    header = ["label", "r_dram", "r_cache", "r_store", "best_remote_fraction",
+              "predicted_speedup", "beneficial"]
+    columns = [[getattr(f, a) for f in forecasts] for a in header[:4]]
+    columns += [[f.best_ratio.remote_fraction for f in forecasts],
+                [f.predicted_speedup for f in forecasts],
+                [str(f.beneficial).lower() for f in forecasts]]
+    write_table(path, header, columns)

@@ -13,7 +13,6 @@ all three metrics are counter ratios taken from a run on local memory:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Literal, Sequence
 
 from .counters import CounterSnapshot, amortized_offcore_latency
 from .errors import (EmptyInput, InvariantViolation, NoDemandReads, ZeroDenominator,
-                     dump_json, load_json_object, require_finite)
+                     dump_json, load_json_object, require_finite, write_table)
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
 
@@ -178,11 +177,5 @@ def evaluate_accuracy(points: Sequence[tuple[float, float]]) -> AccuracyStats:
 
 
 def write_predictions_csv(preds: Sequence[Prediction], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "m_dram", "m_cache", "m_store", "s_pred", "sensitivity"])
-        for p in preds:
-            writer.writerow(
-                [p.label, repr(p.m_dram), repr(p.m_cache), repr(p.m_store),
-                 repr(p.s_pred), p.sensitivity]
-            )
+    header = ["label", "m_dram", "m_cache", "m_store", "s_pred", "sensitivity"]
+    write_table(path, header, [[getattr(p, a) for p in preds] for a in header])

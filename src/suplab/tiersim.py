@@ -12,7 +12,6 @@ first ceil(g*10) of every 10 candidate pages.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import math
@@ -26,7 +25,7 @@ import numpy as np
 
 from .devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
 from .errors import (CapacityUnderflow, EmptyTrace, InvariantViolation, MalformedTrace,
-                     dump_json, require_finite)
+                     dump_json, require_finite, write_table)
 
 POLICIES = ("first_touch", "tpp", "alto")
 
@@ -301,28 +300,12 @@ def compare_policies(
     return rows, outcomes
 
 
-def epoch_report(outcome: PolicyOutcome) -> list[dict]:
-    return [
-        {
-            "epoch": i,
-            "amortized_latency": outcome.amortized_latency_series[i],
-            "promo_rate": outcome.promo_rate_series[i],
-            "slow_fraction": outcome.slow_tier_access_fraction_series[i],
-            "est_slowdown": outcome.est_slowdown_series[i],
-        }
-        for i in range(len(outcome.promo_rate_series))
-    ]
-
-
 def write_epoch_report_csv(outcome: PolicyOutcome, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "amortized_latency", "promo_rate", "slow_fraction", "est_slowdown"])
-        for row in epoch_report(outcome):
-            writer.writerow(
-                [row["epoch"], repr(row["amortized_latency"]), row["promo_rate"],
-                 repr(row["slow_fraction"]), repr(row["est_slowdown"])]
-            )
+    """One row per epoch: amortized latency, promotions, slow fraction, est. slowdown."""
+    write_table(path, ["epoch", "amortized_latency", "promo_rate", "slow_fraction", "est_slowdown"],
+                [range(len(outcome.promo_rate_series)), outcome.amortized_latency_series,
+                 outcome.promo_rate_series, outcome.slow_tier_access_fraction_series,
+                 outcome.est_slowdown_series])
 
 
 # --- trace file format: misses CSV plus JSON header -----------------------
@@ -332,11 +315,7 @@ _TRACE_COLUMNS = ["epoch", "page_id", "group_size"]
 
 def write_trace(trace: TierTrace, csv_path: str | Path, header_path: str | Path) -> None:
     epochs = np.repeat(np.arange(len(trace.epochs)), np.diff(trace.epoch_offsets))
-    rows = np.column_stack((epochs, trace.page_ids, trace.group_sizes))
-    with Path(csv_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_COLUMNS)
-        writer.writerows(rows.tolist())
+    write_table(csv_path, _TRACE_COLUMNS, [epochs, trace.page_ids, trace.group_sizes])
     header = {
         "page_count": trace.page_count,
         "wss_pages": trace.wss_pages,

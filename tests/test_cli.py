@@ -424,6 +424,39 @@ class TestBadInputs:
         rc = cli.run(["interleave", "scan", "--workload", str(wjson), "--out", str(out)])
         assert "mlp_depth" in _assert_data_error(rc, capsys, out)
 
+    def test_scan_overflowing_runtime(self, tmp_path, capsys):
+        # a finite workload whose runtimes overflow: no inf rows, exit 2
+        w = dm.make_workload_suite(1, seed=0)[0]
+        wjson = tmp_path / "w.json"
+        wjson.write_text(json.dumps({**w.__dict__, "demand_miss_rate": 1e308}))
+        out = tmp_path / "scan"
+        rc = cli.run(["interleave", "scan", "--workload", str(wjson), "--grid", "11",
+                      "--out", str(out)])
+        assert "scan.csv" in _assert_data_error(rc, capsys, out)
+
+    @pytest.mark.parametrize("field", ["total_cycles", "offcore_demand_occupancy"])
+    @pytest.mark.parametrize("command", ["ingest", "predict", "forecast"])
+    def test_count_past_float_range(self, tmp_path, capsys, command, field):
+        # a 400-digit count converts to no float: a data error naming its row and field
+        header, *rows = FIXTURE_3ROWS.splitlines()
+        cells = rows[1].split(",")
+        cells[cnt.COUNTER_FIELDS.index(field)] = "9" * 400
+        rows[1] = ",".join(cells)
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join([header, *rows]) + "\n")
+        params, fit = tmp_path / "params.json", tmp_path / "fit.json"
+        dm.make_reference_params(dm.PRESETS["local-emr"], dm.PRESETS["cxl-a"]).to_json(params)
+        il.InterleaveFit("p", 0.1, 0.0, 0.1, 0.0).to_json(fit)
+        argv = {
+            "ingest": ["ingest"],
+            "predict": ["predict", "--params", str(params)],
+            "forecast": ["interleave", "forecast", "--params", str(params), "--fit", str(fit)],
+        }[command]
+        out = tmp_path / "o"
+        rc = cli.run(argv + ["--input", str(log), "--out", str(out)])
+        message = _assert_data_error(rc, capsys, out)
+        assert "row 2" in message and field in message
+
     def test_ingest_csv_not_text(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_bytes(b"\xff\xfe\x00binary")

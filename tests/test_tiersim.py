@@ -255,10 +255,11 @@ class TestGroupingShared:
 
 
 class TestEpochReport:
-    def test_single_epoch_single_row(self):
+    def test_single_epoch_single_row(self, tmp_path):
         o = ts.simulate(small_trace(page_count=5), cfg("first_touch", fast_capacity=5),
                         LOCAL, REMOTE)
-        assert len(ts.epoch_report(o)) == 1
+        ts.write_epoch_report_csv(o, tmp_path / "epochs.csv")
+        assert len((tmp_path / "epochs.csv").read_text().splitlines()[1:]) == 1
 
     def test_gate_series_steps_through_ramp(self):
         # synthetic ramp of amortized latency from ~30 to ~110 cycles via
