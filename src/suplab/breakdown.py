@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 from .counters import STALL_COUNTERS, STALL_SOURCES, RunPair
-from .errors import EmptyInput, ZeroDenominator, write_table
+from .errors import EmptyInput, ZeroDenominator, require_finite_values, write_table
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,13 @@ class SlowdownReport:
     total_backend_estimate: float
     components: dict[str, float]
     residual: float
+
+    @cached_property
+    def _long_cells(self) -> tuple[str, ...]:
+        """The report's breakdown_long.csv values as text, the same as in
+        breakdown.csv: write_report_csv stores here the text it formats."""
+        return tuple(map(repr, (*map(self.components.__getitem__, STALL_SOURCES),
+                                self.residual, self.total_measured)))
 
 
 def measure_slowdown(rp: RunPair) -> float:
@@ -94,20 +102,27 @@ def estimate_accuracy(reports: Sequence[SlowdownReport], which: str = "stall") -
 
 def write_report_csv(reports: Sequence[SlowdownReport], path: str | Path) -> None:
     """One row per pair: measured, estimates, five components, residual."""
-    attrs = ("label", "total_measured", "total_stall_estimate", "total_backend_estimate")
-    write_table(path, ["label", "measured", "stall_estimate", "backend_estimate",
-                       *(f"comp_{src}" for src in STALL_SOURCES), "residual"],
-                [[getattr(r, a) for r in reports] for a in attrs]
-                + [[r.components[src] for r in reports] for src in STALL_SOURCES]
-                + [[r.residual for r in reports]])
+    attrs = ("total_measured", "total_stall_estimate", "total_backend_estimate")
+    header = ["measured", "stall_estimate", "backend_estimate",
+              *(f"comp_{src}" for src in STALL_SOURCES), "residual"]
+    columns = ([[getattr(r, a) for r in reports] for a in attrs]
+               + [[r.components[src] for r in reports] for src in STALL_SOURCES]
+               + [[r.residual for r in reports]])
+    for name, column in zip(header, columns):
+        require_finite_values(path, name, column)
+    text = [list(map(repr, column)) for column in columns]
+    for r, cells in zip(reports, zip(*text[3:], text[0])):
+        object.__setattr__(r, "_long_cells", cells)   # what reading r._long_cells would cache
+    write_table(path, ["label", *header], [[r.label for r in reports], *text])
 
 
 def write_report_long_csv(reports: Sequence[SlowdownReport], path: str | Path) -> None:
     """Stacked-bar-friendly long format: one (label, source, value) row each."""
     sources = (*STALL_SOURCES, "other", "measured")
+    require_finite_values(path, "value", [v for r in reports for v in (
+        *map(r.components.__getitem__, STALL_SOURCES), r.residual, r.total_measured)])
     write_table(
         path, ["label", "source", "value"],
         [[r.label for r in reports for _ in sources], sources * len(reports),
-         [v for r in reports for v in (*map(r.components.__getitem__, STALL_SOURCES),
-                                       r.residual, r.total_measured)]],
+         [c for r in reports for c in r._long_cells]],
     )

@@ -14,27 +14,16 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvariantViolation,
-    MalformedRecord,
-    MissingColumn,
-    NegativeValue,
-    NoDemandReads,
-    SupLabError,
-    ZeroDenominator,
-    dump_json,
-    require_finite,
-    require_finite_values,
-    write_table,
-)
+from .errors import (EmptyInput, InvariantViolation, MalformedRecord, MissingColumn,
+                     NegativeValue, NoDemandReads, SupLabError, ZeroDenominator, dump_json,
+                     require_finite, require_finite_values, write_table)
 
 # Each backend stall source and the counter that measures its stall cycles.
 STALL_COUNTERS = {
@@ -46,6 +35,18 @@ STALL_COUNTERS = {
 }
 STALL_SOURCES = tuple(STALL_COUNTERS)
 FLOAT_MAX = sys.float_info.max   # a count past it does not convert to a float
+EXACT_MAX = 2**53 - 1            # an integer count past it may not convert to float exactly
+
+# CounterSnapshot's ordering invariants in the order they are checked, on one
+# object (__post_init__) or on a table's columns (_valid_rows) with the same
+# IEEE operations: each (field, bound) holds field <= bound * _SLACK.  Then,
+# as each request is outstanding for at least one cycle, occupancy >= requests
+# (for counts already >= 0, the same as: when requests > 0).
+_SLACK = 1 + 1e-12
+_BOUNDED_BY = (("stall_cycles_total", "total_cycles"),
+               ("backend_stall_cycles", "stall_cycles_total"),
+               ("llc_miss_demand_stall_cycles", "mem_stall_cycles"),
+               ("mem_stall_cycles", "backend_stall_cycles"))
 
 
 @dataclass(frozen=True)
@@ -82,23 +83,12 @@ class CounterSnapshot:
                 require_finite(self)
                 raise InvariantViolation(f"{name} must be >= 0, got {v}" if v < 0
                                          else f"{name} exceeds the float range")
-        if self.stall_cycles_total > self.total_cycles * (1 + 1e-12):
-            raise InvariantViolation("stall_cycles_total exceeds total_cycles")
-        if self.backend_stall_cycles > self.stall_cycles_total * (1 + 1e-12):
-            raise InvariantViolation("backend_stall_cycles exceeds stall_cycles_total")
-        if self.llc_miss_demand_stall_cycles > self.mem_stall_cycles * (1 + 1e-12):
-            raise InvariantViolation(
-                "llc_miss_demand_stall_cycles exceeds mem_stall_cycles"
-            )
-        if self.mem_stall_cycles > self.backend_stall_cycles * (1 + 1e-12):
-            raise InvariantViolation("mem_stall_cycles exceeds backend_stall_cycles")
-        if self.offcore_demand_requests > 0 and (
-            self.offcore_demand_occupancy < self.offcore_demand_requests
-        ):
-            raise InvariantViolation(
-                "offcore_demand_occupancy below offcore_demand_requests "
-                "(each request is outstanding for at least one cycle)"
-            )
+        for name, bound in _BOUNDED_BY:
+            if getattr(self, name) > getattr(self, bound) * _SLACK:
+                raise InvariantViolation(f"{name} exceeds {bound}")
+        if self.offcore_demand_requests > self.offcore_demand_occupancy:
+            raise InvariantViolation("offcore_demand_occupancy below offcore_demand_requests "
+                                     "(each request is outstanding for at least one cycle)")
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
@@ -162,12 +152,6 @@ def _count(raw, row: int, field: str) -> int:
     return value
 
 
-def _snapshot(record: dict, row: int, convert=_count, prefix: str = "") -> CounterSnapshot:
-    return CounterSnapshot(
-        **{f: convert(record[prefix + f], row, prefix + f) for f in COUNTER_FIELDS}
-    )
-
-
 def _header(names: Iterable, required: Iterable[str]) -> list[str]:
     """Column names stripped and lower-cased, with every required one present
     and none repeated (a header error, reported as row 0)."""
@@ -183,11 +167,33 @@ def _header(names: Iterable, required: Iterable[str]) -> list[str]:
 
 # A reader parses its file once into a header and rows, stopping at the first
 # row it cannot parse and keeping that row's error as the ``defect``.  When
-# every cell converts with plain int()/float() and lies in [0, inf), whole
-# tables convert at once.  Otherwise the reference loop runs over the parsed
-# rows: each row's cells through _count/_real, then its objects built, row by
-# row, and the defect last.  That loop fixes every error's class, row, column
-# and precedence.
+# every cell converts with plain int()/float() and the whole table passes
+# every check of its objects at once (_valid_rows, _valid_pairs), the objects
+# are built without checking each again (_built).  Otherwise the reference loop
+# runs over the parsed rows: each row's cells through _count/_real, then its
+# objects built, row by row, and the defect last.  That loop fixes every
+# error's class, row, column and precedence.
+
+def _valid_rows(table: np.ndarray, limit: float = FLOAT_MAX) -> bool:
+    """Whether every row of ``table``, counter vectors in COUNTER_FIELDS order,
+    lies in [0, ``limit``] and passes CounterSnapshot's invariants.  Counts up
+    to EXACT_MAX are exact as floats, so __post_init__'s verdict holds for them."""
+    col = dict(zip(COUNTER_FIELDS, table.T))
+    return (((table >= 0) & (table <= limit)).all()
+            and not any((col[name] > col[bound] * _SLACK).any() for name, bound in _BOUNDED_BY)
+            and not (col["offcore_demand_requests"] > col["offcore_demand_occupancy"]).any())
+
+
+def _built(cls, names: Sequence[str], values: Iterable):
+    """An object of the frozen dataclass ``cls`` with these field values, made
+    without its ``__init__`` and so without its checks: for a checked table.
+    Fields are assigned one by one, as ``__init__`` does: filling ``__dict__``
+    at once is faster but gives every object a dict of its own."""
+    obj = object.__new__(cls)
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
 
 def _csv_table(path: Path, required: Iterable[str]) -> tuple[list[str], list[list[str]], SupLabError | None]:
     """(header, data rows, defect) of a CSV file whose header holds every
@@ -260,9 +266,10 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSna
             counts = rows   # JSON integers, never bools
     else:
         raise ValueError(f"unknown format: {format!r}")
-    if counts is not None and 0 <= min(map(min, counts), default=0) \
-            and max(map(max, counts), default=0) <= FLOAT_MAX:
-        return [CounterSnapshot(*c) for c in counts]
+    if counts is not None:
+        with suppress(OverflowError):   # a count past the float range
+            if _valid_rows(np.array(counts, dtype=float).reshape(-1, len(COUNTER_FIELDS)), EXACT_MAX):
+                return [_built(CounterSnapshot, COUNTER_FIELDS, c) for c in counts]
     snapshots = [
         CounterSnapshot(*[_count(v, row, f) for f, v in zip(COUNTER_FIELDS, cells)])
         for row, cells in enumerate(rows, start=1)
@@ -331,12 +338,20 @@ PAIR_FIELDS = ["label", "local_runtime", "remote_runtime"] + [
 ]
 # The numeric columns in the order a pair's cells convert: local, remote, runtimes.
 _PAIR_NUMBERS = PAIR_FIELDS[3:] + PAIR_FIELDS[1:3]
+_RUN_PAIR_FIELDS = tuple(f.name for f in fields(RunPair))
 
 
-def _nonnegative_finite(table: list[list[float]]) -> bool:
-    """Every value of the table is >= 0 and finite (NaN fails both tests)."""
-    values = np.array(table, dtype=float)
-    return bool(((values >= 0) & (values < np.inf)).all())
+def _valid_pairs(table: np.ndarray) -> bool:
+    """Whether every row of ``table``, a pair's numbers in _PAIR_NUMBERS order,
+    passes the checks of both snapshots and of RunPair."""
+    n = len(COUNTER_FIELDS)
+    local, remote, runtimes = table[:, :n], table[:, n:2 * n], table[:, 2 * n:]
+    if not (_valid_rows(local) and _valid_rows(remote)
+            and ((runtimes > 0) & (runtimes < math.inf)).all()):
+        return False
+    li, ri = local[:, -1], remote[:, -1]   # instructions, the last counter
+    ref = np.maximum(li, ri)   # 0 only where both are
+    return not (np.abs(li - ri) / np.where(ref > 0, ref, 1.0) > 0.01).any()
 
 
 def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str, Sequence[str]] | None = None) -> None:
@@ -355,26 +370,22 @@ def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple
     names, rows, defect = _csv_table(Path(path), extra_columns + PAIR_FIELDS)
     label = names.index("label")
     numbers = itemgetter(*map(names.index, _PAIR_NUMBERS))
-    values = None
+    values, n = None, len(COUNTER_FIELDS)
     with suppress(ValueError):
         values = None if defect else [list(map(float, numbers(cells))) for cells in rows]
-    if values is not None and _nonnegative_finite(values):
-        n = len(COUNTER_FIELDS)
+    if values is not None and _valid_pairs(np.array(values).reshape(-1, len(_PAIR_NUMBERS))):
         pairs = [
-            RunPair(cells[label], CounterSnapshot(*v[:n]), CounterSnapshot(*v[n:2 * n]), *v[2 * n:])
+            _built(RunPair, _RUN_PAIR_FIELDS,
+                   (cells[label], _built(CounterSnapshot, COUNTER_FIELDS, v[:n]),
+                    _built(CounterSnapshot, COUNTER_FIELDS, v[n:2 * n]), *v[2 * n:]))
             for cells, v in zip(rows, values)
         ]
-    else:
+    else:   # per row: local cells, local snapshot, remote cells, remote snapshot, runtimes
         pairs = []
         for row, cells in enumerate(rows, start=1):
-            record = dict(zip(names, cells))
-            pairs.append(RunPair(
-                label=record["label"],
-                local=_snapshot(record, row, _real, "local_"),
-                remote=_snapshot(record, row, _real, "remote_"),
-                local_runtime=_real(record["local_runtime"], row, "local_runtime"),
-                remote_runtime=_real(record["remote_runtime"], row, "remote_runtime"),
-            ))
+            cell = iter(zip(_PAIR_NUMBERS, numbers(cells)))
+            sides = [CounterSnapshot(*[_real(c, row, f) for f, c in islice(cell, n)]) for _ in range(2)]
+            pairs.append(RunPair(cells[label], *sides, *[_real(c, row, f) for f, c in cell]))
         if defect:
             raise defect
     extras = {k: list(map(itemgetter(names.index(k)), rows)) for k in extra_columns}

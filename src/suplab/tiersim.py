@@ -121,6 +121,8 @@ class PolicyConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvariantViolation(f"{name} must be an integer, got {value!r}")
+            if not -2**63 <= value < 2**63:   # simulate computes with them in int64
+                raise InvariantViolation(f"{name} does not fit in a 64-bit integer")
         if self.fast_capacity < 1:
             raise CapacityUnderflow("fast_capacity must be >= 1")
         if not self.alto_lower < self.alto_upper:

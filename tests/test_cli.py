@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -296,6 +297,27 @@ class TestBadInputs:
         ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
         out = tmp_path / "sim"
         _assert_data_error(_tiersim(tmp_path, policy_config, out), capsys, out)
+
+    @pytest.mark.parametrize("value", [2**63, 10**30, -10**30])
+    def test_policy_integer_past_int64(self, tmp_path, capsys, value):
+        ts.write_trace(ts.make_no_overlap_trace(seed=0), tmp_path / "t.csv", tmp_path / "t.json")
+        out = tmp_path / "sim"
+        cfg = {"policy": "alto", "fast_capacity": 100, "promo_threshold_accesses": value}
+        err = _assert_data_error(_tiersim(tmp_path, cfg, out), capsys, out)
+        assert "promo_threshold_accesses" in err
+
+    def test_overflowing_output_names_its_field(self, tmp_path, capsys):
+        ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
+        remote = tmp_path / "remote.json"
+        remote.write_text(json.dumps({**dataclasses.asdict(dm.PRESETS["cxl-b"]),
+                                      "base_latency_ns": 1e308}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"policy": "tpp", "fast_capacity": 1}))
+        out = tmp_path / "sim"
+        rc = cli.run(["tiersim", "--trace", str(tmp_path / "t.csv"),
+                      "--trace-header", str(tmp_path / "t.json"), "--remote", str(remote),
+                      "--policy-config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        err = _assert_data_error(rc, capsys, out)
+        assert err.endswith("comparison.json: [0].normalized_runtime is inf")
 
     # trace CSV body: the data row (counted from 1) its error names, if any
     MALFORMED_TRACE_CSV = {

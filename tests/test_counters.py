@@ -630,3 +630,142 @@ def test_written_pairs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500):
     monkeypatch.setattr(cnt, "_count", _no_per_cell)
     monkeypatch.setattr(cnt, "_real", _no_per_cell)
     assert cnt.read_run_pairs(path, ["kind"]) == (pairs_500, {"kind": ["k"] * 500})
+
+
+# --- the table check at its edges, against the row-by-row reference -----------
+
+INT_EDGES = [2**53 - 1, 2**53, 2**53 + 1, 2**60 + 3, 10**17 + 1, 2**1024]
+SLACK_TOPS = [1, 10**6 + 1, 10**13 + 7, 2**52 + 5, 2**53 - 1]
+
+
+def _near(value, steps: int):
+    """``value`` moved ``steps`` floats up (or down), or ``steps`` up for an int."""
+    if isinstance(value, int):
+        return value + steps
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else -math.inf)
+    return value
+
+
+@st.composite
+def _edge_row(draw, row: dict, pair: bool) -> dict:
+    """``row`` (field -> value) with one or two values moved to an edge of the
+    table check: a bounded field at, just under or just past its bound's
+    slack; a count around 2**53; a request count of 0 or an occupancy just
+    under it; for pairs, an instruction drift around 0.01 or a runtime of 0
+    or inf."""
+    row = dict(row)
+    prefix = draw(st.sampled_from(["local_", "remote_"])) if pair else ""
+    kinds = ["slack", "big", "requests"] + (["drift", "runtime"] if pair else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+        step = draw(st.integers(-1, 1))
+        if kind == "slack":
+            # the bounded stall counts all equal, large enough to show the slack
+            top = draw(st.floats(1e-300, 1e300) if pair else st.sampled_from(SLACK_TOPS))
+            row.update({prefix + f: top for pair_ in cnt._BOUNDED_BY for f in pair_})
+            name, bound = (prefix + f for f in draw(st.sampled_from(cnt._BOUNDED_BY)))
+            edge = top * cnt._SLACK
+            row[name] = _near(int(edge) if isinstance(top, int) else edge, step)
+        elif kind == "big":   # an int in a pairs file too: "2**1024" reads as inf
+            row[prefix + draw(st.sampled_from(cnt.COUNTER_FIELDS))] = draw(st.sampled_from(INT_EDGES))
+        elif kind == "requests":
+            requests = draw(st.sampled_from([0, 1, 2**53 - 1, 2**53 + 1]))
+            requests = float(requests) if pair else requests
+            row[prefix + "offcore_demand_requests"] = requests
+            row[prefix + "offcore_demand_occupancy"] = _near(requests, step)
+        elif kind == "drift":
+            local = row["local_instructions"]
+            row["remote_instructions"] = _near(local - local * 0.01, step)
+        else:
+            row[draw(st.sampled_from(["local_runtime", "remote_runtime"]))] = \
+                draw(st.sampled_from([0.0, -0.0, 5e-324, math.inf]))
+    return row
+
+
+def _cell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _same_as_reference(read, ref, path: Path, *args) -> None:
+    """Equal values of equal Python types (``repr`` shows both, -0.0 too), or
+    the same error class and message."""
+    assert repr(_outcome(read, path, *args)) == repr(_outcome(ref, path, *args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json", "pairs"]))
+def test_table_check_edges_match_reference(data, fmt):
+    pair = fmt == "pairs"
+    rows = _pair_rows(data.draw) if pair else \
+        [s.as_dict() for s in data.draw(st.lists(_count_snapshots(10**15), min_size=1, max_size=3))]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = data.draw(_edge_row(rows[i], pair))
+    _check_rows(fmt, rows)
+
+
+def _check_rows(fmt: str, rows: list[dict]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"in.{'json' if fmt == 'json' else 'csv'}"
+        if fmt == "json":
+            path.write_text(json.dumps(rows))
+        else:
+            _write_grid(path, list(rows[0]), [[_cell(v) for v in r.values()] for r in rows])
+        if fmt == "pairs":
+            _same_as_reference(cnt.read_run_pairs, oracle.read_run_pairs, path, ["kind"])
+        else:
+            _same_as_reference(cnt.ingest_counter_log, oracle.ingest_counter_log, path, fmt)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json", "pairs"]))
+def test_one_edge_row_among_500_matches_reference(pairs_500, data, fmt):
+    pair = fmt == "pairs"
+    if pair:
+        rows = [{"kind": "k", "label": p.label, "local_runtime": p.local_runtime,
+                 "remote_runtime": p.remote_runtime,
+                 **{f"local_{f}": v for f, v in p.local.as_dict().items()},
+                 **{f"remote_{f}": v for f, v in p.remote.as_dict().items()}} for p in pairs_500]
+    else:
+        rows = [{f: round(v) for f, v in p.local.as_dict().items()} for p in pairs_500]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = data.draw(_edge_row(rows[i], pair))
+    _check_rows(fmt, rows)
+
+
+# --- a valid table builds its objects without checking each again -------------
+
+def _write_500(tmp_path: Path, pairs: list[cnt.RunPair], fmt: str) -> Path:
+    path = tmp_path / f"in.{fmt}"
+    if fmt == "pairs":
+        cnt.write_run_pairs(pairs, path)
+    else:
+        cnt.write_counter_log([p.local for p in pairs], path, fmt)
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pairs"])
+def test_valid_tables_skip_per_object_checks(tmp_path, monkeypatch, pairs_500, fmt):
+    read = cnt.read_run_pairs if fmt == "pairs" else lambda p: cnt.ingest_counter_log(p, fmt)
+    ref = oracle.read_run_pairs if fmt == "pairs" else lambda p: oracle.ingest_counter_log(p, fmt)
+    checks = []
+    for cls in (cnt.CounterSnapshot, cnt.RunPair):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: (checks.append(self), check(self)))
+    valid = _write_500(tmp_path, pairs_500, fmt)
+    assert len(read(valid)[0] if fmt == "pairs" else read(valid)) == 500
+    assert checks == []
+    # One row that breaks an invariant sends the file to the row-by-row loop,
+    # which raises the reference's error.
+    prefix = "local_" if fmt == "pairs" else ""
+    if fmt == "json":
+        records = json.loads(valid.read_text())
+        records[250]["stall_cycles_total"] = 2 * records[250]["total_cycles"] + 1
+        valid.write_text(json.dumps(records))
+    else:
+        with valid.open(newline="") as fh:
+            records = list(csv.DictReader(fh))
+        records[250][prefix + "stall_cycles_total"] = repr(
+            2 * float(records[250][prefix + "total_cycles"]) + 1)
+        _write_records(valid, records)
+    assert _outcome(read, valid) == _outcome(ref, valid) == (
+        "InvariantViolation", "stall_cycles_total exceeds total_cycles")

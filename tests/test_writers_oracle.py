@@ -228,3 +228,13 @@ def test_non_finite_is_a_data_error_naming_file_and_column(tmp_path, bad):
     with pytest.raises(InvariantViolation, match=r"x\.json"):
         dump_json(tmp_path / "x.json", {"a": [1.0, bad]})
     assert not (tmp_path / "x.json").exists()
+
+
+def test_dump_json_names_the_first_non_finite_value(tmp_path):
+    rows = [{"runtime_s": 1.0}, {"z": math.nan, "runtime_s": math.inf, "policy": "alto"}]
+    with pytest.raises(InvariantViolation, match=r"^comparison\.json: \[1\]\.runtime_s is inf$"):
+        dump_json(tmp_path / "comparison.json", rows)
+    with pytest.raises(InvariantViolation, match=r"^x\.json: a\.b\[1\] is nan$"):
+        dump_json(tmp_path / "x.json", {"c": -math.inf, "a": {"b": (0.0, math.nan)}})
+    with pytest.raises(InvariantViolation, match=r"^x\.json: the value is -inf$"):
+        dump_json(tmp_path / "x.json", -math.inf)
