@@ -96,17 +96,14 @@ def fit_sequential(runs: Sequence[CalibrationRun]) -> ModelParams:
         lams.append(lam)
         xs.append(1.0 / lam)
         ys.append(b / s)
-    if len(lams) < 2 or (max(lams) - min(lams)) / max(lams) < 1e-9:
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_mean) ** 2 for x in xs)   # centred sums: no cancellation
+    if (max(lams) - min(lams)) / max(lams) < 1e-9 or sxx == 0:
         raise InsufficientMlpSpread(
             "need pointer_chase runs at >= 2 distinct amortized latencies to fit p, q"
         )
-    n = len(xs)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    denom = n * sxx - sx * sx
-    slope = (n * sxy - sx * sy) / denom          # p / k1
-    intercept = (sy - slope * sx) / n            # q / k1
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx   # p / k1
+    intercept = y_mean - slope * x_mean          # q / k1
     lam_anchor = max(lams)
     scale = slope / lam_anchor + intercept       # = 1 / k1 under the anchor
     if scale <= 0 or intercept <= 0:

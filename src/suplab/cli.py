@@ -362,7 +362,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (SupLabError, ZeroDivisionError, OSError) as exc:   # OSError names its path
+    except (SupLabError, OSError) as exc:   # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     print(message)

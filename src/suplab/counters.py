@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (EmptyInput, InvariantViolation, MalformedRecord, MissingColumn,
+from .errors import (FLOAT_MAX, EmptyInput, InvariantViolation, MalformedRecord, MissingColumn,
                      NegativeValue, NoDemandReads, SupLabError, ZeroDenominator, dump_json,
                      require_finite, require_finite_values, write_table)
 
@@ -34,7 +33,6 @@ STALL_COUNTERS = {
     "DRAM": "llc_miss_demand_stall_cycles",
 }
 STALL_SOURCES = tuple(STALL_COUNTERS)
-FLOAT_MAX = sys.float_info.max   # a count past it does not convert to a float
 EXACT_MAX = 2**53 - 1            # an integer count past it may not convert to float exactly
 
 # CounterSnapshot's ordering invariants in the order they are checked, on one

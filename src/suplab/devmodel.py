@@ -25,7 +25,7 @@ import numpy as np
 
 from .counters import CounterSnapshot, RunPair
 from .errors import (TABLE_CHUNK, EmptyInput, InconsistentProfile, InvariantViolation,
-                     LoadOutOfRange, dump_json, load_json_object, require_finite, write_table)
+                     LoadOutOfRange, check_fields, dump_json, load_json_object, write_table)
 from .model import (
     SENSITIVITY_MARGIN,
     ModelParams,
@@ -62,16 +62,12 @@ class DeviceProfile:
     jitter_sigma_ns: float = 0.0
     numa_hop_extra_ns: float = 0.0
 
+    _BOUNDS = {"base_latency_ns": ((">", 0),), "bandwidth_cap_gbs": ((">", 0),),
+               "tail_prob": ((">=", 0), ("<", 0.1)), "tail_scale_ns": ((">=", 0),),
+               "jitter_sigma_ns": ((">=", 0),), "numa_hop_extra_ns": ((">=", 0),)}
+
     def __post_init__(self):
-        require_finite(self)
-        if self.base_latency_ns <= 0:
-            raise InvariantViolation("base_latency_ns must be > 0")
-        if not 0 <= self.tail_prob < 0.1:
-            raise InvariantViolation("tail_prob must be in [0, 0.1)")
-        if self.bandwidth_cap_gbs <= 0:
-            raise InvariantViolation("bandwidth_cap_gbs must be > 0")
-        if self.tail_scale_ns < 0 or self.jitter_sigma_ns < 0 or self.numa_hop_extra_ns < 0:
-            raise InvariantViolation("tail_scale/jitter/numa_hop must be >= 0")
+        check_fields(self, self._BOUNDS)
 
     def to_json(self, path: str | Path) -> None:
         dump_json(path, asdict(self))
@@ -93,17 +89,12 @@ class WorkloadProfile:
     store_intensity: float = 0.0
     read_bandwidth_demand_gbs: float = 0.0
 
+    _BOUNDS = {"instructions": ((">", 0),), "demand_miss_rate": ((">=", 0),),
+               "mlp_depth": ((">=", 1),), "read_bandwidth_demand_gbs": ((">=", 0),),
+               "prefetch_reliance": ((">=", 0), ("<=", 1)), "store_intensity": ((">=", 0), ("<=", 1))}
+
     def __post_init__(self):
-        require_finite(self)
-        if self.instructions <= 0:
-            raise InvariantViolation("instructions must be > 0")
-        if self.demand_miss_rate < 0 or self.read_bandwidth_demand_gbs < 0:
-            raise InvariantViolation("rates must be >= 0")
-        if self.mlp_depth < 1:
-            raise InvariantViolation("mlp_depth must be >= 1")
-        for frac in (self.prefetch_reliance, self.store_intensity):
-            if not 0 <= frac <= 1:
-                raise InvariantViolation("fractions must be in [0, 1]")
+        check_fields(self, self._BOUNDS)
 
 
 def queueing_delay_ns(dev: DeviceProfile, load: float) -> float:

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 TABLE_CHUNK = 16_384        # rows formatted per write by write_table
+FLOAT_MAX = sys.float_info.max   # a number past it does not convert to a float
+_LIMIT_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}   # a JSON int is a float too
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')   # the characters csv.writer quotes a field for
 
 
@@ -119,12 +124,33 @@ def require_finite(obj) -> None:
             raise InvariantViolation(f"{type(obj).__name__}.{f.name} must be finite, got {v}")
 
 
+def check_fields(obj, bounds) -> None:
+    """Check each field of the dataclass ``obj``: a ``str`` field holds a string,
+    an ``int`` one an integer in int64, a ``float`` one a finite real (an int in
+    the float range included), and a bool is no number; then its limits in
+    ``bounds``, ``{field: ((op, limit), ...)}``, op one of ``> >= < <=``.  The
+    first failure is an :class:`InvariantViolation` naming the class and field."""
+    for f in fields(obj):
+        v, where = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
+        if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[f.type]):   # f.type is text
+            raise InvariantViolation(f"{where} must be {f.type}, got {v!r:.40}")
+        if f.type == "int" and not -2**63 <= v < 2**63:   # simulate computes in int64
+            raise InvariantViolation(f"{where} does not fit in a 64-bit integer")
+        if f.type == "float" and not -FLOAT_MAX <= v <= FLOAT_MAX:   # NaN, inf or a long int
+            raise InvariantViolation(f"{where} must be finite, got " + (
+                repr(v) if isinstance(v, float) else "an integer past the float range"))
+        for op, limit in bounds.get(f.name, ()):
+            if not _LIMIT_OPS[op](v, limit):   # a float field's long int shows as a float
+                got = float(v) if f.type == "float" else v
+                raise InvariantViolation(f"{where} must be {op} {limit!r}, got {got!r}")
+
+
 def load_json_object(cls, path: str | Path, many: bool = False):
     """Build the dataclass ``cls`` from the JSON object in ``path``.
 
     With ``many`` the file may hold one object or an array of them, and a
     list is returned.  Malformed JSON, a non-object value, an unknown or
-    missing key, or a value the constructor cannot compare raises
+    missing key, or a value the constructor rejects raises
     :class:`MalformedConfig` naming the file (and the key, if any).
     """
     path = Path(path)
@@ -137,7 +163,7 @@ def load_json_object(cls, path: str | Path, many: bool = False):
         raise MalformedConfig(f"{path}: expected a JSON object")
     try:
         objs = [cls(**item) for item in items]
-    except TypeError as exc:
+    except (TypeError, SupLabError) as exc:
         raise MalformedConfig(f"{path}: {exc}") from None
     return objs if many else objs[0]
 

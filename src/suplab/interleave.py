@@ -32,7 +32,7 @@ from .devmodel import (
     utilization,
 )
 from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, MissingFit,
-                     dump_json, load_json_object, require_finite, write_table)
+                     check_fields, dump_json, load_json_object, write_table)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
 MAX_GRID = 1_000_001  # cap on scan_ratios' grid: one Python-level simulation per point
@@ -71,7 +71,7 @@ class InterleaveFit:
     speedup_intercept: float
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self, {})
 
     def to_json(self, path: str | Path) -> None:
         dump_json(path, asdict(self))

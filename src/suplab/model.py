@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Literal, Sequence
 
 from .counters import CounterSnapshot, amortized_offcore_latency
-from .errors import (EmptyInput, InvariantViolation, NoDemandReads, ZeroDenominator,
-                     dump_json, load_json_object, require_finite, write_table)
+from .errors import (EmptyInput, NoDemandReads, ZeroDenominator,
+                     check_fields, dump_json, load_json_object, write_table)
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
 
@@ -39,19 +39,13 @@ class ModelParams:
     k3: float
     k4: float
     p: float
-    q: float
+    q: float                   # > 0 keeps the MLP correction's denominator positive
     offcore_threshold: float
 
+    _BOUNDS = {"k1": ((">", 0),), "p": ((">=", 0),), "q": ((">", 0),), "offcore_threshold": ((">", 0),)}
+
     def __post_init__(self):
-        require_finite(self)
-        if self.k1 <= 0:
-            raise InvariantViolation("k1 must be > 0")
-        if self.p < 0:
-            raise InvariantViolation("p must be >= 0")
-        if self.q <= 0:
-            raise InvariantViolation("q must be > 0 (keeps the MLP denominator positive)")
-        if self.offcore_threshold <= 0:
-            raise InvariantViolation("offcore_threshold must be > 0")
+        check_fields(self, self._BOUNDS)
 
     def to_json(self, path: str | Path) -> None:
         dump_json(path, asdict(self))

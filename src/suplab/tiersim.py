@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
-from .errors import (CapacityUnderflow, EmptyTrace, InvariantViolation, MalformedTrace,
-                     dump_json, require_finite, write_table)
+from .errors import (EmptyTrace, InvariantViolation, MalformedTrace, ZeroDenominator,
+                     check_fields, dump_json, write_table)
 
 POLICIES = ("first_touch", "tpp", "alto")
 
@@ -113,22 +113,16 @@ class PolicyConfig:
     alto_steps: int = 5
     migration_cost_us: float = 3.0      # blocking cost per promoted page
 
+    _BOUNDS = {"fast_capacity": ((">=", 1),), "promo_threshold_accesses": ((">=", 1),),
+               "max_promo_rate": ((">=", 0),), "alto_steps": ((">=", 1),),
+               "migration_cost_us": ((">=", 0),)}
+
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self, self._BOUNDS)
         if self.policy not in POLICIES:
-            raise InvariantViolation(f"unknown policy: {self.policy!r}")
-        for name in ("fast_capacity", "promo_threshold_accesses", "max_promo_rate", "alto_steps"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
-            if not -2**63 <= value < 2**63:   # simulate computes with them in int64
-                raise InvariantViolation(f"{name} does not fit in a 64-bit integer")
-        if self.fast_capacity < 1:
-            raise CapacityUnderflow("fast_capacity must be >= 1")
+            raise InvariantViolation(f"PolicyConfig.policy must be in {POLICIES}, got {self.policy!r:.40}")
         if not self.alto_lower < self.alto_upper:
-            raise InvariantViolation("alto_lower must be < alto_upper")
-        if self.alto_steps < 1:
-            raise InvariantViolation("alto_steps must be >= 1")
+            raise InvariantViolation("PolicyConfig.alto_lower must be < alto_upper")
 
 
 @dataclass
@@ -289,6 +283,8 @@ def compare_policies(
     if not cfgs:
         raise EmptyTrace("no policy configs to compare")
     outcomes = [simulate(trace, cfg, local, remote) for cfg in cfgs]
+    if outcomes[0].allfast_runtime == 0:   # the same for every policy
+        raise ZeroDenominator(f"{local.name}: the all-fast-tier runtime underflows to zero")
     rows = [
         {
             "policy": o.policy,
@@ -387,24 +383,21 @@ def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
             raise ValueError(f"rows have {data.shape[1]} fields")
     except ValueError as exc:   # includes UnicodeDecodeError
         raise MalformedTrace(f"{csv_path}: {_bad_trace_row(csv_path) or exc}") from None
-    epoch = data[:, 0]
-    ordered = data[np.argsort(epoch, kind="stable")] if (epoch[1:] < epoch[:-1]).any() else data
-    try:   # write_trace writes epochs in order; sorted, their range is the ends'
-        if len(data) and not 0 <= ordered[0, 0] <= ordered[-1, 0] < n_epochs:
-            raise InvariantViolation("epoch out of range")
-        bounds = np.searchsorted(ordered[:, 0], np.arange(1, n_epochs))
-        epochs = [TraceEpoch(demand_misses=m) for m in np.split(ordered[:, 1:], bounds)]   # views
-        return TierTrace(epochs=epochs, page_count=page_count, wss_pages=wss_pages,
-                         epoch_instructions=epoch_instructions)
-    except InvariantViolation:   # name the first bad row, in file order
-        epoch, pages, groups = data.T
-        bad = (epoch < 0) | (epoch >= n_epochs) | (pages < 0) | (pages >= page_count) | (groups < 1)
+    data = data.reshape(-1, len(_TRACE_COLUMNS))   # a file with no rows loads as (0, 1)
+    epoch, pages, groups = data.T
+    bad = (epoch < 0) | (epoch >= n_epochs) | (pages < 0) | (pages >= page_count) | (groups < 1)
+    if bad.any():   # name the first bad row, in file order
         row = int(np.argmax(bad))
         e, p, g = data[row].tolist()
         raise InvariantViolation(f"{csv_path}: trace row {row + 1}: " + (
             f"epoch {e} outside [0, {n_epochs})" if not 0 <= e < n_epochs else
             f"page {p} outside [0, {page_count})" if not 0 <= p < page_count else
-            f"group_size {g} must be >= 1")) from None
+            f"group_size {g} must be >= 1"))
+    ordered = data[np.argsort(epoch, kind="stable")] if (epoch[1:] < epoch[:-1]).any() else data
+    bounds = np.searchsorted(ordered[:, 0], np.arange(1, n_epochs))
+    epochs = [TraceEpoch(demand_misses=m) for m in np.split(ordered[:, 1:], bounds)]   # views
+    return TierTrace(epochs=epochs, page_count=page_count, wss_pages=wss_pages,
+                     epoch_instructions=epoch_instructions)
 
 
 # --- fixture traces --------------------------------------------------------

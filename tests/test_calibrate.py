@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -109,6 +110,24 @@ class TestFitSequential:
         one_depth = [r for r in clean_runs if r.kind == "pointer_chase"][:1]
         with pytest.raises(InsufficientMlpSpread):
             cal.fit_sequential(keep + one_depth * 2)
+
+    def test_spread_that_underflows_is_insufficient(self, clean_runs):
+        # amortized latencies near 1e200: their reciprocals' spread squares to 0.0
+        runs = []
+        for i, r in enumerate(clean_runs):
+            if r.kind == "pointer_chase":
+                local = dataclasses.replace(r.pair.local, offcore_demand_occupancy=(
+                    r.pair.local.offcore_demand_requests * 1e200 * (i + 1)))
+                r = cal.CalibrationRun(r.kind, dataclasses.replace(r.pair, local=local))
+            runs.append(r)
+        with pytest.raises(InsufficientMlpSpread):
+            cal.fit_sequential(runs)
+
+    @pytest.mark.parametrize("eps", [2e-9, 5e-9, 1e-8, 3e-8])
+    def test_close_depths_recover_q(self, eps):
+        # two pointer chases a hair apart: the slope needs centred sums
+        runs = dm.make_calibration_runs(LOCAL, REMOTE, TRUTH, mlp_depths=(1.0, 1.0 + eps))
+        assert abs(cal.fit_sequential(runs).q - TRUTH.q) < 1e-6
 
     def test_permutation_invariance(self, clean_runs):
         fit_a = cal.fit_sequential(clean_runs)

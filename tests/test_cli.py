@@ -306,6 +306,48 @@ class TestBadInputs:
         err = _assert_data_error(_tiersim(tmp_path, cfg, out), capsys, out)
         assert "promo_threshold_accesses" in err
 
+    # (command, config field, value): a valid config with that one field changed
+    BAD_CONFIG_FIELDS = [
+        ("latcdf", "base_latency_ns", 10**400),   # a JSON integer past the float range
+        ("scan", "instructions", 10**400),
+        ("tiersim", "alto_upper", 10**400),
+        ("latcdf", "base_latency_ns", True),
+        ("tiersim", "max_promo_rate", -1),
+        ("tiersim", "migration_cost_us", -1),
+        ("tiersim", "promo_threshold_accesses", 0),
+        ("tiersim", "promo_threshold_accesses", -2**63),
+    ]
+
+    @pytest.mark.parametrize("command,field,value", BAD_CONFIG_FIELDS,
+                             ids=lambda v: "401-digits" if v == 10**400 else None)
+    def test_config_field_rejected(self, tmp_path, capsys, command, field, value):
+        base = {"latcdf": {"name": "d", "base_latency_ns": 100.0, "bandwidth_cap_gbs": 30.0},
+                "scan": dm.make_workload_suite(1, seed=0)[0].__dict__,
+                "tiersim": {"policy": "tpp", "fast_capacity": 100}}[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, field: value}))
+        ts.write_trace(ts.make_no_overlap_trace(seed=0), tmp_path / "t.csv", tmp_path / "t.json")
+        argv = {"latcdf": ["latcdf", "--profile", str(cfg), "--n", "1000"],
+                "scan": ["interleave", "scan", "--workload", str(cfg)],
+                "tiersim": ["tiersim", "--trace", str(tmp_path / "t.csv"), "--trace-header",
+                            str(tmp_path / "t.json"), "--policy-config", str(cfg)]}[command]
+        out = tmp_path / "o"
+        err = _assert_data_error(cli.run(argv + ["--out", str(out)]), capsys, out, cfg)
+        assert f".{field} must be" in err and len(err) < 300
+
+    def test_all_fast_runtime_underflow(self, tmp_path, capsys):
+        # a subnormal local latency over 16-deep overlap sums to an all-fast runtime of 0.0
+        ts.write_trace(ts.make_deep_overlap_trace(0), tmp_path / "t.csv", tmp_path / "t.json")
+        local = tmp_path / "local.json"
+        local.write_text(json.dumps({"name": "tiny", "base_latency_ns": 5e-324,
+                                     "bandwidth_cap_gbs": 100.0}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"policy": "tpp", "fast_capacity": 100}))
+        out = tmp_path / "sim"
+        rc = cli.run(["tiersim", "--trace", str(tmp_path / "t.csv"),
+                      "--trace-header", str(tmp_path / "t.json"), "--local", str(local),
+                      "--policy-config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        assert "all-fast-tier runtime" in _assert_data_error(rc, capsys, out)
+
     def test_overflowing_output_names_its_field(self, tmp_path, capsys):
         ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
         remote = tmp_path / "remote.json"
