@@ -23,7 +23,7 @@ from . import devmodel as dm
 from . import interleave as il
 from . import model as mdl
 from . import tiersim as ts
-from .errors import SupLabError, dump_json, load_json_object, write_table
+from .errors import MalformedConfig, SupLabError, dump_json, write_table
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -141,7 +141,7 @@ def _cmd_interleave(args, out: OutputDir) -> tuple[dict, str]:
     if args.action == "scan":
         if not args.workload:
             raise _UsageError("interleave scan requires --workload")
-        w = load_json_object(dm.WorkloadProfile, args.workload)
+        w = dm.WorkloadProfile.from_json(args.workload)
         curve = il.scan_ratios(w, local, remote, grid=args.grid, seed=args.seed)
         il.write_scan_csv(curve, out / "scan.csv")
         best_x, best_rt = il.best_scan_point(curve)
@@ -158,7 +158,8 @@ def _cmd_interleave(args, out: OutputDir) -> tuple[dict, str]:
         for i, s in enumerate(snaps)
     ]
     il.write_forecast_csv(fcs, out / "forecast.csv")
-    return ({"input": args.input, "params": args.params, "fit": args.fit},
+    return ({"input": args.input, "params": args.params, "fit": args.fit,
+             "local": args.local, "remote": args.remote},
             f"forecast {len(fcs)} snapshots -> {out.root}")
 
 
@@ -166,12 +167,17 @@ def _cmd_tiersim(args, out: OutputDir) -> tuple[dict, str]:
     local = _load_device(args.local)
     remote = _load_device(args.remote)
     trace = ts.read_trace(args.trace, args.trace_header)
-    cfgs = load_json_object(ts.PolicyConfig, args.policy_config, many=True)
+    cfgs = ts.PolicyConfig.from_json(args.policy_config, many=True)
+    policies = [cfg.policy for cfg in cfgs]   # each names its epoch report
+    repeated = next((p for i, p in enumerate(policies) if p in policies[:i]), None)
+    if repeated:
+        raise MalformedConfig(f"{args.policy_config}: policy {repeated!r} appears twice")
     rows, outcomes = ts.compare_policies(trace, cfgs, local, remote)
     out.write_json("comparison.json", rows)
     for outcome in outcomes:
         ts.write_epoch_report_csv(outcome, out / f"epochs_{outcome.policy}.csv")
-    return ({"trace": args.trace, "policy_config": args.policy_config,
+    return ({"trace": args.trace, "trace_header": args.trace_header,
+             "policy_config": args.policy_config,
              "local": args.local, "remote": args.remote},
             f"simulated {len(cfgs)} policies -> {out.root}")
 

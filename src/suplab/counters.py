@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (FLOAT_MAX, EmptyInput, InvariantViolation, MalformedRecord, MissingColumn,
-                     NegativeValue, NoDemandReads, SupLabError, ZeroDenominator, dump_json,
-                     require_finite, require_finite_values, write_table)
+                     Checked, NegativeValue, NoDemandReads, SupLabError, ZeroDenominator,
+                     dump_json, require_finite_values, write_table)
 
 # Each backend stall source and the counter that measures its stall cycles.
 STALL_COUNTERS = {
@@ -78,7 +78,8 @@ class CounterSnapshot:
         for name in COUNTER_FIELDS:
             v = getattr(self, name)
             if not 0 <= v <= FLOAT_MAX:   # negative, NaN, infinite or past the float range
-                require_finite(self)
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise InvariantViolation(f"CounterSnapshot.{name} must be finite, got {v}")
                 raise InvariantViolation(f"{name} must be >= 0, got {v}" if v < 0
                                          else f"{name} exceeds the float range")
         for name, bound in _BOUNDED_BY:
@@ -309,7 +310,7 @@ def write_derived_json(snapshots: Sequence[CounterSnapshot], path: str | Path) -
 
 
 @dataclass(frozen=True)
-class RunPair:
+class RunPair(Checked):
     """The same workload phase measured on local memory and on a remote tier."""
 
     label: str
@@ -318,10 +319,10 @@ class RunPair:
     local_runtime: float
     remote_runtime: float
 
+    _BOUNDS = {"local_runtime": ((">", 0),), "remote_runtime": ((">", 0),)}
+
     def __post_init__(self):
-        if not (0 < self.local_runtime < math.inf and 0 < self.remote_runtime < math.inf):
-            require_finite(self)
-            raise InvariantViolation("runtimes must be > 0")
+        super().__post_init__()
         ref = max(self.local.instructions, self.remote.instructions)
         if ref > 0:
             drift = abs(self.local.instructions - self.remote.instructions) / ref

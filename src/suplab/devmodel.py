@@ -17,7 +17,7 @@ device profiles and cycle-based counters interoperate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .counters import CounterSnapshot, RunPair
 from .errors import (TABLE_CHUNK, EmptyInput, InconsistentProfile, InvariantViolation,
-                     LoadOutOfRange, check_fields, dump_json, load_json_object, write_table)
+                     JsonConfig, LoadOutOfRange, write_table)
 from .model import (
     SENSITIVITY_MARGIN,
     ModelParams,
@@ -51,7 +51,7 @@ FRONTEND_FRAC = 0.005
 
 
 @dataclass(frozen=True)
-class DeviceProfile:
+class DeviceProfile(JsonConfig):
     """A memory tier's latency/bandwidth/tail parameters."""
 
     name: str
@@ -66,19 +66,9 @@ class DeviceProfile:
                "tail_prob": ((">=", 0), ("<", 0.1)), "tail_scale_ns": ((">=", 0),),
                "jitter_sigma_ns": ((">=", 0),), "numa_hop_extra_ns": ((">=", 0),)}
 
-    def __post_init__(self):
-        check_fields(self, self._BOUNDS)
-
-    def to_json(self, path: str | Path) -> None:
-        dump_json(path, asdict(self))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "DeviceProfile":
-        return load_json_object(cls, path)
-
 
 @dataclass(frozen=True)
-class WorkloadProfile:
+class WorkloadProfile(JsonConfig):
     """Knobs that shape a synthesized workload's counter signature."""
 
     name: str
@@ -92,9 +82,6 @@ class WorkloadProfile:
     _BOUNDS = {"instructions": ((">", 0),), "demand_miss_rate": ((">=", 0),),
                "mlp_depth": ((">=", 1),), "read_bandwidth_demand_gbs": ((">=", 0),),
                "prefetch_reliance": ((">=", 0), ("<=", 1)), "store_intensity": ((">=", 0), ("<=", 1))}
-
-    def __post_init__(self):
-        check_fields(self, self._BOUNDS)
 
 
 def queueing_delay_ns(dev: DeviceProfile, load: float) -> float:

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the file readers and writers
-every module shares: JSON in and out, and CSV tables out.
+"""Exception types shared across the package; the field rule and the two bases
+of every checked dataclass, :class:`Checked` and :class:`JsonConfig` (the one
+JSON config reader and writer); and the writers every output goes through:
+JSON, and CSV tables.
 
 Every error raised on bad data or bad configuration derives from
 :class:`SupLabError` so callers (and the CLI) can distinguish data problems
@@ -13,7 +15,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -115,24 +117,20 @@ class MalformedConfig(SupLabError):
     """A JSON config file is not valid JSON or does not fit its dataclass."""
 
 
-def require_finite(obj) -> None:
-    """Raise :class:`InvariantViolation` naming the first float field of the
-    dataclass ``obj`` that is NaN or infinite."""
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, float) and not math.isfinite(v):
-            raise InvariantViolation(f"{type(obj).__name__}.{f.name} must be finite, got {v}")
-
-
 def check_fields(obj, bounds) -> None:
-    """Check each field of the dataclass ``obj``: a ``str`` field holds a string,
+    """Check each ``str``, ``int`` and ``float`` field of the dataclass ``obj``
+    (a field of any other type is not read): a ``str`` field holds a string,
     an ``int`` one an integer in int64, a ``float`` one a finite real (an int in
     the float range included), and a bool is no number; then its limits in
     ``bounds``, ``{field: ((op, limit), ...)}``, op one of ``> >= < <=``.  The
     first failure is an :class:`InvariantViolation` naming the class and field."""
-    for f in fields(obj):
+    # Not fields(obj), which builds a tuple per call: a ClassVar or InitVar
+    # entry here has no scalar type, so the filter skips it.
+    for f in type(obj).__dataclass_fields__.values():
+        if f.type not in _FIELD_TYPES:   # f.type is text
+            continue
         v, where = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
-        if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[f.type]):   # f.type is text
+        if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[f.type]):
             raise InvariantViolation(f"{where} must be {f.type}, got {v!r:.40}")
         if f.type == "int" and not -2**63 <= v < 2**63:   # simulate computes in int64
             raise InvariantViolation(f"{where} does not fit in a 64-bit integer")
@@ -145,27 +143,45 @@ def check_fields(obj, bounds) -> None:
                 raise InvariantViolation(f"{where} must be {op} {limit!r}, got {got!r}")
 
 
-def load_json_object(cls, path: str | Path, many: bool = False):
-    """Build the dataclass ``cls`` from the JSON object in ``path``.
+class Checked:
+    """Base of a dataclass whose fields :func:`check_fields` checks at
+    construction against the class's ``_BOUNDS``.  A subclass with more rules
+    calls ``super().__post_init__()`` first."""
 
-    With ``many`` the file may hold one object or an array of them, and a
-    list is returned.  Malformed JSON, a non-object value, an unknown or
-    missing key, or a value the constructor rejects raises
-    :class:`MalformedConfig` naming the file (and the key, if any).
-    """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
-        raise MalformedConfig(f"{path}: malformed JSON: {exc}") from None
-    items = raw if many and isinstance(raw, list) else [raw]
-    if not all(isinstance(item, dict) for item in items):
-        raise MalformedConfig(f"{path}: expected a JSON object")
-    try:
-        objs = [cls(**item) for item in items]
-    except (TypeError, SupLabError) as exc:
-        raise MalformedConfig(f"{path}: {exc}") from None
-    return objs if many else objs[0]
+    _BOUNDS = {}
+
+    def __post_init__(self):
+        check_fields(self, self._BOUNDS)
+
+
+class JsonConfig(Checked):
+    """A checked dataclass read from and written to a flat JSON object."""
+
+    def to_json(self, path: str | Path) -> None:
+        dump_json(path, asdict(self))
+
+    @classmethod
+    def from_json(cls, path: str | Path, many: bool = False):
+        """Build the class from the JSON object in ``path``.
+
+        With ``many`` the file may hold one object or an array of them, and a
+        list is returned.  Malformed JSON, a non-object value, an unknown or
+        missing key, or a value the constructor rejects raises
+        :class:`MalformedConfig` naming the file (and the key, if any).
+        """
+        path = Path(path)
+        try:
+            raw = json.loads(path.read_text())
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise MalformedConfig(f"{path}: malformed JSON: {exc}") from None
+        items = raw if many and isinstance(raw, list) else [raw]
+        if not items or not all(isinstance(item, dict) for item in items):   # [] holds none
+            raise MalformedConfig(f"{path}: expected a JSON object")
+        try:
+            objs = [cls(**item) for item in items]
+        except (TypeError, SupLabError) as exc:
+            raise MalformedConfig(f"{path}: {exc}") from None
+        return objs if many else objs[0]
 
 
 def dump_json(path: str | Path, payload) -> None:

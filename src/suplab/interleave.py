@@ -10,7 +10,7 @@ slowdown model ``slowdown_at`` instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -32,21 +32,19 @@ from .devmodel import (
     utilization,
 )
 from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, MissingFit,
-                     check_fields, dump_json, load_json_object, write_table)
+                     Checked, JsonConfig, write_table)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
 MAX_GRID = 1_000_001  # cap on scan_ratios' grid: one Python-level simulation per point
 
 
 @dataclass(frozen=True)
-class InterleaveRatio:
+class InterleaveRatio(Checked):
     """Remote-page fraction x = N/(M+N) of an M:N weighted-interleave setup."""
 
     remote_fraction: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.remote_fraction <= 1.0:
-            raise InvariantViolation("remote_fraction must be in [0, 1]")
+    _BOUNDS = {"remote_fraction": ((">=", 0), ("<=", 1))}
 
     @classmethod
     def from_counts(cls, local_pages: int, remote_pages: int) -> "InterleaveRatio":
@@ -61,7 +59,7 @@ class InterleaveRatio:
 
 
 @dataclass(frozen=True)
-class InterleaveFit:
+class InterleaveFit(JsonConfig):
     """Per-platform linear maps from the R predictor to speedup and ratio."""
 
     platform: str
@@ -69,16 +67,6 @@ class InterleaveFit:
     ratio_intercept: float
     speedup_slope: float
     speedup_intercept: float
-
-    def __post_init__(self):
-        check_fields(self, {})
-
-    def to_json(self, path: str | Path) -> None:
-        dump_json(path, asdict(self))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "InterleaveFit":
-        return load_json_object(cls, path)
 
 
 @dataclass(frozen=True)

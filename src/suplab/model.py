@@ -14,13 +14,12 @@ all three metrics are counter ratios taken from a run on local memory:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
 from .counters import CounterSnapshot, amortized_offcore_latency
-from .errors import (EmptyInput, NoDemandReads, ZeroDenominator,
-                     check_fields, dump_json, load_json_object, write_table)
+from .errors import EmptyInput, JsonConfig, NoDemandReads, ZeroDenominator, write_table
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
 
@@ -31,7 +30,7 @@ SENSITIVITY_MARGIN = 1.25
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(JsonConfig):
     """Fitted model constants plus the latency/bandwidth sensitivity cutoff."""
 
     k1: float
@@ -43,16 +42,6 @@ class ModelParams:
     offcore_threshold: float
 
     _BOUNDS = {"k1": ((">", 0),), "p": ((">=", 0),), "q": ((">", 0),), "offcore_threshold": ((">", 0),)}
-
-    def __post_init__(self):
-        check_fields(self, self._BOUNDS)
-
-    def to_json(self, path: str | Path) -> None:
-        dump_json(path, asdict(self))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ModelParams":
-        return load_json_object(cls, path)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
 from .errors import (EmptyTrace, InvariantViolation, MalformedTrace, ZeroDenominator,
-                     check_fields, dump_json, write_table)
+                     Checked, JsonConfig, dump_json, write_table)
 
 POLICIES = ("first_touch", "tpp", "alto")
 
@@ -45,7 +45,7 @@ class TraceEpoch:
 
 
 @dataclass(frozen=True)
-class TierTrace:
+class TierTrace(Checked):
     """``epochs`` as given, plus the read-only flat arrays simulations read:
     all misses in trace order, epoch i at ``epoch_offsets[i]:epoch_offsets[i + 1]``."""
 
@@ -57,16 +57,15 @@ class TierTrace:
     group_sizes: np.ndarray = field(init=False, repr=False, compare=False)
     epoch_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
+    _BOUNDS = {"page_count": ((">=", 1),), "wss_pages": ((">=", 0),),
+               "epoch_instructions": ((">", 0),)}
+
     def __post_init__(self):
+        if not any(len(e.demand_misses) for e in self.epochs):
+            raise EmptyTrace("trace has no demand misses")
+        super().__post_init__()
         rows = [np.asarray(e.demand_misses, dtype=np.int64).reshape(len(e.demand_misses), 2)
                 for e in self.epochs]
-        if not rows or not any(len(r) for r in rows):
-            raise EmptyTrace("trace has no demand misses")
-        if self.page_count < 1:
-            raise InvariantViolation("page_count must be >= 1")
-        if not 0 < self.epoch_instructions < math.inf:
-            raise InvariantViolation(
-                f"epoch_instructions must be finite and > 0, got {self.epoch_instructions}")
         pages, groups = (np.concatenate([r[:, col] for r in rows]) for col in (0, 1))
         offsets = np.cumsum([0] + [len(r) for r in rows])
         bad = (pages < 0) | (pages >= self.page_count) | (groups < 1)
@@ -103,7 +102,7 @@ class TierTrace:
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(JsonConfig):
     policy: str
     fast_capacity: int
     promo_threshold_accesses: int = 2
@@ -118,7 +117,7 @@ class PolicyConfig:
                "migration_cost_us": ((">=", 0),)}
 
     def __post_init__(self):
-        check_fields(self, self._BOUNDS)
+        super().__post_init__()
         if self.policy not in POLICIES:
             raise InvariantViolation(f"PolicyConfig.policy must be in {POLICIES}, got {self.policy!r:.40}")
         if not self.alto_lower < self.alto_upper:
@@ -344,13 +343,13 @@ def _bad_trace_row(csv_path: str | Path) -> str | None:
 
 
 def _header_count(header: dict, key: str) -> int:
-    """An unsigned integer, as the counter readers take one from JSON (``4.0``
-    reads as 4); booleans, text and fractions raise ``ValueError``."""
+    """An unsigned integer below 2**63, as the counter readers take one from
+    JSON (``4.0`` reads as 4); booleans, text and fractions raise ``ValueError``."""
     value = header[key]
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{key} must be an unsigned integer, got {value!r}")
+    if type(value) is not int or not 0 <= value < 2**63:   # TierTrace's int fields are int64
+        raise ValueError(f"{key} must be an unsigned 64-bit integer, got {value!r:.40}")
     return value
 
 

@@ -80,6 +80,46 @@ class TestManifest:
                                     "n": 10, "out": str(out), "profile": "cxl-b", "seed": 0}
         assert list(manifest["args"]) == sorted(manifest["args"])
 
+    def test_inputs_name_every_file_flag(self, tmp_path, counters_csv):
+        # every file a command reads is in the manifest's inputs, keyed by its flag
+        files = {name: tmp_path / name for name in (
+            "l.json", "r.json", "params.json", "fit.json", "runs.csv", "pairs.csv", "w.json",
+            "log.csv", "t.csv", "t.json", "cfg.json")}
+        local, remote = dm.PRESETS["local-emr"], dm.PRESETS["cxl-b"]
+        local.to_json(files["l.json"])
+        remote.to_json(files["r.json"])
+        truth = dm.make_reference_params(local, remote)
+        truth.to_json(files["params.json"])
+        il.InterleaveFit("p", 0.1, 0.0, 0.1, 0.0).to_json(files["fit.json"])
+        cal.write_calibration_csv(dm.make_calibration_runs(local, remote, truth, seed=0),
+                                  files["runs.csv"])
+        cnt.write_run_pairs(dm.make_consistency_fixture(2, seed=0), files["pairs.csv"])
+        w = dm.make_workload_suite(1, seed=0)[0]
+        w.to_json(files["w.json"])
+        cnt.write_counter_log([dm.local_snapshot(w, local)], files["log.csv"])
+        ts.write_trace(small_trace(), files["t.csv"], files["t.json"])
+        files["cfg.json"].write_text(json.dumps({"policy": "tpp", "fast_capacity": 2}))
+        devices = ["--local", files["l.json"], "--remote", files["r.json"]]
+        commands = [
+            ["ingest", "--input", counters_csv],
+            ["breakdown", "--pairs", files["pairs.csv"]],
+            ["calibrate", "--runs", files["runs.csv"]],
+            ["predict", "--input", counters_csv, "--params", files["params.json"]],
+            ["interleave", "scan", "--workload", files["w.json"], "--grid", "3", *devices],
+            ["interleave", "forecast", "--input", files["log.csv"], "--params", files["params.json"],
+             "--fit", files["fit.json"], *devices],
+            ["tiersim", "--trace", files["t.csv"], "--trace-header", files["t.json"],
+             "--policy-config", files["cfg.json"], *devices],
+            ["latcdf", "--profile", files["l.json"], "--n", "10"],
+        ]
+        for i, argv in enumerate(commands):
+            argv = [*map(str, argv), "--out", str(tmp_path / f"o{i}")]
+            assert cli.run(argv) == 0, argv
+            read = {flag[2:].replace("-", "_"): value for flag, value in zip(argv, argv[1:])
+                    if flag.startswith("--") and Path(value).is_file()}
+            inputs = json.loads((tmp_path / f"o{i}" / "manifest.json").read_text())["inputs"]
+            assert read.items() <= inputs.items(), argv
+
 
 # Each command's required arguments, in groups; the files need not exist.
 REQUIRED_ARGS = {
@@ -292,11 +332,15 @@ class TestBadInputs:
         [{"policy": "tpp", "fast_capacity": 2500, "bogus": 1}],
         {"policy": "tpp"},
         {"policy": "tpp", "fast_capacity": 1.5},
+        # each policy writes epochs_<policy>.csv: a second alto would overwrite the first's
+        [{"policy": "alto", "fast_capacity": 1}, {"policy": "alto", "fast_capacity": 2}],
+        [],
     ])
     def test_policy_config_keys(self, tmp_path, capsys, policy_config):
         ts.write_trace(small_trace(), tmp_path / "t.csv", tmp_path / "t.json")
         out = tmp_path / "sim"
-        _assert_data_error(_tiersim(tmp_path, policy_config, out), capsys, out)
+        rc = _tiersim(tmp_path, policy_config, out)
+        _assert_data_error(rc, capsys, out, tmp_path / "cfg.json")
 
     @pytest.mark.parametrize("value", [2**63, 10**30, -10**30])
     def test_policy_integer_past_int64(self, tmp_path, capsys, value):
@@ -413,6 +457,7 @@ class TestBadInputs:
         json.dumps({**TRACE_HEADER, "epoch_instructions": "1e9"}),
         json.dumps({**TRACE_HEADER, "epochs": 100_000_000_000_000}),
         json.dumps({**TRACE_HEADER, "epochs": 2**70}),
+        json.dumps({**TRACE_HEADER, "page_count": 2**63}),   # past TierTrace's int64
     ])
     def test_trace_header_malformed(self, tmp_path, capsys, header):
         (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,0,1\n")

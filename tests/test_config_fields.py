@@ -1,6 +1,6 @@
-"""The field rule of every JSON config class: each build either raises a
-SupLabError naming the class and field, or gives an object whose every field
-has its type and meets the bounds the README documents."""
+"""The field rule of every checked class: each build either raises a
+SupLabError naming the class and field, or gives an object whose every scalar
+field has its type and meets the bounds the README documents."""
 
 from __future__ import annotations
 
@@ -11,11 +11,12 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
+from suplab import counters as cnt
 from suplab import devmodel as dm
 from suplab import interleave as il
 from suplab import model as mdl
 from suplab import tiersim as ts
-from suplab.errors import SupLabError
+from suplab.errors import Checked, SupLabError
 
 # The documented bounds, written out here rather than read from the classes.
 BOUNDS = {
@@ -32,10 +33,16 @@ BOUNDS = {
     ts.PolicyConfig: {"fast_capacity": ((">=", 1),), "promo_threshold_accesses": ((">=", 1),),
                       "max_promo_rate": ((">=", 0),), "alto_steps": ((">=", 1),),
                       "migration_cost_us": ((">=", 0),)},
+    cnt.RunPair: {"local_runtime": ((">", 0),), "remote_runtime": ((">", 0),)},
+    ts.TierTrace: {"page_count": ((">=", 1),), "wss_pages": ((">=", 0),),
+                   "epoch_instructions": ((">", 0),)},
+    il.InterleaveRatio: {"remote_fraction": ((">=", 0), ("<=", 1))},
 }
+SCALARS = ("str", "int", "float")   # the field types the rule checks
 OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
-# One valid build of each class; the test changes up to three of its fields.
+# One valid build of each class; the test changes up to three of its scalar fields.
+SNAPSHOT = cnt.CounterSnapshot(*[0.0] * len(cnt.COUNTER_FIELDS))
 VALID = {
     dm.DeviceProfile: dict(name="d", base_latency_ns=100.0, bandwidth_cap_gbs=30.0),
     dm.WorkloadProfile: dict(name="w", instructions=1e9, demand_miss_rate=2.0),
@@ -43,6 +50,10 @@ VALID = {
     il.InterleaveFit: dict(platform="p", ratio_slope=0.1, ratio_intercept=0.0,
                            speedup_slope=0.1, speedup_intercept=0.0),
     ts.PolicyConfig: dict(policy="alto", fast_capacity=100),
+    cnt.RunPair: dict(label="x", local=SNAPSHOT, remote=SNAPSHOT, local_runtime=1.0,
+                      remote_runtime=1.5),
+    ts.TierTrace: dict(epochs=[ts.TraceEpoch([(0, 1)])], page_count=1, wss_pages=1),
+    il.InterleaveRatio: dict(remote_fraction=0.5),
 }
 for cls, kw in VALID.items():
     kw.update({f.name: f.default for f in dataclasses.fields(cls)
@@ -69,8 +80,13 @@ def has_type(kind: str, v) -> bool:
     return type(v) is float and math.isfinite(v) or type(v) is int and abs(v) <= FLOAT_MAX
 
 
+def scalar_fields(cls) -> list[dataclasses.Field]:
+    """The fields the rule checks; snapshots, epochs and arrays it does not read."""
+    return [f for f in dataclasses.fields(cls) if f.type in SCALARS]
+
+
 def meets_rules(cls, kw: dict) -> bool:
-    for f in dataclasses.fields(cls):
+    for f in scalar_fields(cls):
         v = kw[f.name]
         if not has_type(f.type, v):
             return False
@@ -84,7 +100,7 @@ def meets_rules(cls, kw: dict) -> bool:
 @st.composite
 def builds(draw):
     cls = draw(st.sampled_from(list(VALID)))
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = [f.name for f in scalar_fields(cls)]
     changed = draw(st.dictionaries(st.sampled_from(names), VALUES, min_size=1, max_size=3))
     return cls, {**VALID[cls], **changed}
 
@@ -103,3 +119,33 @@ def test_constructors_keep_the_field_rules(build):
     else:
         assert meets_rules(cls, kw)
         assert all(getattr(obj, name) is kw[name] for name in kw)
+
+
+def checked_classes(base=Checked):
+    """Every dataclass of the package that derives from ``base``."""
+    for cls in base.__subclasses__():
+        if dataclasses.is_dataclass(cls) and cls.__module__.startswith("suplab."):
+            yield cls
+        yield from checked_classes(cls)
+
+
+def misplaced_bounds(cls) -> list[str]:
+    """The keys of ``cls._BOUNDS`` that name no int or float field, or hold an
+    op other than ``> >= < <=``: rules that would never be checked."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    return [f"{cls.__name__}.{name}" for name, limits in cls._BOUNDS.items()
+            if types.get(name) not in ("int", "float") or any(op not in OPS for op, _ in limits)]
+
+
+def test_bounds_tables_name_numeric_fields():
+    classes = set(checked_classes())
+    assert classes == set(BOUNDS)
+    assert [bad for cls in classes for bad in misplaced_bounds(cls)] == []
+
+    @dataclasses.dataclass(frozen=True)
+    class Misspelled(Checked):
+        runtime: float
+        count: int = 1
+        _BOUNDS = {"runtme": ((">", 0),), "count": (("=>", 1),)}
+
+    assert misplaced_bounds(Misspelled) == ["Misspelled.runtme", "Misspelled.count"]

@@ -241,8 +241,11 @@ def test_amortized_latency_at_least_one_cycle(requests, extra):
     lambda v: il.InterleaveFit("p", ratio_slope=v, ratio_intercept=0.0,
                                speedup_slope=1.0, speedup_intercept=0.0),
     lambda v: ts.PolicyConfig(policy="alto", fast_capacity=1, migration_cost_us=v),
+    lambda v: ts.TierTrace([ts.TraceEpoch([(0, 1)])], page_count=1, wss_pages=1,
+                           epoch_instructions=v),
+    lambda v: il.InterleaveRatio(v),
 ], ids=["CounterSnapshot", "RunPair", "DeviceProfile", "WorkloadProfile", "ModelParams",
-        "InterleaveFit", "PolicyConfig"])
+        "InterleaveFit", "PolicyConfig", "TierTrace", "InterleaveRatio"])
 def test_non_finite_rejected_at_construction(build, value):
     with pytest.raises(InvariantViolation):
         build(value)
