@@ -47,6 +47,12 @@ RUN_KINDS = ("pointer_chase", "store_bound", "list_traversal", "mixed")
 _PURE_DRAM_TOL = 1e-3
 _METRIC_EPS = 1e-12
 
+# Each model metric and its coefficient, in the order _signals gives them.
+_METRICS = {"dram": "k1", "cache": "k2", "store": "k3"}
+# The steps after the pointer chases, in fit order: (run kind, the parameter
+# it fits, the metric it divides by).
+_STEPS = (("store_bound", "k3", "store"), ("list_traversal", "k2", "cache"), ("mixed", "k4", None))
+
 
 @dataclass(frozen=True)
 class CalibrationRun:
@@ -114,58 +120,39 @@ def fit_sequential(runs: Sequence[CalibrationRun]) -> ModelParams:
     threshold = SENSITIVITY_MARGIN * lam_anchor
     probe = ModelParams(k1=k1, k2=1.0, k3=1.0, k4=0.0, p=p, q=q, offcore_threshold=threshold)
 
-    def _step(kind: str, residual) -> float:
+    # Each later step averages, over its runs, the slowdown left after the
+    # terms already fitted, divided by its own metric (k4 divides by none).
+    fitted = {"k1": k1}
+    for kind, param, metric in _STEPS:
         vals = []
         for r in groups[kind]:
-            s = measure_slowdown(r.pair)
-            m_d = metric_dram(r.pair.local, probe)
-            vals.append(residual(r, s, m_d))
-        return sum(vals) / len(vals)
+            s, *values = _signals(r, probe)
+            metrics = dict(zip(_METRICS, values))
+            for name, m in metrics.items():
+                if _METRICS[name] in fitted:   # not 0.0 * m, which can turn -0.0 into 0.0
+                    s -= fitted[_METRICS[name]] * m
+            if metric:
+                if metrics[metric] < _METRIC_EPS:
+                    raise DegenerateMetric(f"{kind} run {r.pair.label!r} has zero {metric} metric")
+                s /= metrics[metric]
+            vals.append(s)
+        fitted[param] = sum(vals) / len(vals) if vals else 0.0   # mixed runs are optional
 
-    def _k3(r, s, m_d):
-        m_s = metric_store(r.pair.local)
-        if m_s < _METRIC_EPS:
-            raise DegenerateMetric(f"store_bound run {r.pair.label!r} has zero store metric")
-        return (s - k1 * m_d) / m_s
+    return ModelParams(**fitted, p=p, q=q, offcore_threshold=threshold)
 
-    k3 = _step("store_bound", _k3)
 
-    def _k2(r, s, m_d):
-        m_c = metric_cache(r.pair.local)
-        if m_c < _METRIC_EPS:
-            raise DegenerateMetric(f"list_traversal run {r.pair.label!r} has zero cache metric")
-        return (s - k1 * m_d - k3 * metric_store(r.pair.local)) / m_c
-
-    k2 = _step("list_traversal", _k2)
-
-    k4 = 0.0
-    if groups["mixed"]:
-        k4 = _step(
-            "mixed",
-            lambda r, s, m_d: s
-            - k1 * m_d
-            - k2 * metric_cache(r.pair.local)
-            - k3 * metric_store(r.pair.local),
-        )
-
-    return ModelParams(k1=k1, k2=k2, k3=k3, k4=k4, p=p, q=q, offcore_threshold=threshold)
+def _signals(r: CalibrationRun, params: ModelParams) -> tuple[float, float, float, float]:
+    """A run's measured slowdown and its three model metrics under ``params``:
+    ``(slowdown, m_dram, m_cache, m_store)``."""
+    local = r.pair.local
+    return (measure_slowdown(r.pair), metric_dram(local, params),
+            metric_cache(local), metric_store(local))
 
 
 def _design(runs: Sequence[CalibrationRun], params: ModelParams):
     ordered = sorted(runs, key=lambda r: (r.pair.label, r.kind))
-    rows = []
-    y = []
-    for r in ordered:
-        rows.append(
-            [
-                metric_dram(r.pair.local, params),
-                metric_cache(r.pair.local),
-                metric_store(r.pair.local),
-                1.0,
-            ]
-        )
-        y.append(measure_slowdown(r.pair))
-    return np.asarray(rows, dtype=float), np.asarray(y, dtype=float)
+    signals = np.asarray([_signals(r, params) for r in ordered], dtype=float).reshape(-1, 4)
+    return np.column_stack((signals[:, 1:], np.ones(len(ordered)))), signals[:, 0]
 
 
 _COLUMN_NAMES = ("m_dram", "m_cache", "m_store", "intercept")

@@ -67,9 +67,11 @@ class OutputDir:
             os.replace(f, self.root / f.name)
 
 
-def _write_manifest(out: OutputDir, args: argparse.Namespace, inputs: dict) -> None:
+def _write_manifest(out: OutputDir, args: argparse.Namespace, inputs: tuple[str, ...]) -> None:
+    """The manifest's ``inputs`` are those of the arguments named in ``inputs`` that were given."""
+    given = {name: getattr(args, name) for name in inputs if getattr(args, name) is not None}
     out.write_json("manifest.json", {"subcommand": args.command, "seed": args.seed,
-                                     "args": vars(args), "inputs": inputs,
+                                     "args": vars(args), "inputs": given,
                                      "output_dir": str(out.root)})
 
 
@@ -96,14 +98,14 @@ _COMMON = (_arg("--seed", type=non_negative_int, default=0),
 _FORMAT = _arg("--format", choices=("csv", "json"), default="csv", help="counter log format")
 
 
-def _cmd_ingest(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_ingest(args, out: OutputDir) -> str:
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
     cnt.write_counter_log(snaps, out / "snapshots.csv", "csv")
     cnt.write_derived_json(snaps, out / "derived.json")
-    return {"input": args.input}, f"ingested {len(snaps)} snapshots -> {out.root}"
+    return f"ingested {len(snaps)} snapshots -> {out.root}"
 
 
-def _cmd_breakdown(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_breakdown(args, out: OutputDir) -> str:
     pairs, _ = cnt.read_run_pairs(args.pairs)
     reports = [bd.decompose(rp) for rp in pairs]
     bd.write_report_csv(reports, out / "breakdown.csv")
@@ -114,28 +116,27 @@ def _cmd_breakdown(args, out: OutputDir) -> tuple[dict, str]:
         {"pairs": len(pairs), "p95_abs_error": cdf.quantile(0.95),
          "within_0.05": cdf.fraction_within(0.05)},
     )
-    return {"pairs": args.pairs}, f"decomposed {len(pairs)} pairs -> {out.root}"
+    return f"decomposed {len(pairs)} pairs -> {out.root}"
 
 
-def _cmd_calibrate(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_calibrate(args, out: OutputDir) -> str:
     runs = cal.read_calibration_csv(args.runs)
     params = cal.fit_sequential(runs)
     if args.least_squares:
         params = cal.fit_least_squares(runs, params)
     params.to_json(out / "params.json")
-    return {"runs": args.runs}, f"fitted params -> {out.root / 'params.json'}"
+    return f"fitted params -> {out.root / 'params.json'}"
 
 
-def _cmd_predict(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_predict(args, out: OutputDir) -> str:
     params = mdl.ModelParams.from_json(args.params)
     snaps = cnt.ingest_counter_log(args.input, format=args.format)
     preds = [mdl.predict(s, params, label=f"row-{i}") for i, s in enumerate(snaps)]
     mdl.write_predictions_csv(preds, out / "predictions.csv")
-    return ({"input": args.input, "params": args.params},
-            f"predicted {len(preds)} snapshots -> {out.root}")
+    return f"predicted {len(preds)} snapshots -> {out.root}"
 
 
-def _cmd_interleave(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_interleave(args, out: OutputDir) -> str:
     local = _load_device(args.local)
     remote = _load_device(args.remote)
     if args.action == "scan":
@@ -146,8 +147,7 @@ def _cmd_interleave(args, out: OutputDir) -> tuple[dict, str]:
         il.write_scan_csv(curve, out / "scan.csv")
         best_x, best_rt = il.best_scan_point(curve)
         out.write_json("scan_best.json", {"remote_fraction": best_x, "runtime_s": best_rt})
-        return ({"workload": args.workload, "local": args.local, "remote": args.remote},
-                f"scanned {len(curve)} ratios -> {out.root}")
+        return f"scanned {len(curve)} ratios -> {out.root}"
     if not args.input or not args.params or not args.fit:
         raise _UsageError("interleave forecast requires --input, --params and --fit")
     params = mdl.ModelParams.from_json(args.params)
@@ -158,12 +158,10 @@ def _cmd_interleave(args, out: OutputDir) -> tuple[dict, str]:
         for i, s in enumerate(snaps)
     ]
     il.write_forecast_csv(fcs, out / "forecast.csv")
-    return ({"input": args.input, "params": args.params, "fit": args.fit,
-             "local": args.local, "remote": args.remote},
-            f"forecast {len(fcs)} snapshots -> {out.root}")
+    return f"forecast {len(fcs)} snapshots -> {out.root}"
 
 
-def _cmd_tiersim(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_tiersim(args, out: OutputDir) -> str:
     local = _load_device(args.local)
     remote = _load_device(args.remote)
     trace = ts.read_trace(args.trace, args.trace_header)
@@ -176,13 +174,10 @@ def _cmd_tiersim(args, out: OutputDir) -> tuple[dict, str]:
     out.write_json("comparison.json", rows)
     for outcome in outcomes:
         ts.write_epoch_report_csv(outcome, out / f"epochs_{outcome.policy}.csv")
-    return ({"trace": args.trace, "trace_header": args.trace_header,
-             "policy_config": args.policy_config,
-             "local": args.local, "remote": args.remote},
-            f"simulated {len(cfgs)} policies -> {out.root}")
+    return f"simulated {len(cfgs)} policies -> {out.root}"
 
 
-def _cmd_latcdf(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_latcdf(args, out: OutputDir) -> str:
     dev = _load_device(args.profile)
     samples = dm.sample_latencies(dev, n=args.n, load=args.load, seed=args.seed)
     if args.dump_samples:
@@ -196,10 +191,10 @@ def _cmd_latcdf(args, out: OutputDir) -> tuple[dict, str]:
         {"device": dev.name, "n": args.n, "load": args.load,
          "p50": pcts[0.5], "p99.9": pcts[0.999], "p99.9_minus_p50": spread},
     )
-    return {"profile": args.profile}, f"{dev.name}: p99.9 - p50 = {spread:.1f} ns -> {out.root}"
+    return f"{dev.name}: p99.9 - p50 = {spread:.1f} ns -> {out.root}"
 
 
-def _cmd_demo(args, out: OutputDir) -> tuple[dict, str]:
+def _cmd_demo(args, out: OutputDir) -> str:
     """Calibrate, predict, forecast, and simulate on the shipped fixtures."""
     seed = args.seed
     local = dm.PRESETS["local-emr"]
@@ -292,23 +287,25 @@ def _cmd_demo(args, out: OutputDir) -> tuple[dict, str]:
 
     summary = "\n".join(lines)
     (out / "summary.txt").write_text(summary + "\n")
-    return {"fixtures": "builtin"}, summary
+    return summary
 
 
-# name: (help, handler, arguments after --seed and --out).  Each handler
-# writes its outputs under ``out`` and returns (the manifest's inputs, the
-# line(s) to print); run() writes the manifest and publishes.
+# name: (help, handler, arguments after --seed and --out, the dests of those
+# that name an input file or device preset).  Each handler writes its outputs
+# under ``out`` and returns the line(s) to print; run() writes the manifest,
+# whose inputs are the named arguments that were given, and publishes.
 COMMANDS = {
     "ingest": ("parse and validate a counter log", _cmd_ingest,
-               (_FORMAT, _arg("--input", required=True))),
+               (_FORMAT, _arg("--input", required=True)), ("input",)),
     "breakdown": ("decompose slowdowns for a pairs CSV", _cmd_breakdown,
-                  (_arg("--pairs", required=True),)),
+                  (_arg("--pairs", required=True),), ("pairs",)),
     "calibrate": ("fit model parameters from a runs CSV", _cmd_calibrate,
                   (_arg("--runs", required=True),
                    _arg("--least-squares", action="store_true",
-                        help="refine k1..k4 with a least-squares pass"))),
+                        help="refine k1..k4 with a least-squares pass")), ("runs",)),
     "predict": ("predict slowdowns for a counter log", _cmd_predict,
-                (_FORMAT, _arg("--input", required=True), _arg("--params", required=True))),
+                (_FORMAT, _arg("--input", required=True), _arg("--params", required=True)),
+                ("input", "params")),
     "interleave": ("ratio scanning and best-shot forecasts", _cmd_interleave,
                    (_FORMAT, _arg("action", choices=("scan", "forecast")),
                     _arg("--local", default="local-emr", help="device preset name or profile JSON"),
@@ -317,20 +314,22 @@ COMMANDS = {
                     _arg("--input", help="counter log of a local run (forecast)"),
                     _arg("--params", help="ModelParams JSON (forecast)"),
                     _arg("--fit", help="InterleaveFit JSON (forecast)"),
-                    _arg("--grid", type=int, default=101))),
+                    _arg("--grid", type=int, default=101)),
+                   ("local", "remote", "workload", "input", "params", "fit")),
     "tiersim": ("simulate tiering policies over a trace", _cmd_tiersim,
                 (_arg("--trace", required=True, help="trace CSV"),
                  _arg("--trace-header", required=True, help="trace header JSON"),
                  _arg("--policy-config", required=True, help="PolicyConfig JSON (or list)"),
                  _arg("--local", default="local-emr"),
-                 _arg("--remote", default="cxl-b"))),
+                 _arg("--remote", default="cxl-b")),
+                ("trace", "trace_header", "policy_config", "local", "remote")),
     "latcdf": ("sample device latencies and report percentiles", _cmd_latcdf,
                (_arg("--profile", required=True, help="device preset name or profile JSON"),
                 _arg("--n", type=int, default=1_000_000),
                 _arg("--load", type=float, default=0.0),
                 _arg("--dump-samples", action="store_true",
-                     help="also write the raw samples as a single-column CSV"))),
-    "demo": ("end-to-end fixture pipeline", _cmd_demo, ()),
+                     help="also write the raw samples as a single-column CSV")), ("profile",)),
+    "demo": ("end-to-end fixture pipeline", _cmd_demo, (), ()),
 }
 
 
@@ -341,7 +340,7 @@ def build_parser(command: str | None = None) -> _Parser:
         parser = _Parser(prog="suplab", description=__doc__)
         sub = parser.add_subparsers(dest="command", required=True)
         parsers = {name: sub.add_parser(name, help=help_)
-                   for name, (help_, _, _) in COMMANDS.items()}
+                   for name, (help_, *_) in COMMANDS.items()}
     else:
         parser = _Parser(prog=f"suplab {command}")
         parser.set_defaults(command=command)
@@ -360,7 +359,8 @@ def run(argv: list[str] | None = None) -> int:
         args = build_parser(command).parse_args(argv[1:] if command else argv)
         out = OutputDir(args.out)
         try:
-            inputs, message = COMMANDS[args.command][1](args, out)
+            _, handler, _, inputs = COMMANDS[args.command]
+            message = handler(args, out)
             _write_manifest(out, args, inputs)
             out.publish()
         finally:

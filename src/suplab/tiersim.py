@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
+from .devmodel import CLOCK_GHZ, DeviceProfile, latency_cycles
 from .errors import (EmptyTrace, InvariantViolation, MalformedTrace, ZeroDenominator,
                      Checked, JsonConfig, dump_json, write_table)
 
@@ -31,9 +31,10 @@ POLICIES = ("first_touch", "tpp", "alto")
 
 _GATE_CHUNK = 10  # candidate pages per admission window
 # Cap on a trace header's epochs, checked before anything is allocated.  An
-# epoch costs ~1.4 KB and ~60 us even when empty: a one-row trace whose header
-# says 200,000 epochs peaked at 310 MB RSS and took 12 s through
-# `suplab tiersim` with one policy (2-CPU Xeon host, numpy 2.4).
+# empty epoch costs `simulate` nothing, but `read_trace` and `TierTrace` still
+# build a view and an object for it: a one-row trace whose header says 200,000
+# epochs peaked at 140 MB RSS and took 1.8-2.4 s through `suplab tiersim` with
+# three policies (2-CPU Xeon host, numpy 2.4).
 MAX_EPOCHS = 200_000
 
 
@@ -80,25 +81,28 @@ class TierTrace(Checked):
             object.__setattr__(self, name, arr)
 
     @cached_property
-    def _grouping(self) -> tuple[np.ndarray, int, list[tuple[np.ndarray, ...]]]:
+    def _grouping(self) -> tuple[np.ndarray, int, list[tuple]]:
         """The policy-free work of every simulation, done on the first: page ids,
         renumbered densely if sparse (far more id values than misses) and in id
         order, so every tie-break and output stays the same; their count; and per
-        epoch the misses' stable order by page, the page runs' starts, the pages
-        and their hits."""
+        epoch with misses, its index and bounds, the misses' stable order by page,
+        the page runs' starts, the pages and their hits.  An epoch with no misses
+        changes no page state, so it costs nothing here or in ``simulate``."""
         page_ids = self.page_ids
         n_pages = int(page_ids.max()) + 1   # not page_count: a header may overstate it
         if n_pages > 8 * len(page_ids) + 2**20:
             ids, page_ids = np.unique(page_ids, return_inverse=True)
             n_pages = len(ids)
-        epochs = []
+        busy = []
         offsets = self.epoch_offsets.tolist()
-        for lo, hi in zip(offsets, offsets[1:]):
+        for i in np.flatnonzero(np.diff(self.epoch_offsets)).tolist():
+            lo, hi = offsets[i], offsets[i + 1]
             order = np.argsort(page_ids[lo:hi], kind="stable")
             sorted_pages = page_ids[lo:hi][order]
             starts = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
-            epochs.append((order, starts, sorted_pages[starts], np.diff(starts, append=hi - lo)))
-        return page_ids, n_pages, epochs
+            busy.append((i, lo, hi, order, starts, sorted_pages[starts],
+                         np.diff(starts, append=hi - lo)))
+        return page_ids, n_pages, busy
 
 
 @dataclass(frozen=True)
@@ -195,24 +199,30 @@ def simulate(
     within an epoch; migrations apply at epoch end.  The outcome also
     carries the runtime the trace would take with every page in the fast
     tier, summed miss by miss in trace order.  Per-page state lives in
-    arrays indexed by page id; each epoch is array operations over its misses,
-    grouped by page once per trace (``TierTrace._grouping``).
+    arrays indexed by page id; each epoch with misses is array operations over
+    them, grouped by page once per trace (``TierTrace._grouping``).
     """
-    fast_lat = mean_latency_ns(local) * CLOCK_GHZ
-    slow_lat = mean_latency_ns(remote) * CLOCK_GHZ
+    fast_lat = latency_cycles(local)
+    slow_lat = latency_cycles(remote)
 
-    page_ids, n_pages, grouping = trace._grouping
+    page_ids, n_pages, busy = trace._grouping
     fast = np.zeros(n_pages, dtype=bool)               # page is in the fast tier
     last_use = np.full(n_pages, -1, np.int64)          # index of its latest miss, -1 if none
     access_count = np.zeros(n_pages, np.int64)         # slow hits since last migration
     fast_pages = 0
 
-    outcome = PolicyOutcome(policy=cfg.policy, simulated_runtime=0.0, allfast_runtime=0.0,
-                            promotions=0, demotions=0)
+    # Every series starts at an idle epoch's values: no misses, no promotions,
+    # latency 0.0; busy epochs overwrite theirs.
+    n_epochs = len(trace.epoch_offsets) - 1
+    idle_gate = alto_gate(0.0, cfg) if cfg.policy == "alto" else float(cfg.policy == "tpp")
+    outcome = PolicyOutcome(
+        policy=cfg.policy, simulated_runtime=0.0, allfast_runtime=0.0, promotions=0, demotions=0,
+        promo_rate_series=[0] * n_epochs, amortized_latency_series=[0.0] * n_epochs,
+        slow_tier_access_fraction_series=[0.0] * n_epochs, gate_series=[idle_gate] * n_epochs,
+        est_slowdown_series=[0.0] * n_epochs)
     stall_cycles_total = allfast_cycles_total = 0.0
 
-    offsets = trace.epoch_offsets.tolist()
-    for lo, hi, (order, starts, uniq, hits) in zip(offsets, offsets[1:], grouping):
+    for i, lo, hi, order, starts, uniq, hits in busy:
         pages, groups, n_misses = page_ids[lo:hi], trace.group_sizes[lo:hi], hi - lo
         new = last_use[uniq] < 0
         if new.any():
@@ -225,11 +235,11 @@ def simulate(
         is_fast = fast[pages]
         lat = np.stack((np.where(is_fast, fast_lat, slow_lat), np.full(n_misses, fast_lat)))
         sums = np.cumsum(lat / groups, axis=1)   # in miss order, so bit-identical to a loop
-        stall, stall_allfast = sums[:, -1].tolist() if n_misses else (0.0, 0.0)
+        stall, stall_allfast = sums[:, -1].tolist()
         slow_hits = n_misses - int(np.count_nonzero(is_fast))
-        amortized = stall / n_misses if n_misses else 0.0
+        amortized = stall / n_misses
 
-        gate = alto_gate(amortized, cfg) if cfg.policy == "alto" else float(cfg.policy == "tpp")
+        gate = alto_gate(amortized, cfg) if cfg.policy == "alto" else idle_gate
 
         promoted = 0
         if cfg.policy != "first_touch":
@@ -255,11 +265,11 @@ def simulate(
 
         stall_cycles_total += stall
         allfast_cycles_total += stall_allfast
-        outcome.promo_rate_series.append(promoted)
-        outcome.amortized_latency_series.append(amortized)
-        outcome.slow_tier_access_fraction_series.append(slow_hits / n_misses if n_misses else 0.0)
-        outcome.gate_series.append(gate)
-        outcome.est_slowdown_series.append((stall - stall_allfast) / trace.epoch_instructions)
+        outcome.promo_rate_series[i] = promoted
+        outcome.amortized_latency_series[i] = amortized
+        outcome.slow_tier_access_fraction_series[i] = slow_hits / n_misses
+        outcome.gate_series[i] = gate
+        outcome.est_slowdown_series[i] = (stall - stall_allfast) / trace.epoch_instructions
 
     outcome.simulated_runtime = (
         stall_cycles_total / (CLOCK_GHZ * 1e9)

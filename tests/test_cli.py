@@ -81,8 +81,9 @@ class TestManifest:
         assert list(manifest["args"]) == sorted(manifest["args"])
 
     def test_inputs_name_every_file_flag(self, tmp_path, counters_csv):
-        # every file a command reads is in the manifest's inputs, keyed by its flag
-        files = {name: tmp_path / name for name in (
+        # inputs holds every file or preset a command was given, keyed by its
+        # argument's dest, defaults included, and nothing else
+        files = {name: str(tmp_path / name) for name in (
             "l.json", "r.json", "params.json", "fit.json", "runs.csv", "pairs.csv", "w.json",
             "log.csv", "t.csv", "t.json", "cfg.json")}
         local, remote = dm.PRESETS["local-emr"], dm.PRESETS["cxl-b"]
@@ -98,27 +99,57 @@ class TestManifest:
         w.to_json(files["w.json"])
         cnt.write_counter_log([dm.local_snapshot(w, local)], files["log.csv"])
         ts.write_trace(small_trace(), files["t.csv"], files["t.json"])
-        files["cfg.json"].write_text(json.dumps({"policy": "tpp", "fast_capacity": 2}))
-        devices = ["--local", files["l.json"], "--remote", files["r.json"]]
+        Path(files["cfg.json"]).write_text(json.dumps({"policy": "tpp", "fast_capacity": 2}))
+        devices = {"local": files["l.json"], "remote": files["r.json"]}
+        device_flags = ["--local", files["l.json"], "--remote", files["r.json"]]
+        log = str(counters_csv)
         commands = [
-            ["ingest", "--input", counters_csv],
-            ["breakdown", "--pairs", files["pairs.csv"]],
-            ["calibrate", "--runs", files["runs.csv"]],
-            ["predict", "--input", counters_csv, "--params", files["params.json"]],
-            ["interleave", "scan", "--workload", files["w.json"], "--grid", "3", *devices],
-            ["interleave", "forecast", "--input", files["log.csv"], "--params", files["params.json"],
-             "--fit", files["fit.json"], *devices],
-            ["tiersim", "--trace", files["t.csv"], "--trace-header", files["t.json"],
-             "--policy-config", files["cfg.json"], *devices],
-            ["latcdf", "--profile", files["l.json"], "--n", "10"],
+            (["ingest", "--input", log], {"input": log}),
+            (["breakdown", "--pairs", files["pairs.csv"]], {"pairs": files["pairs.csv"]}),
+            (["calibrate", "--runs", files["runs.csv"]], {"runs": files["runs.csv"]}),
+            (["predict", "--input", log, "--params", files["params.json"]],
+             {"input": log, "params": files["params.json"]}),
+            (["interleave", "scan", "--workload", files["w.json"], "--grid", "3", *device_flags],
+             {"workload": files["w.json"], **devices}),
+            (["interleave", "scan", "--workload", files["w.json"], "--grid", "3",
+              "--remote", "cxl-b"],
+             {"workload": files["w.json"], "local": "local-emr", "remote": "cxl-b"}),
+            (["interleave", "forecast", "--input", files["log.csv"], "--params",
+              files["params.json"], "--fit", files["fit.json"], *device_flags],
+             {"input": files["log.csv"], "params": files["params.json"], "fit": files["fit.json"],
+              **devices}),
+            (["tiersim", "--trace", files["t.csv"], "--trace-header", files["t.json"],
+              "--policy-config", files["cfg.json"], *device_flags],
+             {"trace": files["t.csv"], "trace_header": files["t.json"],
+              "policy_config": files["cfg.json"], **devices}),
+            (["tiersim", "--trace", files["t.csv"], "--trace-header", files["t.json"],
+              "--policy-config", files["cfg.json"]],
+             {"trace": files["t.csv"], "trace_header": files["t.json"],
+              "policy_config": files["cfg.json"], "local": "local-emr", "remote": "cxl-b"}),
+            (["latcdf", "--profile", files["l.json"], "--n", "10"], {"profile": files["l.json"]}),
+            (["latcdf", "--profile", "cxl-d", "--n", "10"], {"profile": "cxl-d"}),
+            (["demo"], {}),
         ]
-        for i, argv in enumerate(commands):
-            argv = [*map(str, argv), "--out", str(tmp_path / f"o{i}")]
-            assert cli.run(argv) == 0, argv
-            read = {flag[2:].replace("-", "_"): value for flag, value in zip(argv, argv[1:])
-                    if flag.startswith("--") and Path(value).is_file()}
+        for i, (argv, want) in enumerate(commands):
+            assert cli.run([*argv, "--out", str(tmp_path / f"o{i}")]) == 0, argv
             inputs = json.loads((tmp_path / f"o{i}" / "manifest.json").read_text())["inputs"]
-            assert read.items() <= inputs.items(), argv
+            assert inputs == want, argv
+
+    @staticmethod
+    def undeclared_inputs(command: str) -> set[str]:
+        """The names in ``command``'s inputs column that are no dest of its arguments."""
+        dests = {action.dest for action in cli.build_parser(command)._actions}
+        return set(cli.COMMANDS[command][3]) - dests
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_declared_inputs_are_arguments(self, command):
+        assert not self.undeclared_inputs(command)
+
+    def test_misspelled_input_is_caught(self, monkeypatch):
+        help_, handler, arguments, inputs = cli.COMMANDS["tiersim"]
+        monkeypatch.setitem(cli.COMMANDS, "tiersim",
+                            (help_, handler, arguments, (*inputs, "trace-header")))
+        assert self.undeclared_inputs("tiersim") == {"trace-header"}
 
 
 # Each command's required arguments, in groups; the files need not exist.

@@ -4,6 +4,8 @@ on generated small traces and on the full fixture traces."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,27 @@ def spread(trace: ts.TierTrace, stride: int) -> ts.TierTrace:
 @settings(max_examples=400, deadline=None)
 @given(traces_and_configs())
 def test_generated_traces_match_oracle(case):
+    assert_matches_oracle(*case)
+
+
+@st.composite
+def gapped_traces_and_configs(draw):
+    """A generated trace with runs of empty epochs around its epochs, and a
+    config that is tpp, or alto with a gate that may be open at latency 0.0."""
+    trace, cfg = draw(traces_and_configs())
+    gap = st.integers(0, 5).map(lambda n: [ts.TraceEpoch(demand_misses=[])] * n)
+    epochs = [epoch for e in trace.epochs for epoch in (*draw(gap), e)] + draw(gap)
+    trace = ts.TierTrace(epochs=epochs, page_count=trace.page_count, wss_pages=trace.wss_pages)
+    cfg = dataclasses.replace(cfg, policy=draw(st.sampled_from(("tpp", "alto"))))
+    if cfg.policy == "alto" and draw(st.booleans()):   # the gate of an idle epoch is above 0
+        cfg = dataclasses.replace(cfg, alto_lower=draw(st.floats(-200.0, -1.0)),
+                                  alto_upper=draw(st.floats(1.0, 600.0)))
+    return trace, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(gapped_traces_and_configs())
+def test_empty_epoch_runs_match_oracle(case):
     assert_matches_oracle(*case)
 
 
