@@ -5,83 +5,9 @@ slowdown prediction with an overlap (MLP) correction, microbenchmark-style
 calibration, best-shot weighted-interleaving prediction, a promotion-rate
 throttle for page tiering, and the synthetic device/workload model that
 makes all of it testable without hardware.
+
+The modules are the API: import what you need from ``suplab.counters``,
+``suplab.tiersim`` and the rest; the package root re-exports nothing.
 """
 
-from .counters import (
-    CounterSnapshot,
-    RunPair,
-    amortized_offcore_latency,
-    ingest_counter_log,
-    stall_fractions,
-)
-from .breakdown import SlowdownReport, decompose, estimate_accuracy, measure_slowdown
-from .model import (
-    ModelParams,
-    Prediction,
-    classify_sensitivity,
-    evaluate_accuracy,
-    metric_cache,
-    metric_dram,
-    metric_store,
-    predict,
-)
-from .calibrate import CalibrationRun, fit_least_squares, fit_sequential
-from .devmodel import (
-    PRESETS,
-    DeviceProfile,
-    WorkloadProfile,
-    latency_percentiles,
-    sample_latencies,
-    synthesize_runpair,
-)
-from .interleave import (
-    InterleaveFit,
-    InterleaveForecast,
-    InterleaveRatio,
-    forecast,
-    scan_ratios,
-    slowdown_at,
-)
-from .tiersim import PolicyConfig, PolicyOutcome, TierTrace, compare_policies, simulate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CounterSnapshot",
-    "RunPair",
-    "amortized_offcore_latency",
-    "ingest_counter_log",
-    "stall_fractions",
-    "SlowdownReport",
-    "decompose",
-    "estimate_accuracy",
-    "measure_slowdown",
-    "ModelParams",
-    "Prediction",
-    "classify_sensitivity",
-    "evaluate_accuracy",
-    "metric_cache",
-    "metric_dram",
-    "metric_store",
-    "predict",
-    "CalibrationRun",
-    "fit_least_squares",
-    "fit_sequential",
-    "PRESETS",
-    "DeviceProfile",
-    "WorkloadProfile",
-    "latency_percentiles",
-    "sample_latencies",
-    "synthesize_runpair",
-    "InterleaveFit",
-    "InterleaveForecast",
-    "InterleaveRatio",
-    "forecast",
-    "scan_ratios",
-    "slowdown_at",
-    "PolicyConfig",
-    "PolicyOutcome",
-    "TierTrace",
-    "compare_policies",
-    "simulate",
-]

@@ -87,9 +87,6 @@ class AccuracyCdf:
     def fraction_within(self, tol: float) -> float:
         return sum(1 for d in self.diffs if d <= tol) / len(self.diffs)
 
-    def __len__(self) -> int:
-        return len(self.diffs)
-
 
 def estimate_accuracy(reports: Sequence[SlowdownReport], which: str = "stall") -> AccuracyCdf:
     """CDF of |stall-based estimate - measured slowdown| over decomposed pairs."""

@@ -54,9 +54,6 @@ class OutputDir:
     def __truediv__(self, name: str) -> Path:
         return self.staging / name
 
-    def write_json(self, name: str, payload) -> None:
-        dump_json(self / name, payload)
-
     def publish(self) -> None:
         """Move each staged file into ``root``, replacing same-named files.
 
@@ -70,9 +67,9 @@ class OutputDir:
 def _write_manifest(out: OutputDir, args: argparse.Namespace, inputs: tuple[str, ...]) -> None:
     """The manifest's ``inputs`` are those of the arguments named in ``inputs`` that were given."""
     given = {name: getattr(args, name) for name in inputs if getattr(args, name) is not None}
-    out.write_json("manifest.json", {"subcommand": args.command, "seed": args.seed,
-                                     "args": vars(args), "inputs": given,
-                                     "output_dir": str(out.root)})
+    dump_json(out / "manifest.json", {"subcommand": args.command, "seed": args.seed,
+                                      "args": vars(args), "inputs": given,
+                                      "output_dir": str(out.root)})
 
 
 def _load_device(path_or_preset: str) -> dm.DeviceProfile:
@@ -111,11 +108,8 @@ def _cmd_breakdown(args, out: OutputDir) -> str:
     bd.write_report_csv(reports, out / "breakdown.csv")
     bd.write_report_long_csv(reports, out / "breakdown_long.csv")
     cdf = bd.estimate_accuracy(reports, which="backend")
-    out.write_json(
-        "accuracy.json",
-        {"pairs": len(pairs), "p95_abs_error": cdf.quantile(0.95),
-         "within_0.05": cdf.fraction_within(0.05)},
-    )
+    dump_json(out / "accuracy.json", {"pairs": len(pairs), "p95_abs_error": cdf.quantile(0.95),
+                                      "within_0.05": cdf.fraction_within(0.05)})
     return f"decomposed {len(pairs)} pairs -> {out.root}"
 
 
@@ -146,7 +140,7 @@ def _cmd_interleave(args, out: OutputDir) -> str:
         curve = il.scan_ratios(w, local, remote, grid=args.grid, seed=args.seed)
         il.write_scan_csv(curve, out / "scan.csv")
         best_x, best_rt = il.best_scan_point(curve)
-        out.write_json("scan_best.json", {"remote_fraction": best_x, "runtime_s": best_rt})
+        dump_json(out / "scan_best.json", {"remote_fraction": best_x, "runtime_s": best_rt})
         return f"scanned {len(curve)} ratios -> {out.root}"
     if not args.input or not args.params or not args.fit:
         raise _UsageError("interleave forecast requires --input, --params and --fit")
@@ -171,7 +165,7 @@ def _cmd_tiersim(args, out: OutputDir) -> str:
     if repeated:
         raise MalformedConfig(f"{args.policy_config}: policy {repeated!r} appears twice")
     rows, outcomes = ts.compare_policies(trace, cfgs, local, remote)
-    out.write_json("comparison.json", rows)
+    dump_json(out / "comparison.json", rows)
     for outcome in outcomes:
         ts.write_epoch_report_csv(outcome, out / f"epochs_{outcome.policy}.csv")
     return f"simulated {len(cfgs)} policies -> {out.root}"
@@ -186,11 +180,9 @@ def _cmd_latcdf(args, out: OutputDir) -> str:
     pcts = dm.latency_percentiles(samples, qs)
     write_table(out / "percentiles.csv", ["q", "ns"], [qs, [pcts[q] for q in qs]], "\n")
     spread = pcts[0.999] - pcts[0.5]
-    out.write_json(
-        "summary.json",
-        {"device": dev.name, "n": args.n, "load": args.load,
-         "p50": pcts[0.5], "p99.9": pcts[0.999], "p99.9_minus_p50": spread},
-    )
+    dump_json(out / "summary.json", {"device": dev.name, "n": args.n, "load": args.load,
+                                     "p50": pcts[0.5], "p99.9": pcts[0.999],
+                                     "p99.9_minus_p50": spread})
     return f"{dev.name}: p99.9 - p50 = {spread:.1f} ns -> {out.root}"
 
 
@@ -260,7 +252,7 @@ def _cmd_demo(args, out: OutputDir) -> str:
         ("no_overlap", ts.make_no_overlap_trace(seed)),
     ):
         rows, outcomes = ts.compare_policies(trace, cfgs, local, remote)
-        out.write_json(f"tiersim_{name}.json", rows)
+        dump_json(out / f"tiersim_{name}.json", rows)
         by = {r["policy"]: r for r in rows}
         lines.append(
             f"tiersim {name}: normalized runtime first_touch {by['first_touch']['normalized_runtime']:.2f} "
@@ -279,7 +271,7 @@ def _cmd_demo(args, out: OutputDir) -> str:
             {"device": preset, "p50": pcts[0.5], "p99.9": pcts[0.999],
              "spread": pcts[0.999] - pcts[0.5]}
         )
-    out.write_json("latency_spreads.json", cdf_rows)
+    dump_json(out / "latency_spreads.json", cdf_rows)
     lines.append(
         "latency spreads (p99.9-p50 ns): "
         + ", ".join(f"{r['device']}={r['spread']:.0f}" for r in cdf_rows)

@@ -173,6 +173,7 @@ def _header(names: Iterable, required: Iterable[str]) -> list[str]:
 # objects built, row by row, and the defect last.  That loop fixes every
 # error's class, row, column and precedence.
 
+@np.errstate(over="ignore")   # a bound times _SLACK may overflow to inf, as in Python
 def _valid_rows(table: np.ndarray, limit: float = FLOAT_MAX) -> bool:
     """Whether every row of ``table``, counter vectors in COUNTER_FIELDS order,
     lies in [0, ``limit``] and passes CounterSnapshot's invariants.  Counts up

@@ -101,10 +101,6 @@ class MissingFit(SupLabError):
     pass
 
 
-class CapacityUnderflow(SupLabError):
-    pass
-
-
 class EmptyTrace(SupLabError):
     pass
 

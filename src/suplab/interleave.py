@@ -11,7 +11,6 @@ slowdown model ``slowdown_at`` instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -46,17 +45,6 @@ class InterleaveRatio(Checked):
 
     _BOUNDS = {"remote_fraction": ((">=", 0), ("<=", 1))}
 
-    @classmethod
-    def from_counts(cls, local_pages: int, remote_pages: int) -> "InterleaveRatio":
-        if local_pages < 0 or remote_pages < 0 or local_pages + remote_pages == 0:
-            raise InvariantViolation("M, N must be >= 0 and not both zero")
-        return cls(remote_pages / (local_pages + remote_pages))
-
-    def as_counts(self, max_denominator: int = 100) -> tuple[int, int]:
-        """Reduce to an (M, N) page pair on the policy surface."""
-        frac = Fraction(self.remote_fraction).limit_denominator(max_denominator)
-        return frac.denominator - frac.numerator, frac.numerator
-
 
 @dataclass(frozen=True)
 class InterleaveFit(JsonConfig):
@@ -84,15 +72,14 @@ class InterleaveForecast:
             raise InvariantViolation("beneficial forecasts must predict positive speedup")
 
 
-def slowdown_at(x: InterleaveRatio | float, components: SlowdownReport) -> float:
+def slowdown_at(x: float, components: SlowdownReport) -> float:
     """Linear latency-bound model: slowdown at remote fraction x.
 
     Scales the full-remote per-source slowdown sum (DRAM + cache + store,
     residual excluded) by the fraction of pages placed remote.
     """
-    frac = x.remote_fraction if isinstance(x, InterleaveRatio) else float(x)
     total = sum(components.components.values())
-    return frac * total
+    return x * total
 
 
 def r_components(

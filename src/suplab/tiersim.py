@@ -186,6 +186,7 @@ def _lru_victims(fast: np.ndarray, last_use: np.ndarray, admitted: np.ndarray, f
     return np.array(victims, dtype=np.int64)
 
 
+@np.errstate(over="ignore")   # an overflowing runtime is reported by the output writers
 def simulate(
     trace: TierTrace,
     cfg: PolicyConfig,

@@ -7,6 +7,7 @@ import io
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,40 @@ class TestBadInputs:
                       "--policy-config", str(tmp_path / "cfg.json"), "--out", str(out)])
         err = _assert_data_error(rc, capsys, out)
         assert err.endswith("comparison.json: [0].normalized_runtime is inf")
+
+    @pytest.mark.parametrize("field,value", [("tail_scale_ns", 1e308), ("base_latency_ns", 1e307)])
+    def test_overflowing_runtime_warns_nothing(self, tmp_path, capsys, field, value):
+        # finite latencies whose per-epoch stall sums overflow: the one stderr line
+        # is the data error, with no numpy RuntimeWarning before it
+        ts.write_trace(ts.make_no_overlap_trace(seed=0), tmp_path / "t.csv", tmp_path / "t.json")
+        remote = tmp_path / "remote.json"
+        remote.write_text(json.dumps({**dataclasses.asdict(dm.PRESETS["cxl-b"]), field: value}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"policy": "tpp", "fast_capacity": 1}))
+        out = tmp_path / "sim"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.run(["tiersim", "--trace", str(tmp_path / "t.csv"),
+                          "--trace-header", str(tmp_path / "t.json"), "--remote", str(remote),
+                          "--policy-config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        err = _assert_data_error(rc, capsys, out)
+        assert err.endswith("comparison.json: [0].normalized_runtime is inf")
+
+    def test_breakdown_largest_cycle_count_warns_nothing(self, tmp_path, capsys):
+        # the largest float is a valid count; checking it against the ordering
+        # invariants' slack must not warn
+        pairs_csv = tmp_path / "pairs.csv"
+        cnt.write_run_pairs(dm.make_consistency_fixture(3, seed=3), pairs_csv)
+        header, *rows = pairs_csv.read_text().splitlines()
+        column = header.split(",").index("local_total_cycles")
+        cells = rows[1].split(",")
+        cells[column] = "1.7976931348623157e308"
+        rows[1] = ",".join(cells)
+        pairs_csv.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "bd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.run(["breakdown", "--pairs", str(pairs_csv), "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
 
     # trace CSV body: the data row (counted from 1) its error names, if any
     MALFORMED_TRACE_CSV = {

@@ -5,18 +5,25 @@ field has its type and meets the bounds the README documents."""
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import operator
+import pkgutil
 import sys
 
 from hypothesis import given, settings, strategies as st
 
+import suplab
 from suplab import counters as cnt
 from suplab import devmodel as dm
 from suplab import interleave as il
 from suplab import model as mdl
 from suplab import tiersim as ts
 from suplab.errors import Checked, SupLabError
+
+# Import every module, so checked_classes also finds a class that no test imports.
+for module in pkgutil.iter_modules(suplab.__path__):
+    importlib.import_module(f"suplab.{module.name}")
 
 # The documented bounds, written out here rather than read from the classes.
 BOUNDS = {

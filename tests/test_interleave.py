@@ -19,20 +19,9 @@ def skx_fit():
 
 
 class TestInterleaveRatio:
-    def test_from_counts(self):
-        assert il.InterleaveRatio.from_counts(5, 3).remote_fraction == pytest.approx(3 / 8)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(InvariantViolation):
-            il.InterleaveRatio.from_counts(0, 0)
-
     def test_out_of_range_rejected(self):
         with pytest.raises(InvariantViolation):
             il.InterleaveRatio(1.5)
-
-    def test_as_counts_reduces(self):
-        m, n = il.InterleaveRatio(0.375).as_counts()
-        assert (m, n) == (5, 3)
 
 
 class TestForecastInvariant:
@@ -64,7 +53,7 @@ class TestSlowdownAt:
 
     def test_halfway(self):
         rep = self._components(0.30)
-        assert il.slowdown_at(il.InterleaveRatio(0.5), rep) == pytest.approx(0.15)
+        assert il.slowdown_at(0.5, rep) == pytest.approx(0.15)
 
     def test_linearity(self):
         rep = self._components(0.8)

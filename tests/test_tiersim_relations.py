@@ -1,0 +1,105 @@
+"""Relations the tiering simulator must satisfy, checked without the oracle.
+
+The regulated policy gives exact relations: a promotion gate that is always
+fully open is TPP, and one that never opens is first-touch placement.  Every
+tie-break is by miss index, never by page id, so relabelling the pages changes
+no outcome; and with a fast tier big enough for every page, first-touch runs
+all-fast.  These hold bit for bit, so they check the kernel on generated
+traces far larger than the reference loop in ``tiersim_oracle`` can run, and
+on the fixture traces.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from suplab import devmodel as dm
+from suplab import tiersim as ts
+
+LOCAL = dm.PRESETS["local-emr"]
+REMOTE = dm.PRESETS["cxl-b"]
+
+GATE_OPEN = {"alto_lower": -2.0, "alto_upper": -1.0}     # no latency is below -1
+GATE_SHUT = {"alto_lower": 1e300, "alto_upper": 2e300}   # no finite latency reaches 1e300
+
+
+def flat_trace(pages: np.ndarray, groups: np.ndarray, offsets: np.ndarray,
+               page_count: int) -> ts.TierTrace:
+    """A trace whose epoch i holds the misses ``offsets[i]:offsets[i + 1]``."""
+    misses = np.column_stack((pages, groups))
+    return ts.TierTrace(epochs=[ts.TraceEpoch(misses[lo:hi]) for lo, hi in
+                                zip(offsets[:-1], offsets[1:])],
+                        page_count=page_count, wss_pages=page_count)
+
+
+def relabelled(trace: ts.TierTrace, permutation: np.ndarray) -> ts.TierTrace:
+    """The same trace with page p renamed ``permutation[p]``."""
+    return flat_trace(permutation[trace.page_ids], trace.group_sizes, trace.epoch_offsets,
+                      trace.page_count)
+
+
+def all_but_policy(outcome: ts.PolicyOutcome) -> dict:
+    fields = dataclasses.asdict(outcome)
+    del fields["policy"]
+    return fields
+
+
+def check_relations(trace: ts.TierTrace, seed: int, **cfg) -> None:
+    """The four relations on one trace, under the policy config fields ``cfg``."""
+    def run(tr: ts.TierTrace, policy: str, **changes) -> ts.PolicyOutcome:
+        return ts.simulate(tr, ts.PolicyConfig(policy=policy, **{**cfg, **changes}), LOCAL, REMOTE)
+
+    outcomes = {policy: run(trace, policy) for policy in ts.POLICIES}
+    assert all_but_policy(run(trace, "alto", **GATE_OPEN)) == all_but_policy(outcomes["tpp"])
+    assert all_but_policy(run(trace, "alto", **GATE_SHUT)) == \
+        all_but_policy(outcomes["first_touch"])
+
+    other = relabelled(trace, np.random.default_rng(seed).permutation(trace.page_count))
+    for policy in ts.POLICIES:
+        assert run(other, policy) == outcomes[policy], policy
+
+    for capacity in (trace.page_count, 2 * trace.page_count):
+        big = run(trace, "first_touch", fast_capacity=capacity)
+        assert big.simulated_runtime == big.allfast_runtime
+
+
+@st.composite
+def traces(draw) -> tuple[ts.TierTrace, int]:
+    """A trace of up to 50,000 misses over up to 1,000 epochs, some of them
+    idle, and a seed.  Pages are drawn with a skew toward low ids, so some are
+    hot enough to cross a promotion threshold."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_misses = draw(st.integers(1, 50_000))
+    n_epochs = draw(st.integers(1, 1_000))
+    page_count = draw(st.integers(1, 5_000))
+    touched = draw(st.sampled_from([page_count, max(1, page_count // 8)]))
+    skew = draw(st.sampled_from([1.0, 4.0]))
+    max_group = draw(st.sampled_from([1, 4, 32]))
+    rng = np.random.default_rng(seed)
+    epoch_of_miss = np.sort(rng.integers(0, n_epochs, n_misses))
+    offsets = np.searchsorted(epoch_of_miss, np.arange(n_epochs + 1))
+    pages = (touched * rng.random(n_misses) ** skew).astype(np.int64)
+    groups = rng.integers(1, max_group + 1, n_misses)
+    return flat_trace(pages, groups, offsets, page_count), seed
+
+
+@settings(max_examples=12, deadline=None)
+@given(traces(), st.integers(1, 3), st.sampled_from([1, 50, 2000]), st.data())
+def test_relations_on_generated_traces(case, threshold, rate, data):
+    trace, seed = case
+    capacity = data.draw(st.integers(1, trace.page_count), label="fast_capacity")
+    check_relations(trace, seed, fast_capacity=capacity, promo_threshold_accesses=threshold,
+                    max_promo_rate=rate)
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+@pytest.mark.parametrize("name", ["two_phase", "deep_overlap", "no_overlap"])
+def test_relations_on_fixture_traces(name, threshold):
+    trace = getattr(ts, f"make_{name}_trace")(1)
+    check_relations(trace, seed=threshold, fast_capacity=2500,
+                    promo_threshold_accesses=threshold, max_promo_rate=2000)

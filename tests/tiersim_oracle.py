@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from suplab.devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
-from suplab.errors import CapacityUnderflow
+from suplab.errors import SupLabError
 from suplab.tiersim import (
     PolicyConfig,
     PolicyOutcome,
@@ -21,6 +21,11 @@ from suplab.tiersim import (
     TraceEpoch,
     alto_gate,
 )
+
+
+class CapacityUnderflow(SupLabError):
+    """The reference loop's fast tier over- or under-ran its capacity."""
+
 
 _GATE_CHUNK = 10  # candidate pages per admission window
 
