@@ -39,6 +39,7 @@ MAX_SAMPLES = 20_000_000  # cap on sample_latencies' n: latcdf peaks at 0.34 GB 
 SAMPLES_CSV_CHUNK = TABLE_CHUNK  # samples formatted per write by write_latency_samples_csv
 KAPPA = 0.5          # queueing shape: extra latency = base * KAPPA * rho/(1-rho)
 OVERLOAD_KNEE = 0.95  # past this utilization the queueing curve continues linearly
+_KNEE_SLOPE = 1.0 / (1.0 - OVERLOAD_KNEE) ** 2   # d/drho of rho/(1-rho) at the knee
 CPI_BASE = 0.35      # non-memory cycles per instruction in synthesized runs
 
 # Split of a cache-stall delta across levels (L1, L2, L3); L2-dominant.
@@ -84,22 +85,17 @@ class WorkloadProfile(JsonConfig):
                "prefetch_reliance": ((">=", 0), ("<=", 1)), "store_intensity": ((">=", 0), ("<=", 1))}
 
 
-def queueing_delay_ns(dev: DeviceProfile, load: float) -> float:
-    """Load-dependent extra latency.
+def queueing_delay_ns(dev: DeviceProfile, load: float | np.ndarray) -> float | np.ndarray:
+    """Load-dependent extra latency at a utilization or an array of them.
 
     Follows rho/(1-rho) up to the overload knee, then continues linearly
     (slope matched at the knee) so oversubscribed demand keeps inflating
-    latency instead of hitting a pole.
+    latency instead of hitting a pole; 0.0 at or below zero load.  Below the
+    knee the linear term adds ``slope * 0.0``, so each part is exact.
     """
-    if load <= 0:
-        return 0.0
-    if load <= OVERLOAD_KNEE:
-        shape = load / (1.0 - load)
-    else:
-        knee = OVERLOAD_KNEE / (1.0 - OVERLOAD_KNEE)
-        slope = 1.0 / (1.0 - OVERLOAD_KNEE) ** 2
-        shape = knee + slope * (load - OVERLOAD_KNEE)
-    return dev.base_latency_ns * KAPPA * shape
+    rho = np.maximum(load, 0.0)
+    below = np.minimum(rho, OVERLOAD_KNEE)
+    return dev.base_latency_ns * KAPPA * (below / (1.0 - below) + _KNEE_SLOPE * (rho - below))
 
 
 def utilization(demand_gbs: float, dev: DeviceProfile) -> float:
@@ -107,10 +103,10 @@ def utilization(demand_gbs: float, dev: DeviceProfile) -> float:
     return demand_gbs / dev.bandwidth_cap_gbs
 
 
-def mean_latency_ns(dev: DeviceProfile, load: float = 0.0) -> float:
+def mean_latency_ns(dev: DeviceProfile, load: float | np.ndarray = 0.0) -> float | np.ndarray:
     """Expected request latency at the given utilization (body + tail mass)."""
-    if load < 0:
-        raise LoadOutOfRange(f"load must be >= 0, got {load}")
+    if (load < 0).any() if isinstance(load, np.ndarray) else load < 0:
+        raise LoadOutOfRange(f"load must be >= 0, got {np.min(load)}")
     return (
         dev.base_latency_ns
         + dev.numa_hop_extra_ns
@@ -120,7 +116,7 @@ def mean_latency_ns(dev: DeviceProfile, load: float = 0.0) -> float:
 
 
 def latency_cycles(dev: DeviceProfile, load: float = 0.0) -> float:
-    return mean_latency_ns(dev, load) * CLOCK_GHZ
+    return float(mean_latency_ns(dev, load)) * CLOCK_GHZ
 
 
 def sample_latencies(

@@ -7,8 +7,10 @@
 * the synthetic-suite builders and ``synthesize_runpair`` as they were before
   ``devmodel`` built its suites from range tuples and one calibration table.
 
-The device model they call (presets, local counters, reference parameters,
-queueing delay) is imported, not copied: it did not change.
+The device model they call (presets, local counters, reference parameters)
+is imported, not copied: it did not change.  The queueing curve and the
+latencies built on it come from ``interleave_oracle``, the scalar form the
+live curve replaced, so a change to the live curve shows here.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from suplab.devmodel import (
     DeviceProfile,
     WorkloadProfile,
     _local_counters,
-    latency_cycles,
     make_reference_params,
-    queueing_delay_ns,
     utilization,
 )
 from suplab.errors import InconsistentProfile, InvariantViolation, LoadOutOfRange
 from suplab.model import ModelParams, metric_cache, metric_dram, metric_store
+
+from interleave_oracle import latency_cycles, queueing_delay_ns
 
 
 def sample_latencies(

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import warnings
@@ -195,7 +197,7 @@ class TestArgumentBounds:
     def test_scan_grid_cap(self, tmp_path, capsys, monkeypatch):
         wjson = tmp_path / "w.json"
         wjson.write_text(json.dumps(dm.make_workload_suite(1, seed=0)[0].__dict__))
-        monkeypatch.setattr(il, "_ratio_runtime", _reached)
+        monkeypatch.setattr(il, "_runtimes", _reached)
         out = tmp_path / "o"
         rc = cli.run(["interleave", "scan", "--workload", str(wjson),
                       "--grid", str(il.MAX_GRID + 1), "--out", str(out)])
@@ -609,6 +611,23 @@ class TestBadInputs:
                       "--out", str(out)])
         assert "scan.csv" in _assert_data_error(rc, capsys, out)
 
+    @pytest.mark.parametrize("remote", [{"base_latency_ns": 1e307, "tail_scale_ns": 1e308},
+                                        {"bandwidth_cap_gbs": 1e-300}])
+    def test_scan_overflowing_remote_warns_nothing(self, tmp_path, capsys, remote):
+        # runtimes that overflow, or read 0 * inf, on the remote side of the
+        # grid: the one stderr line is the data error, with no numpy RuntimeWarning
+        w = dm.make_workload_suite(1, seed=0)[0]
+        wjson, rjson = tmp_path / "w.json", tmp_path / "remote.json"
+        wjson.write_text(json.dumps(w.__dict__))
+        rjson.write_text(json.dumps({**dataclasses.asdict(dm.PRESETS["cxl-b"]), **remote}))
+        out = tmp_path / "scan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.run(["interleave", "scan", "--workload", str(wjson), "--remote", str(rjson),
+                          "--out", str(out)])
+        err = _assert_data_error(rc, capsys, out)
+        assert err.endswith("scan.csv: runtime_s holds a NaN or an infinity")
+
     @pytest.mark.parametrize("field", ["total_cycles", "offcore_demand_occupancy"])
     @pytest.mark.parametrize("command", ["ingest", "predict", "forecast"])
     def test_count_past_float_range(self, tmp_path, capsys, command, field):
@@ -783,6 +802,33 @@ class TestSimulateCalls:
     def test_demo_three_traces_three_policies(self, tmp_path, calls):
         assert cli.run(["demo", "--seed", "1", "--out", str(tmp_path / "demo")]) == 0
         assert calls == list(ts.POLICIES) * 3
+
+
+# A CSV cell is a label, true/false or a finite number as float() reads it.
+LABEL = re.compile(r"[A-Za-z][\w.-]*")
+
+
+def _plain_cell(cell: str) -> bool:
+    if "np." in cell or cell in ("True", "False", "None"):   # a repr, not a value
+        return False
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return LABEL.fullmatch(cell) is not None
+
+
+class TestCsvCells:
+    def test_demo_and_scan_write_plain_cells(self, tmp_path):
+        assert cli.run(["demo", "--seed", "1", "--out", str(tmp_path / "demo")]) == 0
+        wjson = tmp_path / "w.json"
+        wjson.write_text(json.dumps(dm.make_workload_suite(1, seed=0)[0].__dict__))
+        assert cli.run(["interleave", "scan", "--workload", str(wjson),
+                        "--out", str(tmp_path / "scan")]) == 0
+        tables = sorted(tmp_path.rglob("*.csv"))
+        assert {"breakdown.csv", "interleave_forecast.csv", "scan.csv"} <= {t.name for t in tables}
+        bad = [(t.name, cell) for t in tables for row in csv.reader(t.read_text().splitlines())
+               for cell in row if not _plain_cell(cell)]
+        assert bad == []
 
 
 def _values(kwargs: dict) -> tuple[str, ...]:

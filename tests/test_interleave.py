@@ -77,7 +77,7 @@ class TestScanRatios:
             raise Reached
 
         w = dm.make_workload_suite(1, seed=0)[0]
-        monkeypatch.setattr(il, "_ratio_runtime", reached)
+        monkeypatch.setattr(il, "_runtimes", reached)
         with pytest.raises(InvariantViolation, match=f"grid must be in \\[2, {il.MAX_GRID}\\]"):
             il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=il.MAX_GRID + 1, seed=0)
         with pytest.raises(Reached):
@@ -123,15 +123,21 @@ class TestScanRatios:
                 for j, (x, _) in enumerate(curve)
             ]
 
-    def test_unloaded_local_latency_once_per_scan(self, monkeypatch):
-        # two loaded latencies per point, and the unloaded local one once
+    def test_latency_evaluations_do_not_grow_with_grid(self, monkeypatch):
+        # the whole grid is one array expression: as many queueing-curve
+        # evaluations at 1001 points as at 11
         calls = []
-        latency_cycles = il.latency_cycles
-        monkeypatch.setattr(il, "latency_cycles",
-                            lambda *args: calls.append(args) or latency_cycles(*args))
+        queueing_delay_ns = dm.queueing_delay_ns
+        monkeypatch.setattr(dm, "queueing_delay_ns",
+                            lambda *args: calls.append(args) or queueing_delay_ns(*args))
         w = dm.make_bandwidth_bound_suite(1, seed=2, local=SKX_LOCAL)[0]
-        il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=101, seed=0)
-        assert len(calls) == 2 * 101 + 1
+
+        def evaluations(grid: int) -> int:
+            calls.clear()
+            il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=grid, seed=0)
+            return len(calls)
+
+        assert evaluations(11) == evaluations(1001) > 0
 
     def test_bandwidth_bound_argmin_in_band(self):
         for w in dm.make_bandwidth_bound_suite(6, seed=9, local=SKX_LOCAL):

@@ -4,14 +4,15 @@ The regulated policy gives exact relations: a promotion gate that is always
 fully open is TPP, and one that never opens is first-touch placement.  Every
 tie-break is by miss index, never by page id, so relabelling the pages changes
 no outcome; and with a fast tier big enough for every page, first-touch runs
-all-fast.  These hold bit for bit, so they check the kernel on generated
-traces far larger than the reference loop in ``tiersim_oracle`` can run, and
-on the fixture traces.
+all-fast.  An epoch without misses changes no state, so inserting idle epochs
+only inserts idle values into the series; and each cost parameter reaches one
+output: ``epoch_instructions`` only the estimated slowdowns, and
+``migration_cost_us`` only the simulated runtime.  These hold bit for bit, so
+they check the kernel on generated traces far larger than the reference loop
+in ``tiersim_oracle`` can run, and on the fixture traces.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -29,12 +30,13 @@ GATE_SHUT = {"alto_lower": 1e300, "alto_upper": 2e300}   # no finite latency rea
 
 
 def flat_trace(pages: np.ndarray, groups: np.ndarray, offsets: np.ndarray,
-               page_count: int) -> ts.TierTrace:
+               page_count: int, epoch_instructions: float = 1e9) -> ts.TierTrace:
     """A trace whose epoch i holds the misses ``offsets[i]:offsets[i + 1]``."""
     misses = np.column_stack((pages, groups))
     return ts.TierTrace(epochs=[ts.TraceEpoch(misses[lo:hi]) for lo, hi in
                                 zip(offsets[:-1], offsets[1:])],
-                        page_count=page_count, wss_pages=page_count)
+                        page_count=page_count, wss_pages=page_count,
+                        epoch_instructions=epoch_instructions)
 
 
 def relabelled(trace: ts.TierTrace, permutation: np.ndarray) -> ts.TierTrace:
@@ -43,16 +45,40 @@ def relabelled(trace: ts.TierTrace, permutation: np.ndarray) -> ts.TierTrace:
                       trace.page_count)
 
 
+def with_idle_epochs(trace: ts.TierTrace,
+                     rng: np.random.Generator) -> tuple[ts.TierTrace, np.ndarray]:
+    """The trace with runs of 0-3 empty epochs inserted before, between and after
+    its epochs, each epoch twice as long, and the new index of each old epoch."""
+    inserted = rng.integers(0, 4, len(trace.epoch_offsets))
+    busy_at = np.arange(len(inserted) - 1) + np.cumsum(inserted[:-1])
+    offsets = trace.epoch_offsets
+    new_offsets = np.concatenate([np.repeat(offsets, inserted), offsets])
+    new_offsets.sort(kind="stable")
+    return flat_trace(trace.page_ids, trace.group_sizes, new_offsets, trace.page_count,
+                      2 * trace.epoch_instructions), busy_at
+
+
+SERIES = ("promo_rate_series", "amortized_latency_series", "slow_tier_access_fraction_series",
+          "gate_series", "est_slowdown_series")
+
+
+def without(outcome: ts.PolicyOutcome, *names: str) -> dict:
+    """The outcome's fields but ``names``, not copied (``asdict`` would deep-copy
+    every series, element by element)."""
+    return {name: value for name, value in vars(outcome).items() if name not in names}
+
+
 def all_but_policy(outcome: ts.PolicyOutcome) -> dict:
-    fields = dataclasses.asdict(outcome)
-    del fields["policy"]
-    return fields
+    return without(outcome, "policy")
 
 
 def check_relations(trace: ts.TierTrace, seed: int, **cfg) -> None:
-    """The four relations on one trace, under the policy config fields ``cfg``."""
+    """The six relations on one trace, under the policy config fields ``cfg``."""
+    def config(policy: str, **changes) -> ts.PolicyConfig:
+        return ts.PolicyConfig(policy=policy, **{**cfg, **changes})
+
     def run(tr: ts.TierTrace, policy: str, **changes) -> ts.PolicyOutcome:
-        return ts.simulate(tr, ts.PolicyConfig(policy=policy, **{**cfg, **changes}), LOCAL, REMOTE)
+        return ts.simulate(tr, config(policy, **changes), LOCAL, REMOTE)
 
     outcomes = {policy: run(trace, policy) for policy in ts.POLICIES}
     assert all_but_policy(run(trace, "alto", **GATE_OPEN)) == all_but_policy(outcomes["tpp"])
@@ -66,6 +92,29 @@ def check_relations(trace: ts.TierTrace, seed: int, **cfg) -> None:
     for capacity in (trace.page_count, 2 * trace.page_count):
         big = run(trace, "first_touch", fast_capacity=capacity)
         assert big.simulated_runtime == big.allfast_runtime
+
+    # Idle epochs inserted, and each epoch twice as long: the same totals; at the
+    # busy epochs the same series but for the estimated slowdowns, which halve;
+    # at the idle epochs the idle values.
+    idle, busy_at = with_idle_epochs(trace, np.random.default_rng(seed))
+    idle_at = np.setdiff1d(np.arange(len(idle.epoch_offsets) - 1), busy_at)
+    for policy, outcome in outcomes.items():
+        got = run(idle, policy)
+        assert without(got, *SERIES) == without(outcome, *SERIES), policy
+        idle_gate = ts.alto_gate(0.0, config(policy)) if policy == "alto" else float(policy == "tpp")
+        for name, idle_value in zip(SERIES, (0, 0.0, 0.0, idle_gate, 0.0)):
+            expected = getattr(outcome, name)
+            if name == "est_slowdown_series":
+                expected = [v / 2 for v in expected]
+            series = np.array(getattr(got, name))
+            assert series[busy_at].tolist() == expected, (policy, name)
+            assert (series[idle_at] == idle_value).all(), (policy, name)
+
+    # A dearer migration changes the simulated runtime only, and only if a page moved.
+    for policy, outcome in outcomes.items():
+        got = run(trace, policy, migration_cost_us=2 * config(policy).migration_cost_us + 1.0)
+        assert without(got, "simulated_runtime") == without(outcome, "simulated_runtime")
+        assert (got.simulated_runtime > outcome.simulated_runtime) == (outcome.promotions > 0)
 
 
 @st.composite

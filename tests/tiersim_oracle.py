@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from suplab.devmodel import CLOCK_GHZ, DeviceProfile, mean_latency_ns
+from suplab.devmodel import CLOCK_GHZ, DeviceProfile
 from suplab.errors import SupLabError
 from suplab.tiersim import (
     PolicyConfig,
@@ -21,6 +21,8 @@ from suplab.tiersim import (
     TraceEpoch,
     alto_gate,
 )
+
+from interleave_oracle import mean_latency_ns
 
 
 class CapacityUnderflow(SupLabError):
