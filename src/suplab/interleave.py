@@ -35,9 +35,8 @@ from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, Missin
                      Checked, JsonConfig, write_table)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
-# Cap on scan_ratios' grid.  At the cap `interleave scan` took 3.2-3.6 s and
-# peaked at 245 MB RSS (2-CPU Xeon host, numpy 2.4): the grid's arithmetic is
-# 0.1 s of that; the list of (x, runtime) points and the CSV writer the rest.
+# Cap on scan_ratios' grid.  At the cap `interleave scan` took 1.8-2.5 s and peaked at
+# 92 MB RSS (2-CPU Xeon host, numpy 2.4): 0.1 s for the grid, the rest writing scan.csv.
 MAX_GRID = 1_000_001
 
 
@@ -156,9 +155,9 @@ def scan_ratios(
     grid: int = 101,
     seed: int = 0,
     jitter_rel: float = 0.0,
-) -> list[tuple[float, float]]:
-    """Simulated runtime at each ratio on an evenly spaced grid, the whole
-    grid evaluated as arrays.
+) -> np.ndarray:
+    """Simulated runtime at each ratio on an evenly spaced grid, the whole grid
+    evaluated at once: a ``(grid, 2)`` array of ``(remote_fraction, runtime_s)`` rows.
 
     Points are independent simulations.  With jitter, each point draws its
     noise from its own derived seed (``scan_point_seed``); without, the
@@ -172,14 +171,15 @@ def scan_ratios(
         )
     x = np.arange(grid) / (grid - 1)
     seeds = (scan_point_seed(seed, j) for j in range(grid))
-    return list(zip(x.tolist(), _runtimes(w, local, remote, x, seeds, jitter_rel).tolist()))
+    return np.column_stack((x, _runtimes(w, local, remote, x, seeds, jitter_rel)))
 
 
-def best_scan_point(curve: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """(ratio, runtime) at the scan minimum; first grid point wins ties."""
-    if not curve:
+def best_scan_point(curve: np.ndarray) -> tuple[float, float]:
+    """(ratio, runtime) as floats at the minimum of a ``(grid, 2)`` scan curve, the first
+    grid point winning ties.  NaN runtimes are out of scope: ``write_scan_csv`` rejects them."""
+    if len(curve) == 0:
         raise EmptyInput("empty scan curve")
-    return min(curve, key=lambda pt: (pt[1], pt[0]))
+    return tuple(curve[np.argmin(curve[:, 1])].tolist())
 
 
 def fit_interleave(
@@ -199,9 +199,8 @@ def fit_interleave(
         rs.append(sum(r_components(snap, params)))
         curve = scan_ratios(w, local, remote, grid=grid, seed=seed)
         best_x, best_rt = best_scan_point(curve)
-        rt_local = curve[0][1]
         xs.append(best_x)
-        gains.append((rt_local - best_rt) / rt_local)
+        gains.append((curve[0, 1] - best_rt) / curve[0, 1])
     design = np.stack([np.asarray(rs), np.ones(len(rs))], axis=1)
     ratio_coef, *_ = np.linalg.lstsq(design, np.asarray(xs), rcond=None)
     gain_coef, *_ = np.linalg.lstsq(design, np.asarray(gains), rcond=None)
@@ -243,8 +242,9 @@ def forecast(
     )
 
 
-def write_scan_csv(curve: Sequence[tuple[float, float]], path: str | Path) -> None:
-    write_table(path, ["remote_fraction", "runtime_s"], list(zip(*curve)))
+def write_scan_csv(curve: np.ndarray, path: str | Path) -> None:
+    """Write a ``(grid, 2)`` scan curve, or a list of its rows, column by column."""
+    write_table(path, ["remote_fraction", "runtime_s"], list(np.reshape(curve, (-1, 2)).T))
 
 
 def write_forecast_csv(forecasts: Sequence[InterleaveForecast], path: str | Path) -> None:

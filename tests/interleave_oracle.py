@@ -1,14 +1,16 @@
 """Reference queueing curve and ratio scan: the branchy scalar
-``queueing_delay_ns`` and the per-point scan loop that ``suplab.devmodel``
-and ``suplab.interleave`` replaced with one curve for floats and arrays and
-one array kernel over the grid.
+``queueing_delay_ns``, the per-point scan loop and the Python-key minimum
+that ``suplab.devmodel`` and ``suplab.interleave`` replaced with one curve for
+floats and arrays, one array kernel over the grid and an ``argmin``.
 
 Kept unchanged as the oracle the live code is checked against
 (``test_interleave_oracle.py``): for any workload, device profiles, grid and
 jitter, ``suplab.interleave.scan_ratios`` must return the same curve as
-:func:`scan_ratios` here, or raise the same error.  ``devmodel_oracle`` and
-``tiersim_oracle`` read their latencies from here too, so a change to the
-live curve cannot hide in them.
+:func:`scan_ratios` here, as a ``(grid, 2)`` array rather than a list of
+pairs, or raise the same error; and ``best_scan_point`` the same point as
+:func:`best_scan_point`.  ``devmodel_oracle`` and ``tiersim_oracle`` read
+their latencies from here too, so a change to the live curve cannot hide in
+them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from suplab.devmodel import (
     DeviceProfile,
     utilization,
 )
-from suplab.errors import InconsistentProfile, InvariantViolation, LoadOutOfRange
+from suplab.errors import EmptyInput, InconsistentProfile, InvariantViolation, LoadOutOfRange
 from suplab.interleave import MAX_GRID, scan_point_seed
 
 
@@ -105,3 +107,10 @@ def scan_ratios(w, local, remote, grid: int = 101, seed: int = 0,
         point_seed = scan_point_seed(seed, j) if jitter_rel > 0.0 else 0
         curve.append((x, _ratio_runtime(w, local, remote, x, lc_l0, point_seed, jitter_rel)))
     return curve
+
+
+def best_scan_point(curve) -> tuple[float, float]:
+    """(ratio, runtime) at the scan minimum; first grid point wins ties."""
+    if not curve:
+        raise EmptyInput("empty scan curve")
+    return min(curve, key=lambda pt: (pt[1], pt[0]))

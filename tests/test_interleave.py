@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from suplab import breakdown as bd
@@ -115,12 +117,13 @@ class TestScanRatios:
         local, remote = dm.PRESETS["local-emr"], dm.PRESETS["cxl-a"]
         for w in dm.make_bandwidth_bound_suite(3, seed=6, local=local, **dm.CXLA_SUITE_KWARGS):
             curve = il.scan_ratios(w, local, remote, grid=51, seed=3, jitter_rel=jitter_rel)
-            assert curve == [
+            points = [tuple(p) for p in curve.tolist()]
+            assert points == [
                 (x, il.simulate_ratio_point(
                     w, local, remote, x,
                     seed=il.scan_point_seed(3, j) if jitter_rel > 0.0 else 0,
                     jitter_rel=jitter_rel))
-                for j, (x, _) in enumerate(curve)
+                for j, (x, _) in enumerate(points)
             ]
 
     def test_latency_evaluations_do_not_grow_with_grid(self, monkeypatch):
@@ -152,6 +155,21 @@ class TestScanRatios:
             curve = il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=51, seed=4)
             runtimes = [rt for _, rt in curve]
             assert all(b >= a - 1e-15 for a, b in zip(runtimes, runtimes[1:]))
+
+    def test_scan_best_point_and_csv_memory(self, tmp_path):
+        # the curve is one (grid, 2) array from the kernel to the CSV: at grid
+        # 100,001 a list of (x, runtime) tuples, its Python-key minimum and its
+        # transpose back into columns peaked at about 18 MiB, the array at about 6
+        w = dm.make_bandwidth_bound_suite(1, seed=2, local=SKX_LOCAL)[0]
+        tracemalloc.start()
+        try:
+            curve = il.scan_ratios(w, SKX_LOCAL, SKX_ZNUMA, grid=100_001, seed=0)
+            il.best_scan_point(curve)
+            il.write_scan_csv(curve, tmp_path / "scan.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_infeasible_demand_rejected(self):
         w = dm.WorkloadProfile(name="hog", instructions=1e9, demand_miss_rate=10.0,

@@ -1,7 +1,8 @@
-"""The queueing curve and the ratio scan against their scalar forms in
-``interleave_oracle``: the same curve, compared NaN-aware through ``repr``,
-or the same error, for every generated workload, device profile, grid and
-jitter, and the same queueing delay at each load, as a float or an array."""
+"""The queueing curve, the ratio scan and its minimum against their scalar
+forms in ``interleave_oracle``: the same curve, compared NaN-aware through the
+``repr`` of its Python floats, or the same error, for every generated
+workload, device profile, grid and jitter; the same queueing delay at each
+load, as a float or an array; and the same best point on every curve."""
 
 from __future__ import annotations
 
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 import interleave_oracle as oracle
 from suplab import devmodel as dm
 from suplab import interleave as il
-from suplab.errors import LoadOutOfRange
+from suplab.errors import EmptyInput, LoadOutOfRange
 
 
 def _outcome(scan, *args, **kwargs):
+    """The curve as ``(x, runtime)`` tuples of Python floats, whose ``repr``
+    keeps every digit (an array's ``repr`` rounds), or the error."""
     try:
-        return repr(scan(*args, **kwargs))
+        return repr([tuple(p) for p in np.asarray(scan(*args, **kwargs)).tolist()])
     except Exception as exc:   # noqa: BLE001 - the class and message are compared
         return type(exc), str(exc)
 
@@ -63,6 +66,26 @@ def test_scan_matches_the_per_point_loop(w, local, remote, grid, seed, jitter_re
     args = (w, local, remote)
     kwargs = {"grid": grid, "seed": seed, "jitter_rel": jitter_rel}
     assert _outcome(il.scan_ratios, *args, **kwargs) == _outcome(oracle.scan_ratios, *args, **kwargs)
+
+
+RUNTIMES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.0, float("inf"), float("-inf")]),
+                     st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), RUNTIMES),
+                min_size=1, max_size=12))
+def test_best_point_matches_the_python_key_minimum(points):
+    # x rises along a scan's grid, so the curves here are sorted by x; ties in
+    # runtime, -0.0 beside 0.0 (in x or runtime) and infinite runtimes included
+    points.sort(key=lambda pt: pt[0])
+    best = il.best_scan_point(np.array(points, dtype=float))
+    assert repr(best) == repr(oracle.best_scan_point(points))
+
+
+def test_best_point_of_an_empty_curve():
+    with pytest.raises(EmptyInput, match="^empty scan curve$"):
+        il.best_scan_point(np.empty((0, 2)))
 
 
 KNEE = dm.OVERLOAD_KNEE

@@ -72,26 +72,39 @@ def all_but_policy(outcome: ts.PolicyOutcome) -> dict:
     return without(outcome, "policy")
 
 
+def check_gate_and_capacity(trace: ts.TierTrace, run, outcomes: dict, *capacities: int) -> None:
+    """Gate always open equals tpp, gate always shut equals first_touch, and
+    first_touch with a fast tier of each of ``capacities`` pages runs all-fast;
+    ``run(trace, policy, **changes)`` simulates, ``outcomes`` holds tpp's and
+    first_touch's outcomes."""
+    assert all_but_policy(run(trace, "alto", **GATE_OPEN)) == all_but_policy(outcomes["tpp"])
+    assert all_but_policy(run(trace, "alto", **GATE_SHUT)) == \
+        all_but_policy(outcomes["first_touch"])
+    for capacity in capacities:
+        big = run(trace, "first_touch", fast_capacity=capacity)
+        assert big.simulated_runtime == big.allfast_runtime
+
+
+def runner(**cfg):
+    """``run(trace, policy, **changes)``: simulate under the policy config
+    fields ``cfg``, updated by ``changes``."""
+    def run(tr: ts.TierTrace, policy: str, **changes) -> ts.PolicyOutcome:
+        return ts.simulate(tr, ts.PolicyConfig(policy=policy, **{**cfg, **changes}), LOCAL, REMOTE)
+    return run
+
+
 def check_relations(trace: ts.TierTrace, seed: int, **cfg) -> None:
     """The six relations on one trace, under the policy config fields ``cfg``."""
     def config(policy: str, **changes) -> ts.PolicyConfig:
         return ts.PolicyConfig(policy=policy, **{**cfg, **changes})
 
-    def run(tr: ts.TierTrace, policy: str, **changes) -> ts.PolicyOutcome:
-        return ts.simulate(tr, config(policy, **changes), LOCAL, REMOTE)
-
+    run = runner(**cfg)
     outcomes = {policy: run(trace, policy) for policy in ts.POLICIES}
-    assert all_but_policy(run(trace, "alto", **GATE_OPEN)) == all_but_policy(outcomes["tpp"])
-    assert all_but_policy(run(trace, "alto", **GATE_SHUT)) == \
-        all_but_policy(outcomes["first_touch"])
+    check_gate_and_capacity(trace, run, outcomes, trace.page_count, 2 * trace.page_count)
 
     other = relabelled(trace, np.random.default_rng(seed).permutation(trace.page_count))
     for policy in ts.POLICIES:
         assert run(other, policy) == outcomes[policy], policy
-
-    for capacity in (trace.page_count, 2 * trace.page_count):
-        big = run(trace, "first_touch", fast_capacity=capacity)
-        assert big.simulated_runtime == big.allfast_runtime
 
     # Idle epochs inserted, and each epoch twice as long: the same totals; at the
     # busy epochs the same series but for the estimated slowdowns, which halve;
@@ -152,3 +165,27 @@ def test_relations_on_fixture_traces(name, threshold):
     trace = getattr(ts, f"make_{name}_trace")(1)
     check_relations(trace, seed=threshold, fast_capacity=2500,
                     promo_threshold_accesses=threshold, max_promo_rate=2000)
+
+
+def deep_overlap_trace(stream_epochs: int, seed: int) -> ts.TierTrace:
+    """``tiersim.make_deep_overlap_trace(seed)`` streaming over ``stream_epochs``
+    epochs of 4,000 pages, each missed twice, instead of 60."""
+    page_count, hot = 40000, 2500
+    cursor = int(np.random.default_rng(seed).integers(0, page_count - hot))
+    stream = hot + (cursor + np.arange(stream_epochs * 4000)) % (page_count - hot)
+    pages = np.concatenate([np.arange(hot), np.repeat(stream, 2)])
+    offsets = np.concatenate([[0], hot + 8000 * np.arange(stream_epochs + 1)])
+    return flat_trace(pages, np.full(len(pages), 16), offsets, page_count)
+
+
+def test_gate_and_capacity_relations_at_ten_times_deep_overlap():
+    fixture, built = ts.make_deep_overlap_trace(1), deep_overlap_trace(60, seed=1)
+    for name in ("page_ids", "group_sizes", "epoch_offsets"):
+        assert getattr(built, name).tolist() == getattr(fixture, name).tolist(), name
+    # 600 stream epochs, 4.8M misses.  Only the three cheap relations run at this
+    # size: all six take about 5 s, past the suite's time budget.
+    trace = deep_overlap_trace(600, seed=1)
+    run = runner(fast_capacity=2500, promo_threshold_accesses=2, max_promo_rate=2000)
+    outcomes = {policy: run(trace, policy) for policy in ("tpp", "first_touch")}
+    assert outcomes["tpp"].promotions > 0
+    check_gate_and_capacity(trace, run, outcomes, trace.page_count)
