@@ -106,7 +106,7 @@ class EmptyTrace(SupLabError):
 
 
 class MalformedTrace(SupLabError):
-    """A trace CSV or its JSON header cannot be parsed."""
+    """A trace CSV cannot be parsed (a bad JSON header is a :class:`MalformedConfig`)."""
 
 
 class MalformedConfig(SupLabError):

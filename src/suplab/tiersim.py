@@ -13,7 +13,6 @@ first ceil(g*10) of every 10 candidate pages.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ import numpy as np
 
 from .devmodel import CLOCK_GHZ, DeviceProfile, latency_cycles
 from .errors import (EmptyTrace, InvariantViolation, MalformedTrace, ZeroDenominator,
-                     Checked, JsonConfig, dump_json, write_table)
+                     Checked, JsonConfig, write_table)
 
 POLICIES = ("first_touch", "tpp", "alto")
 
@@ -33,8 +32,10 @@ _GATE_CHUNK = 10  # candidate pages per admission window
 # Cap on a trace header's epochs, checked before anything is allocated.  An
 # empty epoch costs `simulate` nothing, but `read_trace` and `TierTrace` still
 # build a view and an object for it: a one-row trace whose header says 200,000
-# epochs peaked at 140 MB RSS and took 1.8-2.4 s through `suplab tiersim` with
-# three policies (2-CPU Xeon host, numpy 2.4).
+# epochs takes 1.7-2.2 s and 115 MB peak RSS through `suplab tiersim` with three
+# policies, 0.9-1.1 s of it in `read_trace`.  Busy epochs cost more: with
+# 400,000 misses in 172,732 of them, `_grouping` took 6.7 s and one `simulate`
+# 5.6 s (first_touch) to 13.6 s (tpp, alto) (2-CPU Xeon host, numpy 2.4).
 MAX_EPOCHS = 200_000
 
 
@@ -65,10 +66,11 @@ class TierTrace(Checked):
         if not any(len(e.demand_misses) for e in self.epochs):
             raise EmptyTrace("trace has no demand misses")
         super().__post_init__()
-        rows = [np.asarray(e.demand_misses, dtype=np.int64).reshape(len(e.demand_misses), 2)
-                for e in self.epochs]
-        pages, groups = (np.concatenate([r[:, col] for r in rows]) for col in (0, 1))
-        offsets = np.cumsum([0] + [len(r) for r in rows])
+        columns = [np.asarray(e.demand_misses, dtype=np.int64).reshape(len(e.demand_misses), 2).T
+                   for e in self.epochs]
+        offsets = np.cumsum([0] + [c.shape[1] for c in columns])
+        # one pass, straight into two C-contiguous columns
+        pages, groups = np.concatenate(columns, axis=1, out=np.empty((2, offsets[-1]), np.int64))
         bad = (pages < 0) | (pages >= self.page_count) | (groups < 1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -103,6 +105,18 @@ class TierTrace(Checked):
             busy.append((i, lo, hi, order, starts, sorted_pages[starts],
                          np.diff(starts, append=hi - lo)))
         return page_ids, n_pages, busy
+
+
+@dataclass(frozen=True)
+class TraceHeader(JsonConfig):
+    """A trace file's JSON header: ``TierTrace``'s scalar fields and the epoch count."""
+
+    epochs: int
+    page_count: int
+    wss_pages: int
+    epoch_instructions: float = 1e9
+
+    _BOUNDS = {**TierTrace._BOUNDS, "epochs": ((">=", 0), ("<=", MAX_EPOCHS))}
 
 
 @dataclass(frozen=True)
@@ -322,15 +336,11 @@ _TRACE_COLUMNS = ["epoch", "page_id", "group_size"]
 
 
 def write_trace(trace: TierTrace, csv_path: str | Path, header_path: str | Path) -> None:
-    epochs = np.repeat(np.arange(len(trace.epochs)), np.diff(trace.epoch_offsets))
+    n_epochs = len(trace.epoch_offsets) - 1
+    header = TraceHeader(n_epochs, trace.page_count, trace.wss_pages, trace.epoch_instructions)
+    epochs = np.repeat(np.arange(n_epochs), np.diff(trace.epoch_offsets))
     write_table(csv_path, _TRACE_COLUMNS, [epochs, trace.page_ids, trace.group_sizes])
-    header = {
-        "page_count": trace.page_count,
-        "wss_pages": trace.wss_pages,
-        "epoch_instructions": trace.epoch_instructions,
-        "epochs": len(trace.epochs),
-    }
-    dump_json(header_path, header)
+    header.to_json(header_path)
 
 
 def _bad_trace_row(csv_path: str | Path) -> str | None:
@@ -353,34 +363,9 @@ def _bad_trace_row(csv_path: str | Path) -> str | None:
     return None
 
 
-def _header_count(header: dict, key: str) -> int:
-    """An unsigned integer below 2**63, as the counter readers take one from
-    JSON (``4.0`` reads as 4); booleans, text and fractions raise ``ValueError``."""
-    value = header[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int or not 0 <= value < 2**63:   # TierTrace's int fields are int64
-        raise ValueError(f"{key} must be an unsigned 64-bit integer, got {value!r:.40}")
-    return value
-
-
 def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
-    try:
-        header = json.loads(Path(header_path).read_text())
-        if not isinstance(header, dict):
-            raise ValueError("trace header is not a JSON object")
-        n_epochs, page_count, wss_pages = (_header_count(header, key)
-                                           for key in ("epochs", "page_count", "wss_pages"))
-        if n_epochs > MAX_EPOCHS:
-            raise ValueError(f"epochs must be <= {MAX_EPOCHS}, got {n_epochs}")
-        epoch_instructions = header.get("epoch_instructions", 1e9)
-        if type(epoch_instructions) not in (int, float) or not 0 < epoch_instructions < math.inf:
-            raise ValueError(f"epoch_instructions must be finite and > 0, got {epoch_instructions!r}")
-        epoch_instructions = float(epoch_instructions)
-    except KeyError as exc:
-        raise MalformedTrace(f"{header_path}: trace header has no {exc} key") from None
-    except (ValueError, TypeError, OverflowError) as exc:   # JSONDecodeError is a ValueError
-        raise MalformedTrace(f"{header_path}: bad trace header: {exc}") from None
+    header = TraceHeader.from_json(header_path)
+    n_epochs, page_count = header.epochs, header.page_count
     try:
         with Path(csv_path).open() as fh:
             if fh.readline().rstrip("\r\n").split(",") != _TRACE_COLUMNS:
@@ -406,8 +391,8 @@ def read_trace(csv_path: str | Path, header_path: str | Path) -> TierTrace:
     ordered = data[np.argsort(epoch, kind="stable")] if (epoch[1:] < epoch[:-1]).any() else data
     bounds = np.searchsorted(ordered[:, 0], np.arange(1, n_epochs))
     epochs = [TraceEpoch(demand_misses=m) for m in np.split(ordered[:, 1:], bounds)]   # views
-    return TierTrace(epochs=epochs, page_count=page_count, wss_pages=wss_pages,
-                     epoch_instructions=epoch_instructions)
+    return TierTrace(epochs=epochs, page_count=page_count, wss_pages=header.wss_pages,
+                     epoch_instructions=header.epoch_instructions)
 
 
 # --- fixture traces --------------------------------------------------------

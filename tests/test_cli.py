@@ -9,6 +9,7 @@ import json
 import math
 import re
 import shutil
+import sys
 import warnings
 from pathlib import Path
 
@@ -351,6 +352,42 @@ def _assert_data_error(rc, capsys, out, names=None) -> str:
 
 TRACE_HEADER = {"page_count": 4, "wss_pages": 4, "epoch_instructions": 1e9, "epochs": 2}
 
+# Rows in epochs 0 and 1 on pages 0 and 3: a valid header covers them when
+# epochs >= 2 and page_count >= 4.
+FUZZ_TRACE_CSV = "epoch,page_id,group_size\n0,0,1\n1,3,1\n"
+HEADER_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 4, -1, ts.MAX_EPOCHS - 1, ts.MAX_EPOCHS, ts.MAX_EPOCHS + 1,
+                     2**63 - 1, 2**63, 10**400]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 4.0, 1e9, 0.5, 1.9, -1e9, 1e308, 5e-324,
+                     math.nan, math.inf, -math.inf]),
+    st.sampled_from([True, False, "4", "", None, [], [4], {}, {"epochs": 4}]),
+)
+
+
+@st.composite
+def trace_headers(draw) -> dict:
+    """A valid header with up to two keys dropped, set to another JSON value
+    or, for ``bogus``, added."""
+    header = dict(TRACE_HEADER)
+    for key in draw(st.lists(st.sampled_from([*TRACE_HEADER, "bogus"]), max_size=2, unique=True)):
+        if key in header and draw(st.booleans()):
+            del header[key]
+        else:
+            header[key] = draw(HEADER_VALUES)
+    return header
+
+
+def header_is_valid(header: dict) -> bool:
+    """The documented header rule, written out: the three counts as JSON
+    integers in their bounds, an optional finite ``epoch_instructions`` > 0,
+    and no other key."""
+    def count(key, low, high=2**63 - 1):
+        return type(header.get(key)) is int and low <= header[key] <= high
+    instructions = header.get("epoch_instructions", 1e9)
+    return (set(header) <= set(TRACE_HEADER) and count("epochs", 0, ts.MAX_EPOCHS)
+            and count("page_count", 1) and count("wss_pages", 0)
+            and type(instructions) in (int, float) and 0 < instructions <= sys.float_info.max)
+
 
 class TestBadInputs:
     @pytest.mark.parametrize("epoch", [-1, 5])
@@ -526,6 +563,12 @@ class TestBadInputs:
         json.dumps({**TRACE_HEADER, "epochs": 100_000_000_000_000}),
         json.dumps({**TRACE_HEADER, "epochs": 2**70}),
         json.dumps({**TRACE_HEADER, "page_count": 2**63}),   # past TierTrace's int64
+        # the config rule: no integral float for an int, no unknown key, every bound
+        json.dumps({**TRACE_HEADER, "epochs": 2.0}),
+        json.dumps({**TRACE_HEADER, "page_count": 4.0}),
+        json.dumps({**TRACE_HEADER, "bogus": 1}),
+        json.dumps({**TRACE_HEADER, "page_count": 0}),
+        json.dumps({**TRACE_HEADER, "epochs": ts.MAX_EPOCHS + 1}),
     ])
     def test_trace_header_malformed(self, tmp_path, capsys, header):
         (tmp_path / "t.csv").write_text("epoch,page_id,group_size\n0,0,1\n")
@@ -533,6 +576,29 @@ class TestBadInputs:
         out = tmp_path / "sim"
         rc = _tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out)
         _assert_data_error(rc, capsys, out, tmp_path / "t.json")
+
+    @settings(max_examples=50, deadline=None)
+    @given(header=trace_headers())
+    def test_trace_header_fuzz(self, tmp_path_factory, header):
+        d = tmp_path_factory.mktemp("header")
+        (d / "t.csv").write_text(FUZZ_TRACE_CSV)
+        (d / "t.json").write_text(json.dumps(header))
+        out = d / "sim"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = _tiersim(d, {"policy": "tpp", "fast_capacity": 1}, out)
+        err = stderr.getvalue().splitlines()
+        if not header_is_valid(header):
+            named = "t.json"
+        elif header["epochs"] < 2 or header["page_count"] < 4:
+            named = "t.csv"
+        elif rc == 2 and header.get("epoch_instructions", 1e9) < 1e-300:
+            named = "est_slowdown holds a NaN or an infinity"   # a slow miss over a subnormal
+        else:
+            assert (rc, err) == (0, [])
+            return
+        assert rc == 2 and len(err) == 1 and named in err[0], err
+        assert not out.exists() and not list(d.glob(".sim.*"))
 
     def test_ingest_json_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -43,6 +43,8 @@ BOUNDS = {
     cnt.RunPair: {"local_runtime": ((">", 0),), "remote_runtime": ((">", 0),)},
     ts.TierTrace: {"page_count": ((">=", 1),), "wss_pages": ((">=", 0),),
                    "epoch_instructions": ((">", 0),)},
+    ts.TraceHeader: {"epochs": ((">=", 0), ("<=", 200_000)), "page_count": ((">=", 1),),
+                     "wss_pages": ((">=", 0),), "epoch_instructions": ((">", 0),)},
     il.InterleaveRatio: {"remote_fraction": ((">=", 0), ("<=", 1))},
 }
 SCALARS = ("str", "int", "float")   # the field types the rule checks
@@ -60,6 +62,7 @@ VALID = {
     cnt.RunPair: dict(label="x", local=SNAPSHOT, remote=SNAPSHOT, local_runtime=1.0,
                       remote_runtime=1.5),
     ts.TierTrace: dict(epochs=[ts.TraceEpoch([(0, 1)])], page_count=1, wss_pages=1),
+    ts.TraceHeader: dict(epochs=1, page_count=1, wss_pages=1),
     il.InterleaveRatio: dict(remote_fraction=0.5),
 }
 for cls, kw in VALID.items():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from suplab import devmodel as dm
 from suplab import tiersim as ts
-from suplab.errors import EmptyTrace, InvariantViolation
+from suplab.errors import EmptyTrace, InvariantViolation, dump_json
 
 from test_tiersim_oracle import traces_and_configs
 
@@ -299,6 +299,16 @@ class TestTraceIo:
         for field in ("page_ids", "group_sizes", "epoch_offsets"):
             assert np.array_equal(getattr(back, field), getattr(trace, field))
         assert all(e.demand_misses.base is not None for e in back.epochs)   # views, not copies
+
+    @pytest.mark.parametrize("name", ["two_phase", "deep_overlap", "no_overlap"])
+    def test_header_bytes(self, tmp_path, name):
+        # the documented four-key header, written out here rather than through TraceHeader
+        trace = getattr(ts, f"make_{name}_trace")(1)
+        ts.write_trace(trace, tmp_path / "t.csv", tmp_path / "t.json")
+        dump_json(tmp_path / "want.json", {
+            "page_count": trace.page_count, "wss_pages": trace.wss_pages,
+            "epoch_instructions": trace.epoch_instructions, "epochs": len(trace.epochs)})
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     @settings(max_examples=60, deadline=None)
     @given(traces_and_configs(), st.randoms(use_true_random=False))

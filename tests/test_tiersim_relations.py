@@ -14,6 +14,8 @@ in ``tiersim_oracle`` can run, and on the fixture traces.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,4 +190,26 @@ def test_gate_and_capacity_relations_at_ten_times_deep_overlap():
     run = runner(fast_capacity=2500, promo_threshold_accesses=2, max_promo_rate=2000)
     outcomes = {policy: run(trace, policy) for policy in ("tpp", "first_touch")}
     assert outcomes["tpp"].promotions > 0
+    check_gate_and_capacity(trace, run, outcomes, trace.page_count)
+
+
+def test_gate_and_capacity_relations_at_max_epochs(tmp_path):
+    # MAX_EPOCHS epochs, 1,000 of them busy with 20 misses each, on pages skewed
+    # toward low ids: written as trace files, read back, then the three cheap relations.
+    rng = np.random.default_rng(1)
+    epochs = np.repeat(np.sort(rng.choice(ts.MAX_EPOCHS, 1_000, replace=False)), 20)
+    pages = (2_000 * rng.random(20_000) ** 4).astype(np.int64)
+    groups = rng.integers(1, 5, 20_000)
+    np.savetxt(tmp_path / "t.csv", np.column_stack((epochs, pages, groups)), fmt="%d",
+               delimiter=",", header="epoch,page_id,group_size", comments="")
+    (tmp_path / "t.json").write_text(json.dumps(
+        {"epochs": ts.MAX_EPOCHS, "page_count": 2_000, "wss_pages": 2_000}))
+    trace = ts.read_trace(tmp_path / "t.csv", tmp_path / "t.json")
+    offsets = np.searchsorted(epochs, np.arange(ts.MAX_EPOCHS + 1))
+    for name, want in (("page_ids", pages), ("group_sizes", groups), ("epoch_offsets", offsets)):
+        assert np.array_equal(getattr(trace, name), want), name
+    run = runner(fast_capacity=100, promo_threshold_accesses=2, max_promo_rate=2000)
+    outcomes = {policy: run(trace, policy) for policy in ("tpp", "first_touch")}
+    assert outcomes["tpp"].promotions > 0
+    assert len(outcomes["tpp"].gate_series) == ts.MAX_EPOCHS
     check_gate_and_capacity(trace, run, outcomes, trace.page_count)
