@@ -5,18 +5,36 @@ slowdown is the relative runtime increase, and the stall-based estimate
 splits it into store / L1 / L2 / L3 / DRAM components plus an
 unattributed residual ("Other").  Components may be negative: a source
 can improve on the remote tier.
+
+:func:`decompose_table` decomposes a whole pairs table in one array pass;
+its result, one row per pair in the ``REPORT_COLUMNS`` order, is what the
+writers and :func:`estimate_accuracy` read.  :func:`decompose` is that
+kernel at one pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .counters import STALL_COUNTERS, STALL_SOURCES, RunPair
-from .errors import EmptyInput, ZeroDenominator, require_finite_values, write_table
+import numpy as np
+
+from .counters import COUNTER_FIELDS, STALL_COUNTERS, STALL_SOURCES, RunPair, pairs_table
+from .errors import EmptyInput, ZeroDenominator, write_table
+
+# A breakdown's columns, in breakdown.csv's order, and breakdown_long.csv's
+# sources with the column each reads.
+REPORT_COLUMNS = ("measured", "stall_estimate", "backend_estimate",
+                  *(f"comp_{src}" for src in STALL_SOURCES), "residual")
+_LONG_SOURCES = {**{src: f"comp_{src}" for src in STALL_SOURCES},
+                 "other": "residual", "measured": "measured"}
+_LONG_COLUMNS = [REPORT_COLUMNS.index(column) for column in _LONG_SOURCES.values()]
+# The counters whose remote-minus-local delta over the local cycles gives the
+# stall and backend estimates and the five components, in REPORT_COLUMNS order.
+_DELTAS = [COUNTER_FIELDS.index(f)
+           for f in ("stall_cycles_total", "backend_stall_cycles", *STALL_COUNTERS.values())]
 
 
 @dataclass(frozen=True)
@@ -28,13 +46,6 @@ class SlowdownReport:
     components: dict[str, float]
     residual: float
 
-    @cached_property
-    def _long_cells(self) -> tuple[str, ...]:
-        """The report's breakdown_long.csv values as text, the same as in
-        breakdown.csv: write_report_csv stores here the text it formats."""
-        return tuple(map(repr, (*map(self.components.__getitem__, STALL_SOURCES),
-                                self.residual, self.total_measured)))
-
 
 def measure_slowdown(rp: RunPair) -> float:
     """Relative runtime increase; negative means the remote tier was faster."""
@@ -43,83 +54,80 @@ def measure_slowdown(rp: RunPair) -> float:
     return (rp.remote_runtime - rp.local_runtime) / rp.local_runtime
 
 
-def decompose(rp: RunPair) -> SlowdownReport:
-    """Split the stall-cycle delta into the five backend sources.
+@np.errstate(all="ignore")   # a subnormal cycle count overflows to inf, which the writers reject
+def decompose_table(pairs: np.ndarray) -> np.ndarray:
+    """Each pair of a pairs table (:func:`~suplab.counters.read_pairs_table`'s
+    order) split into its stall-cycle deltas: one row per pair, in the
+    ``REPORT_COLUMNS`` order.
 
     Deltas are normalized by the local run's total cycles; the residual is
     whatever part of the backend-stall delta the five sources do not cover,
     so components + residual always reconstruct the backend estimate.
     """
-    c = rp.local.total_cycles
-    if c == 0:
+    n = len(COUNTER_FIELDS)
+    c = pairs[:, COUNTER_FIELDS.index("total_cycles")]
+    if (c == 0).any():
         raise ZeroDenominator("local total_cycles is zero")
-    components = {
-        src: (getattr(rp.remote, f) - getattr(rp.local, f)) / c
-        for src, f in STALL_COUNTERS.items()
-    }
-    stall_est = (rp.remote.stall_cycles_total - rp.local.stall_cycles_total) / c
-    backend_est = (rp.remote.backend_stall_cycles - rp.local.backend_stall_cycles) / c
-    residual = backend_est - sum(components.values())
-    return SlowdownReport(
-        label=rp.label,
-        total_measured=measure_slowdown(rp),
-        total_stall_estimate=stall_est,
-        total_backend_estimate=backend_est,
-        components=components,
-        residual=residual,
-    )
+    deltas = (pairs[:, n:2 * n][:, _DELTAS] - pairs[:, _DELTAS]) / c[:, None]
+    _, backend, *components = deltas.T
+    total = components[0] + 0.0   # sum()'s start: -0.0 + 0.0 is 0.0
+    for component in components[1:]:
+        total = total + component
+    local_runtime, remote_runtime = pairs[:, -2], pairs[:, -1]
+    return np.column_stack(((remote_runtime - local_runtime) / local_runtime, deltas,
+                            backend - total))
+
+
+def decompose(rp: RunPair) -> SlowdownReport:
+    """:func:`decompose_table` at one pair, as Python floats."""
+    row = decompose_table(pairs_table([rp]))[0].tolist()
+    measured, stall, backend, *components, residual = row
+    return SlowdownReport(rp.label, measured, stall, backend,
+                          dict(zip(STALL_SOURCES, components)), residual)
 
 
 class AccuracyCdf:
     """Sorted |estimate - measured| distribution with quantile lookup."""
 
-    def __init__(self, diffs: Sequence[float]):
+    def __init__(self, diffs: Sequence[float] | np.ndarray):
         if len(diffs) == 0:
             raise EmptyInput("no difference samples")
-        self.diffs = sorted(abs(d) for d in diffs)
+        self.diffs = np.sort(np.abs(np.asarray(diffs, dtype=float)))
 
     def quantile(self, q: float) -> float:
         if not 0 < q <= 1:
             raise ValueError("quantile must be in (0, 1]")
         idx = math.ceil(q * len(self.diffs)) - 1
-        return self.diffs[idx]
+        return float(self.diffs[idx])
 
     def fraction_within(self, tol: float) -> float:
-        return sum(1 for d in self.diffs if d <= tol) / len(self.diffs)
+        return int(np.count_nonzero(self.diffs <= tol)) / len(self.diffs)
 
 
-def estimate_accuracy(reports: Sequence[SlowdownReport], which: str = "stall") -> AccuracyCdf:
-    """CDF of |stall-based estimate - measured slowdown| over decomposed pairs."""
-    if not reports:
+def estimate_accuracy(breakdown: np.ndarray | Sequence[SlowdownReport],
+                      which: str = "stall") -> AccuracyCdf:
+    """CDF of |stall-based estimate - measured slowdown| over decomposed pairs:
+    a :func:`decompose_table` result, or one report per pair."""
+    if len(breakdown) == 0:
         raise EmptyInput("no run pairs")
     if which not in ("stall", "backend"):
         raise ValueError("which must be 'stall' or 'backend'")
-    return AccuracyCdf([getattr(r, f"total_{which}_estimate") - r.total_measured for r in reports])
+    if not isinstance(breakdown, np.ndarray):   # the first three REPORT_COLUMNS
+        breakdown = np.array([(r.total_measured, r.total_stall_estimate, r.total_backend_estimate)
+                              for r in breakdown])
+    estimate = breakdown[:, REPORT_COLUMNS.index(f"{which}_estimate")]
+    with np.errstate(over="ignore"):   # an infinite difference is reported by dump_json
+        return AccuracyCdf(estimate - breakdown[:, 0])
 
 
-def write_report_csv(reports: Sequence[SlowdownReport], path: str | Path) -> None:
-    """One row per pair: measured, estimates, five components, residual."""
-    attrs = ("total_measured", "total_stall_estimate", "total_backend_estimate")
-    header = ["measured", "stall_estimate", "backend_estimate",
-              *(f"comp_{src}" for src in STALL_SOURCES), "residual"]
-    columns = ([[getattr(r, a) for r in reports] for a in attrs]
-               + [[r.components[src] for r in reports] for src in STALL_SOURCES]
-               + [[r.residual for r in reports]])
-    for name, column in zip(header, columns):
-        require_finite_values(path, name, column)
-    text = [list(map(repr, column)) for column in columns]
-    for r, cells in zip(reports, zip(*text[3:], text[0])):
-        object.__setattr__(r, "_long_cells", cells)   # what reading r._long_cells would cache
-    write_table(path, ["label", *header], [[r.label for r in reports], *text])
+def write_report_csv(labels: Sequence[str], breakdown: np.ndarray, path: str | Path) -> None:
+    """One row per pair: label, measured, estimates, five components, residual."""
+    write_table(path, ["label", *REPORT_COLUMNS], [labels, *breakdown.T])
 
 
-def write_report_long_csv(reports: Sequence[SlowdownReport], path: str | Path) -> None:
+def write_report_long_csv(labels: Sequence[str], breakdown: np.ndarray, path: str | Path) -> None:
     """Stacked-bar-friendly long format: one (label, source, value) row each."""
-    sources = (*STALL_SOURCES, "other", "measured")
-    require_finite_values(path, "value", [v for r in reports for v in (
-        *map(r.components.__getitem__, STALL_SOURCES), r.residual, r.total_measured)])
-    write_table(
-        path, ["label", "source", "value"],
-        [[r.label for r in reports for _ in sources], sources * len(reports),
-         [c for r in reports for c in r._long_cells]],
-    )
+    sources = tuple(_LONG_SOURCES)
+    write_table(path, ["label", "source", "value"],
+                [[label for label in labels for _ in sources], sources * len(labels),
+                 breakdown[:, _LONG_COLUMNS].ravel()])

@@ -103,11 +103,11 @@ def _cmd_ingest(args, out: OutputDir) -> str:
 
 
 def _cmd_breakdown(args, out: OutputDir) -> str:
-    pairs, _ = cnt.read_run_pairs(args.pairs)
-    reports = [bd.decompose(rp) for rp in pairs]
-    bd.write_report_csv(reports, out / "breakdown.csv")
-    bd.write_report_long_csv(reports, out / "breakdown_long.csv")
-    cdf = bd.estimate_accuracy(reports, which="backend")
+    labels, pairs, _ = cnt.read_pairs_table(args.pairs)
+    breakdown = bd.decompose_table(pairs)
+    bd.write_report_csv(labels, breakdown, out / "breakdown.csv")
+    bd.write_report_long_csv(labels, breakdown, out / "breakdown_long.csv")
+    cdf = bd.estimate_accuracy(breakdown, which="backend")
     dump_json(out / "accuracy.json", {"pairs": len(pairs), "p95_abs_error": cdf.quantile(0.95),
                                       "within_0.05": cdf.fraction_within(0.05)})
     return f"decomposed {len(pairs)} pairs -> {out.root}"
@@ -207,9 +207,9 @@ def _cmd_demo(args, out: OutputDir) -> str:
 
     # 2. breakdown + prediction accuracy on a noisy fixture suite
     pairs = dm.make_consistency_fixture(200, seed=seed, noise=0.03)
-    reports = [bd.decompose(rp) for rp in pairs]
-    bd.write_report_csv(reports, out / "breakdown.csv")
-    cdf = bd.estimate_accuracy(reports, which="backend")
+    breakdown = bd.decompose_table(cnt.pairs_table(pairs))
+    bd.write_report_csv([rp.label for rp in pairs], breakdown, out / "breakdown.csv")
+    cdf = bd.estimate_accuracy(breakdown, which="backend")
     lines.append(
         f"breakdown: {cdf.fraction_within(0.05):.1%} of {len(pairs)} pairs within 0.05"
     )

@@ -168,7 +168,8 @@ def _header(names: Iterable, required: Iterable[str]) -> list[str]:
 # row it cannot parse and keeping that row's error as the ``defect``.  When
 # every cell converts with plain int()/float() and the whole table passes
 # every check of its objects at once (_valid_rows, _valid_pairs), the objects
-# are built without checking each again (_built).  Otherwise the reference loop
+# are built without checking each again (_built), or for pairs the checked
+# table itself is returned (read_pairs_table).  Otherwise the reference loop
 # runs over the parsed rows: each row's cells through _count/_real, then its
 # objects built, row by row, and the defect last.  That loop fixes every
 # error's class, row, column and precedence.
@@ -354,39 +355,50 @@ def _valid_pairs(table: np.ndarray) -> bool:
     return not (np.abs(li - ri) / np.where(ref > 0, ref, 1.0) > 0.01).any()
 
 
+def pairs_table(pairs: Sequence[RunPair]) -> np.ndarray:
+    """The pairs' numbers as an ``(n, 38)`` float64 table in _PAIR_NUMBERS order."""
+    counts = attrgetter(*COUNTER_FIELDS)
+    return np.array([(*counts(p.local), *counts(p.remote), p.local_runtime, p.remote_runtime)
+                     for p in pairs], dtype=float).reshape(-1, len(_PAIR_NUMBERS))
+
+
 def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str, Sequence[str]] | None = None) -> None:
     """Write pairs as CSV; ``extra`` adds leading columns (e.g. calibration kind)."""
     extra = extra or {}
-    counts = attrgetter(*COUNTER_FIELDS)
-    numbers = np.array([(p.local_runtime, p.remote_runtime, *counts(p.local), *counts(p.remote))
-                        for p in pairs], dtype=float)
+    numbers = pairs_table(pairs)
     write_table(path, [*extra, *PAIR_FIELDS],
-                [*extra.values(), [p.label for p in pairs], *numbers.T])
+                [*extra.values(), [p.label for p in pairs], *numbers[:, -2:].T, *numbers[:, :-2].T])
 
 
-def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[RunPair], dict[str, list[str]]]:
-    """Read a pairs CSV; returns (pairs, extra column values)."""
+def read_pairs_table(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[str], np.ndarray, dict[str, list[str]]]:
+    """Read a pairs CSV; returns (labels, checked pairs table in _PAIR_NUMBERS
+    order, extra column values)."""
     extra_columns = list(extra_columns)
     names, rows, defect = _csv_table(Path(path), extra_columns + PAIR_FIELDS)
     label = names.index("label")
     numbers = itemgetter(*map(names.index, _PAIR_NUMBERS))
-    values, n = None, len(COUNTER_FIELDS)
+    table = None
     with suppress(ValueError):
-        values = None if defect else [list(map(float, numbers(cells))) for cells in rows]
-    if values is not None and _valid_pairs(np.array(values).reshape(-1, len(_PAIR_NUMBERS))):
-        pairs = [
-            _built(RunPair, _RUN_PAIR_FIELDS,
-                   (cells[label], _built(CounterSnapshot, COUNTER_FIELDS, v[:n]),
-                    _built(CounterSnapshot, COUNTER_FIELDS, v[n:2 * n]), *v[2 * n:]))
-            for cells, v in zip(rows, values)
-        ]
-    else:   # per row: local cells, local snapshot, remote cells, remote snapshot, runtimes
-        pairs = []
+        table = None if defect else np.array(
+            [list(map(float, numbers(cells))) for cells in rows]).reshape(-1, len(_PAIR_NUMBERS))
+    if table is None or not _valid_pairs(table):
+        # per row: local cells, local snapshot, remote cells, remote snapshot, runtimes
+        n = len(COUNTER_FIELDS)
         for row, cells in enumerate(rows, start=1):
             cell = iter(zip(_PAIR_NUMBERS, numbers(cells)))
             sides = [CounterSnapshot(*[_real(c, row, f) for f, c in islice(cell, n)]) for _ in range(2)]
-            pairs.append(RunPair(cells[label], *sides, *[_real(c, row, f) for f, c in cell]))
-        if defect:
-            raise defect
+            RunPair(cells[label], *sides, *[_real(c, row, f) for f, c in cell])
+        raise defect   # _valid_pairs fails only where a row above raises
     extras = {k: list(map(itemgetter(names.index(k)), rows)) for k in extra_columns}
+    return list(map(itemgetter(label), rows)), table, extras
+
+
+def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[RunPair], dict[str, list[str]]]:
+    """Read a pairs CSV; returns (pairs, extra column values)."""
+    labels, table, extras = read_pairs_table(path, extra_columns)
+    n = len(COUNTER_FIELDS)
+    pairs = [_built(RunPair, _RUN_PAIR_FIELDS,
+                    (label, _built(CounterSnapshot, COUNTER_FIELDS, v[:n]),
+                     _built(CounterSnapshot, COUNTER_FIELDS, v[n:2 * n]), *v[2 * n:]))
+             for label, v in zip(labels, table.tolist())]
     return pairs, extras

@@ -59,8 +59,10 @@ class TierTrace(Checked):
     group_sizes: np.ndarray = field(init=False, repr=False, compare=False)
     epoch_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
+    # An epoch covers at least one instruction, so the per-instruction
+    # slowdown is never larger than the stall cycles it divides.
     _BOUNDS = {"page_count": ((">=", 1),), "wss_pages": ((">=", 0),),
-               "epoch_instructions": ((">", 0),)}
+               "epoch_instructions": ((">=", 1),)}
 
     def __post_init__(self):
         if not any(len(e.demand_misses) for e in self.epochs):

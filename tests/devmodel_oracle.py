@@ -5,7 +5,9 @@
   sampling worked in place on reused buffers and the sample dump was written
   in chunks;
 * the synthetic-suite builders and ``synthesize_runpair`` as they were before
-  ``devmodel`` built its suites from range tuples and one calibration table.
+  ``devmodel`` built its suites from range tuples and one calibration table;
+* ``latency_percentiles`` as it was before it selected each rank with a
+  partition instead of sorting every sample.
 
 The device model they call (presets, local counters, reference parameters)
 is imported, not copied: it did not change.  The queueing curve and the
@@ -15,6 +17,7 @@ live curve replaced, so a change to the live curve shows here.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +36,7 @@ from suplab.devmodel import (
     make_reference_params,
     utilization,
 )
-from suplab.errors import InconsistentProfile, InvariantViolation, LoadOutOfRange
+from suplab.errors import EmptyInput, InconsistentProfile, InvariantViolation, LoadOutOfRange
 from suplab.model import ModelParams, metric_cache, metric_dram, metric_store
 
 from interleave_oracle import latency_cycles, queueing_delay_ns
@@ -71,6 +74,20 @@ def write_latency_samples_csv(samples: Sequence[float] | np.ndarray, path: str |
         fh.write("latency_ns\n")
         for v in np.asarray(samples, dtype=float):
             fh.write(f"{float(v)!r}\n")
+
+
+def latency_percentiles(
+    samples: Sequence[float] | np.ndarray, qs: Sequence[float]
+) -> dict[float, float]:
+    """Nearest-rank percentiles (q in (0,1)); monotone in q by construction."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.size == 0:
+        raise EmptyInput("no latency samples")
+    for q in qs:
+        if not 0 < q < 1:
+            raise ValueError(f"quantile out of range (0,1): {q}")
+    arr = np.sort(arr)
+    return {q: float(arr[math.ceil(q * arr.size) - 1]) for q in qs}
 
 
 def synthesize_runpair(

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from suplab import breakdown as bd
+from suplab import counters as cnt
 from suplab import devmodel as dm
 from suplab.counters import RunPair
 from suplab.errors import EmptyInput
@@ -117,11 +118,11 @@ class TestProperties:
         assert more.components["DRAM"] > base.components["DRAM"]
 
     def test_report_csv(self, tmp_path):
-        reps = [bd.decompose(pair_with({}))]
+        breakdown = bd.decompose_table(cnt.pairs_table([pair_with({})]))
         path = tmp_path / "rep.csv"
-        bd.write_report_csv(reps, path)
+        bd.write_report_csv(["t"], breakdown, path)
         header = path.read_text().splitlines()[0]
         assert header.split(",")[:4] == ["label", "measured", "stall_estimate", "backend_estimate"]
         long_path = tmp_path / "rep_long.csv"
-        bd.write_report_long_csv(reps, long_path)
+        bd.write_report_long_csv(["t"], breakdown, long_path)
         assert len(long_path.read_text().splitlines()) == 1 + 7  # 5 sources + other + measured

@@ -379,14 +379,49 @@ def trace_headers(draw) -> dict:
 
 def header_is_valid(header: dict) -> bool:
     """The documented header rule, written out: the three counts as JSON
-    integers in their bounds, an optional finite ``epoch_instructions`` > 0,
+    integers in their bounds, an optional finite ``epoch_instructions`` >= 1,
     and no other key."""
     def count(key, low, high=2**63 - 1):
         return type(header.get(key)) is int and low <= header[key] <= high
     instructions = header.get("epoch_instructions", 1e9)
     return (set(header) <= set(TRACE_HEADER) and count("epochs", 0, ts.MAX_EPOCHS)
             and count("page_count", 1) and count("wss_pages", 0)
-            and type(instructions) in (int, float) and 0 < instructions <= sys.float_info.max)
+            and type(instructions) in (int, float) and 1 <= instructions <= sys.float_info.max)
+
+
+# A pairs CSV of three valid rows, and what the breakdown fuzz puts in a cell.
+FUZZ_PAIRS = dm.make_consistency_fixture(3, seed=3)
+PAIR_CELLS = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e308",
+                              "1.7976931348623157e308", "1e309", "-0.0", "0", "5e-324", "-1", "x",
+                              "", "1,5", '"', "9" * 30, "1" + "0" * 400])
+
+
+def _subnormal_cycles(header: list[str], row: list[str]) -> None:
+    """Set the row's local total_cycles to 5e-324 and zero the four local
+    stall counts it bounds, so the row still passes every check."""
+    for name in ("stall_cycles_total", "backend_stall_cycles", "mem_stall_cycles",
+                 "llc_miss_demand_stall_cycles"):
+        row[header.index(f"local_{name}")] = "0"
+    row[header.index("local_total_cycles")] = "5e-324"
+
+
+@st.composite
+def pairs_csvs(draw, header: list[str], rows: list[list[str]]) -> str:
+    """The pairs CSV ``header`` + ``rows`` with up to three changes, each a
+    cell replaced or a row given a subnormal cycle count; then, maybe, a row
+    cut short and the text cut."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.integers(0, 2)):
+            row[draw(st.integers(0, len(row) - 1))] = draw(PAIR_CELLS)
+        else:
+            _subnormal_cycles(header, row)
+    if draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        del row[draw(st.integers(1, len(row) - 1)):]
+    text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 3)) == 0 else text
 
 
 class TestBadInputs:
@@ -592,13 +627,60 @@ class TestBadInputs:
             named = "t.json"
         elif header["epochs"] < 2 or header["page_count"] < 4:
             named = "t.csv"
-        elif rc == 2 and header.get("epoch_instructions", 1e9) < 1e-300:
-            named = "est_slowdown holds a NaN or an infinity"   # a slow miss over a subnormal
         else:
             assert (rc, err) == (0, [])
             return
         assert rc == 2 and len(err) == 1 and named in err[0], err
         assert not out.exists() and not list(d.glob(".sim.*"))
+
+    def test_trace_header_below_one_instruction(self, tmp_path, capsys):
+        # a slow miss's slowdown over 1e-306 instructions overflows: the header is refused
+        (tmp_path / "t.csv").write_text(FUZZ_TRACE_CSV)
+        (tmp_path / "t.json").write_text(json.dumps({**TRACE_HEADER, "epoch_instructions": 1e-306}))
+        out = tmp_path / "sim"
+        rc = _tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out)
+        err = _assert_data_error(rc, capsys, out, tmp_path / "t.json")
+        assert "TraceHeader.epoch_instructions must be >= 1" in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_breakdown_fuzz(self, tmp_path_factory, data):
+        d = tmp_path_factory.mktemp("pairs")
+        cnt.write_run_pairs(FUZZ_PAIRS, d / "valid.csv")
+        header, *rows = [line.split(",") for line in (d / "valid.csv").read_text().splitlines()]
+        (d / "pairs.csv").write_text(data.draw(pairs_csvs(header, rows)))
+        out = d / "bd"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.run(["breakdown", "--pairs", str(d / "pairs.csv"), "--out", str(out)])
+        err = stderr.getvalue().splitlines()
+        if rc == 2:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert not out.exists() and not list(d.glob(".bd.*"))
+            return
+        assert (rc, err) == (0, [])
+        for name in ("breakdown.csv", "breakdown_long.csv"):
+            with (out / name).open(newline="") as fh:
+                cells = [row[-1:] if name == "breakdown_long.csv" else row[1:]
+                         for row in list(csv.reader(fh))[1:]]
+            assert all(math.isfinite(float(c)) for row in cells for c in row)
+        accuracy = json.loads((out / "accuracy.json").read_text())
+        assert all(math.isfinite(accuracy[k]) for k in ("p95_abs_error", "within_0.05"))
+
+    def test_breakdown_subnormal_cycles(self, tmp_path, capsys):
+        # components over a local total_cycles of 5e-324 overflow: a data error, no warning
+        pairs_csv = tmp_path / "pairs.csv"
+        cnt.write_run_pairs(FUZZ_PAIRS, pairs_csv)
+        header, *rows = [line.split(",") for line in pairs_csv.read_text().splitlines()]
+        _subnormal_cycles(header, rows[1])
+        pairs_csv.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+        out = tmp_path / "bd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.run(["breakdown", "--pairs", str(pairs_csv), "--out", str(out)])
+        err = _assert_data_error(rc, capsys, out)
+        assert err.endswith("breakdown.csv: stall_estimate holds a NaN or an infinity")
 
     def test_ingest_json_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -826,22 +908,26 @@ class TestStagedOutput:
 
 
 class TestDecomposeCalls:
-    """breakdown decomposes each pair once; the accuracy CDF reuses the reports."""
+    """breakdown reads the pairs CSV as one table and decomposes it once;
+    the writers and the accuracy CDF read the kernel's columns."""
 
-    def test_breakdown_once_per_pair(self, tmp_path, monkeypatch):
+    def test_breakdown_reads_and_decomposes_once(self, tmp_path, monkeypatch):
         seen = []
-        real = bd.decompose
 
-        def counting(rp):
-            seen.append(rp.label)
-            return real(rp)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(bd, "decompose", counting)
+        for module, name in ((cnt, "read_pairs_table"), (cnt, "read_run_pairs"),
+                             (bd, "decompose_table"), (bd, "decompose")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         pairs = dm.make_consistency_fixture(10, seed=3)
         cnt.write_run_pairs(pairs, tmp_path / "pairs.csv")
         assert cli.run(["breakdown", "--pairs", str(tmp_path / "pairs.csv"),
                         "--out", str(tmp_path / "bd")]) == 0
-        assert seen == [rp.label for rp in pairs]
+        assert seen == ["read_pairs_table", "decompose_table"]
 
 
 class TestSimulateCalls:

@@ -42,9 +42,9 @@ BOUNDS = {
                       "migration_cost_us": ((">=", 0),)},
     cnt.RunPair: {"local_runtime": ((">", 0),), "remote_runtime": ((">", 0),)},
     ts.TierTrace: {"page_count": ((">=", 1),), "wss_pages": ((">=", 0),),
-                   "epoch_instructions": ((">", 0),)},
+                   "epoch_instructions": ((">=", 1),)},
     ts.TraceHeader: {"epochs": ((">=", 0), ("<=", 200_000)), "page_count": ((">=", 1),),
-                     "wss_pages": ((">=", 0),), "epoch_instructions": ((">", 0),)},
+                     "wss_pages": ((">=", 0),), "epoch_instructions": ((">=", 1),)},
     il.InterleaveRatio: {"remote_fraction": ((">=", 0), ("<=", 1))},
 }
 SCALARS = ("str", "int", "float")   # the field types the rule checks

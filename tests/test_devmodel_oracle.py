@@ -1,11 +1,14 @@
 """Current ``devmodel`` code against its earlier forms in ``devmodel_oracle``:
 bit-identical latency samples for every generated device profile, load, size
-and seed, byte-identical sample dumps around the chunk size, and equal results
-from the table-driven suite builders for every generated size, seed, preset,
-range mix, accuracy tier and MLP-depth set."""
+and seed, byte-identical sample dumps around the chunk size, equal
+percentiles for generated samples (ties, one sample) and quantile lists
+(repeated, unsorted), and equal results from the table-driven suite builders
+for every generated size, seed, preset, range mix, accuracy tier and
+MLP-depth set."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +69,31 @@ def test_samples_csv(tmp_path, n):
     # a plain sequence is written the same as its array
     dm.write_latency_samples_csv(samples.tolist(), tmp_path / "list.csv")
     assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+QUANTILES = st.lists(st.one_of(st.sampled_from([0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1e-300,
+                                                 0.9999999999999999]),
+                               st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                     min_size=1, max_size=8)
+
+
+@st.composite
+def latency_samples(draw) -> np.ndarray:
+    """Samples with many ties (drawn from up to five values) or few, from one
+    sample up to a few thousand."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 20), st.integers(1, 5000)))
+    rng = np.random.default_rng(draw(SEEDS))
+    samples = rng.exponential(draw(st.sampled_from([1.0, 100.0, 1e300])), size=n)
+    return rng.choice(samples[:draw(st.integers(1, 5))], size=n) if draw(st.booleans()) else samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=latency_samples(), qs=QUANTILES)
+def test_latency_percentiles(samples, qs):
+    given_samples = samples.copy()
+    assert dm.latency_percentiles(samples, qs) == oracle.latency_percentiles(samples, qs)
+    assert samples.tobytes() == given_samples.tobytes()   # partitioned in a copy
+    assert dm.latency_percentiles(samples.tolist(), qs) == oracle.latency_percentiles(samples, qs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -82,12 +82,7 @@ def run_pairs(draw):
                        draw(runtimes), draw(runtimes))
 
 
-REPORTS = st.builds(
-    bd.SlowdownReport, label=LABELS, total_measured=FLOATS, total_stall_estimate=FLOATS,
-    total_backend_estimate=FLOATS,
-    components=st.fixed_dictionaries({src: FLOATS for src in cnt.STALL_SOURCES}),
-    residual=FLOATS,
-)
+REPORT_ROWS = st.tuples(LABELS, st.tuples(*[FLOATS] * len(bd.REPORT_COLUMNS)))
 PREDICTIONS = st.builds(mdl.Prediction, label=LABELS, m_dram=FLOATS, m_cache=FLOATS,
                         m_store=FLOATS, s_pred=FLOATS,
                         sensitivity=st.sampled_from(["latency_bound", "bandwidth_bound"]))
@@ -123,14 +118,20 @@ def traces(draw):
                   .filter(lambda es: any(es)))
     return ts.TierTrace(epochs=[ts.TraceEpoch(demand_misses=e) for e in epochs],
                         page_count=page_count, wss_pages=draw(st.integers(0, 2**40)),
-                        epoch_instructions=draw(st.floats(1e-300, 1e308)))
+                        epoch_instructions=draw(st.floats(1.0, 1e308)))
 
 
 @EXAMPLES
-@given(st.lists(REPORTS, **SIZES))
-def test_breakdown_writers(reports):
-    assert_same_bytes(bd.write_report_csv, oracle.write_report_csv, reports)
-    assert_same_bytes(bd.write_report_long_csv, oracle.write_report_long_csv, reports)
+@given(st.lists(REPORT_ROWS, **SIZES))
+def test_breakdown_writers(rows):
+    labels = [label for label, _ in rows]
+    breakdown = np.array([values for _, values in rows]).reshape(-1, len(bd.REPORT_COLUMNS))
+    reports = [bd.SlowdownReport(label, measured, stall, backend,
+                                 dict(zip(cnt.STALL_SOURCES, components)), residual)
+               for label, (measured, stall, backend, *components, residual) in rows]
+    for new, old in ((bd.write_report_csv, oracle.write_report_csv),
+                     (bd.write_report_long_csv, oracle.write_report_long_csv)):
+        assert_same_bytes(lambda _, path: new(labels, breakdown, path), old, reports)
 
 
 @EXAMPLES
