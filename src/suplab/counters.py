@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (FLOAT_MAX, EmptyInput, InvariantViolation, MalformedRecord, MissingColumn,
-                     Checked, NegativeValue, NoDemandReads, SupLabError, ZeroDenominator,
-                     dump_json, require_finite_values, write_table)
+from .errors import (FLOAT_MAX, LIMIT_OPS, EmptyInput, InvariantViolation, MalformedRecord,
+                     MissingColumn, Checked, NegativeValue, NoDemandReads, SupLabError,
+                     ZeroDenominator, dump_json, require_finite_values, write_table)
 
 # Each backend stall source and the counter that measures its stall cycles.
 STALL_COUNTERS = {
@@ -35,11 +35,7 @@ STALL_COUNTERS = {
 STALL_SOURCES = tuple(STALL_COUNTERS)
 EXACT_MAX = 2**53 - 1            # an integer count past it may not convert to float exactly
 
-# CounterSnapshot's ordering invariants in the order they are checked, on one
-# object (__post_init__) or on a table's columns (_valid_rows) with the same
-# IEEE operations: each (field, bound) holds field <= bound * _SLACK.  Then,
-# as each request is outstanding for at least one cycle, occupancy >= requests
-# (for counts already >= 0, the same as: when requests > 0).
+# CounterSnapshot's ordering invariants: each (field, bound) holds field <= bound * _SLACK.
 _SLACK = 1 + 1e-12
 _BOUNDED_BY = (("stall_cycles_total", "total_cycles"),
                ("backend_stall_cycles", "stall_cycles_total"),
@@ -75,19 +71,7 @@ class CounterSnapshot:
     instructions: float
 
     def __post_init__(self):
-        for name in COUNTER_FIELDS:
-            v = getattr(self, name)
-            if not 0 <= v <= FLOAT_MAX:   # negative, NaN, infinite or past the float range
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise InvariantViolation(f"CounterSnapshot.{name} must be finite, got {v}")
-                raise InvariantViolation(f"{name} must be >= 0, got {v}" if v < 0
-                                         else f"{name} exceeds the float range")
-        for name, bound in _BOUNDED_BY:
-            if getattr(self, name) > getattr(self, bound) * _SLACK:
-                raise InvariantViolation(f"{name} exceeds {bound}")
-        if self.offcore_demand_requests > self.offcore_demand_occupancy:
-            raise InvariantViolation("offcore_demand_occupancy below offcore_demand_requests "
-                                     "(each request is outstanding for at least one cycle)")
+        _enforce(_snapshot_rules(vars(self)))
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
@@ -99,6 +83,34 @@ class CounterSnapshot:
 
 # Canonical column order for the CSV/JSON interchange format.
 COUNTER_FIELDS = tuple(f.name for f in fields(CounterSnapshot))
+
+
+def _snapshot_rules(c, limit: float = FLOAT_MAX):
+    """CounterSnapshot's rules in order, drawn lazily as (holds, message): ``c``
+    maps each counter to a number (``holds`` a bool) or a column (a row mask);
+    ``message()``, called before the next draw, is the error text."""
+    for name in COUNTER_FIELDS:   # first, so no count past the float range meets _SLACK
+        v = c[name]
+        yield (0 <= v) & (v <= limit), lambda: (
+            f"CounterSnapshot.{name} must be finite, got {v}" if isinstance(v, float) and not math.isfinite(v)
+            else f"{name} must be >= 0, got {v}" if v < 0 else f"{name} exceeds the float range")
+    for name, bound in _BOUNDED_BY:
+        yield c[name] <= c[bound] * _SLACK, lambda: f"{name} exceeds {bound}"
+    yield c["offcore_demand_requests"] <= c["offcore_demand_occupancy"], lambda: (
+        "offcore_demand_occupancy below offcore_demand_requests (each request is outstanding for at least one cycle)")
+
+
+def _enforce(rules) -> None:
+    """Raise the first of ``rules``, drawn on numbers, that fails, as an InvariantViolation."""
+    for holds, message in rules:
+        if not holds:
+            raise InvariantViolation(message())
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a failing row may overflow or make a NaN
+def _passing(rules) -> np.ndarray:
+    """The mask of a table's rows that pass all of ``rules``, drawn on its columns."""
+    return np.logical_and.reduce([holds for holds, _ in rules])
 
 
 def amortized_offcore_latency(s: CounterSnapshot) -> float:
@@ -165,25 +177,11 @@ def _header(names: Iterable, required: Iterable[str]) -> list[str]:
 
 
 # A reader parses its file once into a header and rows, stopping at the first
-# row it cannot parse and keeping that row's error as the ``defect``.  When
-# every cell converts with plain int()/float() and the whole table passes
-# every check of its objects at once (_valid_rows, _valid_pairs), the objects
-# are built without checking each again (_built), or for pairs the checked
-# table itself is returned (read_pairs_table).  Otherwise the reference loop
-# runs over the parsed rows: each row's cells through _count/_real, then its
-# objects built, row by row, and the defect last.  That loop fixes every
-# error's class, row, column and precedence.
-
-@np.errstate(over="ignore")   # a bound times _SLACK may overflow to inf, as in Python
-def _valid_rows(table: np.ndarray, limit: float = FLOAT_MAX) -> bool:
-    """Whether every row of ``table``, counter vectors in COUNTER_FIELDS order,
-    lies in [0, ``limit``] and passes CounterSnapshot's invariants.  Counts up
-    to EXACT_MAX are exact as floats, so __post_init__'s verdict holds for them."""
-    col = dict(zip(COUNTER_FIELDS, table.T))
-    return (((table >= 0) & (table <= limit)).all()
-            and not any((col[name] > col[bound] * _SLACK).any() for name, bound in _BOUNDED_BY)
-            and not (col["offcore_demand_requests"] > col["offcore_demand_occupancy"]).any())
-
+# row it cannot parse and keeping that row's error as the ``defect``.  Its table
+# then meets the constructors' own rules: a log of plain integers up to EXACT_MAX
+# (exact as floats) that passes gets its snapshots unchecked (_built), any other
+# is built row by row through _count; a pairs table, each cell as _real reads it,
+# has only its first failing row, or first row float() cannot read, built to raise.
 
 def _built(cls, names: Sequence[str], values: Iterable):
     """An object of the frozen dataclass ``cls`` with these field values, made
@@ -269,7 +267,8 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSna
         raise ValueError(f"unknown format: {format!r}")
     if counts is not None:
         with suppress(OverflowError):   # a count past the float range
-            if _valid_rows(np.array(counts, dtype=float).reshape(-1, len(COUNTER_FIELDS)), EXACT_MAX):
+            table = np.array(counts, dtype=float).reshape(-1, len(COUNTER_FIELDS))
+            if _passing(_snapshot_rules(dict(zip(COUNTER_FIELDS, table.T)), EXACT_MAX)).all():
                 return [_built(CounterSnapshot, COUNTER_FIELDS, c) for c in counts]
     snapshots = [
         CounterSnapshot(*[_count(v, row, f) for f, v in zip(COUNTER_FIELDS, cells)])
@@ -325,13 +324,14 @@ class RunPair(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        ref = max(self.local.instructions, self.remote.instructions)
-        if ref > 0:
-            drift = abs(self.local.instructions - self.remote.instructions) / ref
-            if drift > 0.01:
-                raise InvariantViolation(
-                    f"snapshots cover different phases: instruction counts differ by {drift:.1%}"
-                )
+        _enforce(_drift_rules(self.local.instructions, self.remote.instructions))
+
+
+def _drift_rules(li, ri):
+    """RunPair's rule beyond its fields', drawn as _snapshot_rules': instruction drift <= 1 %."""
+    ref = (li >= ri) * li + (li < ri) * ri   # max(li, ri); ints stay Python ints
+    drift = abs(li - ri) / (ref + (ref == 0))   # 0 where both are 0
+    yield drift <= 0.01, lambda: f"snapshots cover different phases: instruction counts differ by {drift:.1%}"
 
 
 PAIR_FIELDS = ["label", "local_runtime", "remote_runtime"] + [
@@ -342,17 +342,16 @@ _PAIR_NUMBERS = PAIR_FIELDS[3:] + PAIR_FIELDS[1:3]
 _RUN_PAIR_FIELDS = tuple(f.name for f in fields(RunPair))
 
 
-def _valid_pairs(table: np.ndarray) -> bool:
-    """Whether every row of ``table``, a pair's numbers in _PAIR_NUMBERS order,
-    passes the checks of both snapshots and of RunPair."""
+def _valid_pairs(table: np.ndarray) -> np.ndarray:
+    """The mask of the pairs in ``table`` (_PAIR_NUMBERS order) that pass their objects'
+    rules: both snapshots', then the runtimes' finite and RunPair._BOUNDS, then drift."""
     n = len(COUNTER_FIELDS)
-    local, remote, runtimes = table[:, :n], table[:, n:2 * n], table[:, 2 * n:]
-    if not (_valid_rows(local) and _valid_rows(remote)
-            and ((runtimes > 0) & (runtimes < math.inf)).all()):
-        return False
-    li, ri = local[:, -1], remote[:, -1]   # instructions, the last counter
-    ref = np.maximum(li, ri)   # 0 only where both are
-    return not (np.abs(li - ri) / np.where(ref > 0, ref, 1.0) > 0.01).any()
+    local, remote = (dict(zip(COUNTER_FIELDS, table[:, i:i + n].T)) for i in (0, n))
+    runtimes = dict(zip(_PAIR_NUMBERS[2 * n:], table[:, 2 * n:].T))
+    bounds = (((runtimes[name] <= FLOAT_MAX) & LIMIT_OPS[op](runtimes[name], limit), None)
+              for name, limits in RunPair._BOUNDS.items() for op, limit in limits)
+    return _passing(chain(_snapshot_rules(local), _snapshot_rules(remote), bounds,
+                          _drift_rules(local["instructions"], remote["instructions"])))
 
 
 def pairs_table(pairs: Sequence[RunPair]) -> np.ndarray:
@@ -377,18 +376,18 @@ def read_pairs_table(path: str | Path, extra_columns: Iterable[str] = ()) -> tup
     names, rows, defect = _csv_table(Path(path), extra_columns + PAIR_FIELDS)
     label = names.index("label")
     numbers = itemgetter(*map(names.index, _PAIR_NUMBERS))
-    table = None
-    with suppress(ValueError):
-        table = None if defect else np.array(
-            [list(map(float, numbers(cells))) for cells in rows]).reshape(-1, len(_PAIR_NUMBERS))
-    if table is None or not _valid_pairs(table):
-        # per row: local cells, local snapshot, remote cells, remote snapshot, runtimes
-        n = len(COUNTER_FIELDS)
-        for row, cells in enumerate(rows, start=1):
-            cell = iter(zip(_PAIR_NUMBERS, numbers(cells)))
-            sides = [CounterSnapshot(*[_real(c, row, f) for f, c in islice(cell, n)]) for _ in range(2)]
-            RunPair(cells[label], *sides, *[_real(c, row, f) for f, c in cell])
-        raise defect   # _valid_pairs fails only where a row above raises
+    values = []
+    with suppress(ValueError):   # the table ends at the first row float() cannot read
+        for cells in rows:
+            values.append(list(map(float, numbers(cells))))
+    table = np.array(values).reshape(-1, len(_PAIR_NUMBERS))
+    row = next(iter(np.flatnonzero(~_valid_pairs(table)).tolist()), len(table))   # or the first unread
+    if row < len(rows) or defect:
+        if row < len(rows):   # built as each row's objects in turn, it raises
+            cell, n = iter(zip(_PAIR_NUMBERS, numbers(rows[row]))), len(COUNTER_FIELDS)
+            sides = [CounterSnapshot(*[_real(c, row + 1, f) for f, c in islice(cell, n)]) for _ in range(2)]
+            RunPair(rows[row][label], *sides, *[_real(c, row + 1, f) for f, c in cell])
+        raise defect
     extras = {k: list(map(itemgetter(names.index(k)), rows)) for k in extra_columns}
     return list(map(itemgetter(label), rows)), table, extras
 

@@ -22,7 +22,7 @@ import numpy as np
 
 TABLE_CHUNK = 16_384        # rows formatted per write by write_table
 FLOAT_MAX = sys.float_info.max   # a number past it does not convert to a float
-_LIMIT_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+LIMIT_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}   # a JSON int is a float too
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')   # the characters csv.writer quotes a field for
 
@@ -134,7 +134,7 @@ def check_fields(obj, bounds) -> None:
             raise InvariantViolation(f"{where} must be finite, got " + (
                 repr(v) if isinstance(v, float) else "an integer past the float range"))
         for op, limit in bounds.get(f.name, ()):
-            if not _LIMIT_OPS[op](v, limit):   # a float field's long int shows as a float
+            if not LIMIT_OPS[op](v, limit):   # a float field's long int shows as a float
                 got = float(v) if f.type == "float" else v
                 raise InvariantViolation(f"{where} must be {op} {limit!r}, got {got!r}")
 

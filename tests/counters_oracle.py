@@ -1,18 +1,23 @@
-"""Reference counter readers: the ``csv.DictReader`` and per-record JSON
-readers that ``suplab.counters`` replaced with parse-once, whole-table code.
+"""Reference counter readers and rules: the ``csv.DictReader`` and
+per-record JSON readers that ``suplab.counters`` replaced with parse-once,
+whole-table code, and the checks ``CounterSnapshot`` and ``RunPair`` made
+before one rule set served objects and tables alike.
 
-Kept unchanged as the oracle the readers are checked against
+Kept unchanged as the oracle the readers and rules are checked against
 (``test_counters.py``): for any file, ``suplab.counters.ingest_counter_log``
 and ``read_run_pairs`` must return equal values of the same Python types as
-the functions here, or raise the same error with the same message.  Cell
-conversion (``_count``, ``_real``), the header check and the domain objects
-are suplab's own; only the reading loops live here.
+the functions here, or raise the same error with the same message; for any
+field values, suplab's constructors must accept what :func:`snapshot` and
+:func:`run_pair` accept, and raise what they raise.  Cell conversion
+(``_count``, ``_real``), the header check and the dataclasses are suplab's
+own; the reading loops and the object checks live here.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,11 +30,69 @@ from suplab.counters import (
     _header,
     _real,
 )
-from suplab.errors import EmptyInput, MalformedRecord
+from suplab.errors import (FLOAT_MAX, EmptyInput, InvariantViolation, MalformedRecord,
+                           check_fields)
+
+_SLACK = 1 + 1e-12
+_BOUNDED_BY = (("stall_cycles_total", "total_cycles"),
+               ("backend_stall_cycles", "stall_cycles_total"),
+               ("llc_miss_demand_stall_cycles", "mem_stall_cycles"),
+               ("mem_stall_cycles", "backend_stall_cycles"))
+_RUN_PAIR_BOUNDS = {"local_runtime": ((">", 0),), "remote_runtime": ((">", 0),)}
+
+
+def check_snapshot(self) -> None:
+    """``CounterSnapshot.__post_init__`` as it was."""
+    for name in COUNTER_FIELDS:
+        v = getattr(self, name)
+        if not 0 <= v <= FLOAT_MAX:   # negative, NaN, infinite or past the float range
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvariantViolation(f"CounterSnapshot.{name} must be finite, got {v}")
+            raise InvariantViolation(f"{name} must be >= 0, got {v}" if v < 0
+                                     else f"{name} exceeds the float range")
+    for name, bound in _BOUNDED_BY:
+        if getattr(self, name) > getattr(self, bound) * _SLACK:
+            raise InvariantViolation(f"{name} exceeds {bound}")
+    if self.offcore_demand_requests > self.offcore_demand_occupancy:
+        raise InvariantViolation("offcore_demand_occupancy below offcore_demand_requests "
+                                 "(each request is outstanding for at least one cycle)")
+
+
+def check_run_pair(self) -> None:
+    """``RunPair.__post_init__`` as it was, its ``super().__post_init__()``
+    being ``check_fields`` with RunPair's bounds."""
+    check_fields(self, _RUN_PAIR_BOUNDS)
+    ref = max(self.local.instructions, self.remote.instructions)
+    if ref > 0:
+        drift = abs(self.local.instructions - self.remote.instructions) / ref
+        if drift > 0.01:
+            raise InvariantViolation(
+                f"snapshots cover different phases: instruction counts differ by {drift:.1%}"
+            )
+
+
+def _checked(cls, check, values: dict):
+    """An object of the frozen dataclass ``cls``, made without its own checks
+    and then put through ``check``."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    check(obj)
+    return obj
+
+
+def snapshot(**values) -> CounterSnapshot:
+    return _checked(CounterSnapshot, check_snapshot, values)
+
+
+def run_pair(label, local, remote, local_runtime, remote_runtime) -> RunPair:
+    return _checked(RunPair, check_run_pair, {
+        "label": label, "local": local, "remote": remote,
+        "local_runtime": local_runtime, "remote_runtime": remote_runtime})
 
 
 def _snapshot(record: dict, row: int, convert=_count, prefix: str = "") -> CounterSnapshot:
-    return CounterSnapshot(
+    return snapshot(
         **{f: convert(record[prefix + f], row, prefix + f) for f in COUNTER_FIELDS}
     )
 
@@ -79,7 +142,7 @@ def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple
     pairs: list[RunPair] = []
     extras: dict[str, list[str]] = {k: [] for k in extra_columns}
     for row, record in _csv_records(Path(path), extra_columns + PAIR_FIELDS):
-        pairs.append(RunPair(
+        pairs.append(run_pair(
             label=record["label"],
             local=_snapshot(record, row, _real, "local_"),
             remote=_snapshot(record, row, _real, "remote_"),

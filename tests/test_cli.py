@@ -11,6 +11,7 @@ import re
 import shutil
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -406,22 +407,105 @@ def _subnormal_cycles(header: list[str], row: list[str]) -> None:
 
 
 @st.composite
-def pairs_csvs(draw, header: list[str], rows: list[list[str]]) -> str:
-    """The pairs CSV ``header`` + ``rows`` with up to three changes, each a
-    cell replaced or a row given a subnormal cycle count; then, maybe, a row
-    cut short and the text cut."""
+def csv_texts(draw, header: list[str], rows: list[list[str]], cells, row_edit=None) -> str:
+    """The CSV ``header`` + ``rows`` with up to three changes, each a cell set
+    to one of ``cells`` or, one time in three if given, ``row_edit(header,
+    row)`` applied; then, maybe, a row cut short and the text cut."""
     rows = [list(row) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        if draw(st.integers(0, 2)):
-            row[draw(st.integers(0, len(row) - 1))] = draw(PAIR_CELLS)
+        if row_edit is None or draw(st.integers(0, 2)):
+            row[draw(st.integers(0, len(row) - 1))] = draw(cells)
         else:
-            _subnormal_cycles(header, row)
+            row_edit(header, row)
     if draw(st.integers(0, 3)) == 0:
         row = rows[draw(st.integers(0, len(rows) - 1))]
         del row[draw(st.integers(1, len(row) - 1)):]
     text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
     return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 3)) == 0 else text
+
+
+def pairs_csvs(header: list[str], rows: list[list[str]]):
+    """A pairs CSV with bad cells or a row given a subnormal cycle count."""
+    return csv_texts(header, rows, PAIR_CELLS, _subnormal_cycles)
+
+
+# What the counter CLI fuzz starts from: devices, params and a fit that forecast
+# accepts, and what it puts in a counter cell, a JSON count or a config value.
+FUZZ_LOCAL = dm.DeviceProfile(name="l", base_latency_ns=90.0, bandwidth_cap_gbs=50.0)
+FUZZ_REMOTE = dm.DeviceProfile(name="r", base_latency_ns=140.0, bandwidth_cap_gbs=30.0)
+FUZZ_PARAMS = dm.make_reference_params(FUZZ_LOCAL, FUZZ_REMOTE)
+FUZZ_FIT = il.InterleaveFit("p", 0.1, 0.0, 0.1, 0.0)
+COUNT_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e308", "1e309", "-0.0", "0", "5e-324", "-1",
+                               "2.5", "1e3", "1000.0", " 7 ", "x", "", "true", '"',
+                               str(2**53 + 1), "9" * 30, "1" + "0" * 400])
+JSON_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0, 0, 5e-324, -1, 2.5,
+                               1e3, 2**53 + 1, 10**30, 10**400, 2**63, "7", "", True, False,
+                               None, [], [7], {}, {"a": 7}])
+RUN_KINDS = st.sampled_from([*cal.RUN_KINDS, "", "bogus", "Pointer_Chase"])
+
+
+@st.composite
+def json_logs(draw, records: list[dict]) -> str:
+    """``records`` as a JSON array with up to three changes: a count set to
+    another JSON value (a list, an object or a bool among them), a record
+    replaced by a list or nested in an object, a key dropped or added; then,
+    maybe, the array wrapped in an object or the text cut."""
+    records: list = [dict(r) for r in records]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(records) - 1))
+        kind = draw(st.sampled_from(["value", "value", "value", "record", "drop", "add"]))
+        if kind == "record":
+            records[i] = draw(st.sampled_from([list(records[i].values()) if isinstance(records[i], dict)
+                                               else [], {"record": records[i]}, 7, None]))
+        elif isinstance(records[i], dict):
+            key = draw(st.sampled_from(cnt.COUNTER_FIELDS))
+            if kind == "value":
+                records[i][key] = draw(JSON_VALUES)
+            elif kind == "drop":
+                records[i].pop(key, None)
+            else:
+                records[i][draw(st.sampled_from(["note", key.upper()]))] = draw(JSON_VALUES)
+    text = json.dumps({"records": records} if draw(st.integers(0, 7)) == 0 else records)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 5)) == 0 else text
+
+
+@st.composite
+def json_configs(draw, config) -> str:
+    """The JSON config object ``config`` with up to two keys dropped, set to
+    another JSON value or, for ``bogus``, added; or, maybe, the text cut."""
+    values = dataclasses.asdict(config)
+    for key in draw(st.lists(st.sampled_from([*values, "bogus"]), max_size=2, unique=True)):
+        if key in values and draw(st.booleans()):
+            del values[key]
+        else:
+            values[key] = draw(JSON_VALUES)
+    text = json.dumps(values)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 7)) == 0 else text
+
+
+def _fuzz_run(argv: list[str], out: Path) -> None:
+    """Run ``argv`` and check how it ends: exit 1 or 2 with one stderr line and
+    neither ``out`` nor a staging directory beside it, or exit 0 with no NaN or
+    infinity in any output.  A traceback or a numpy RuntimeWarning fails."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.run([*argv, "--out", str(out)])
+    err = stderr.getvalue().splitlines()
+    if rc in (1, 2):
+        assert len(err) == 1 and err[0].startswith({1: "usage error: ", 2: "error: "}[rc]), err
+        assert not out.exists() and not list(out.parent.glob(f".{out.name}.*"))
+        return
+    assert (rc, err) == (0, [])
+    for f in out.iterdir():
+        if f.suffix == ".json":
+            json.loads(f.read_text(), parse_constant=lambda c: pytest.fail(f"{f.name} holds {c}"))
+            continue
+        with f.open(newline="") as fh:
+            for cell in chain.from_iterable(csv.reader(fh)):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(cell)), (f.name, cell)
 
 
 class TestBadInputs:
@@ -681,6 +765,49 @@ class TestBadInputs:
             rc = cli.run(["breakdown", "--pairs", str(pairs_csv), "--out", str(out)])
         err = _assert_data_error(rc, capsys, out)
         assert err.endswith("breakdown.csv: stall_estimate holds a NaN or an infinity")
+
+    @pytest.mark.parametrize("command", ["ingest", "predict", "forecast"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_counter_log_fuzz(self, tmp_path_factory, command, data):
+        # a generated CSV or JSON log or, for forecast, a generated config or device
+        d = tmp_path_factory.mktemp("log")
+        configs = {"params": FUZZ_PARAMS, "fit": FUZZ_FIT, "local": FUZZ_LOCAL, "remote": FUZZ_REMOTE}
+        target = data.draw(st.sampled_from(["log", *configs])) if command == "forecast" else "log"
+        fmt = data.draw(st.sampled_from(["csv", "json"]))
+        cnt.write_counter_log([p.local for p in FUZZ_PAIRS], d / f"log.{fmt}", fmt)
+        valid = (d / f"log.{fmt}").read_text()
+        if target == "log" and fmt == "json":
+            (d / "log.json").write_text(data.draw(json_logs(json.loads(valid))))
+        elif target == "log":
+            header, *rows = [line.split(",") for line in valid.splitlines()]
+            (d / "log.csv").write_text(data.draw(csv_texts(header, rows, COUNT_CELLS)))
+        for name, config in configs.items():
+            (d / f"{name}.json").write_text(data.draw(json_configs(config)) if name == target
+                                            else json.dumps(dataclasses.asdict(config)))
+        argv = {"ingest": ["ingest"],
+                "predict": ["predict", "--params", str(d / "params.json")],
+                "forecast": ["interleave", "forecast", *(f"--{name}={d / name}.json" for name in configs)],
+                }[command]
+        _fuzz_run([*argv, "--format", fmt, "--input", str(d / f"log.{fmt}")], d / "out")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), least_squares=st.booleans(), params=st.booleans())
+    def test_calibrate_and_predict_params_fuzz(self, tmp_path_factory, data, least_squares, params):
+        d = tmp_path_factory.mktemp("runs")
+        if params:   # predict on the fixture log with generated params
+            (d / "params.json").write_text(data.draw(json_configs(FUZZ_PARAMS)))
+            (d / "log.csv").write_text(FIXTURE_3ROWS)
+            _fuzz_run(["predict", "--input", str(d / "log.csv"), "--params", str(d / "params.json")],
+                      d / "out")
+            return
+        runs = dm.make_calibration_runs(FUZZ_LOCAL, FUZZ_REMOTE, FUZZ_PARAMS, seed=0)
+        cal.write_calibration_csv(runs, d / "valid.csv")
+        header, *rows = [line.split(",") for line in (d / "valid.csv").read_text().splitlines()]
+        cells = PAIR_CELLS | RUN_KINDS
+        (d / "runs.csv").write_text(data.draw(csv_texts(header, rows, cells, _subnormal_cycles)))
+        _fuzz_run(["calibrate", "--runs", str(d / "runs.csv"), *["--least-squares"] * least_squares],
+                  d / "out")
 
     def test_ingest_json_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -5,9 +5,11 @@ import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -772,3 +774,147 @@ def test_valid_tables_skip_per_object_checks(tmp_path, monkeypatch, pairs_500, f
         _write_records(valid, records)
     assert _outcome(read, valid) == _outcome(ref, valid) == (
         "InvariantViolation", "stall_cycles_total exceeds total_cycles")
+
+
+# --- one rule set for objects and tables, against the checks as they were -----
+
+FLOAT_MAX = cnt.FLOAT_MAX
+RULE_INT_TOPS = [0, 1, 99, 100, 2**53 - 1, 2**53 + 1, 10**30, 2**64, int(FLOAT_MAX),
+                 int(FLOAT_MAX) + 1, 2**1024, 10**400]
+RULE_FLOAT_TOPS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 100.0, 1e300, FLOAT_MAX]
+RULE_INT_EDGES = RULE_INT_TOPS + [-1, -(10**30)]
+RULE_FLOAT_EDGES = RULE_FLOAT_TOPS + [-5e-324, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _verdict(build) -> tuple | None:
+    """None when ``build()`` succeeds, else its error's type and message."""
+    try:
+        build()
+    except SupLabError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@st.composite
+def _rule_values(draw, ints: bool) -> dict:
+    """CounterSnapshot field values, all equal to one top value so that every
+    ordering rule holds at equality; then up to three edits: a field set to an
+    edge number, a bounded field moved one float (or one, for ints) around its
+    bound times _SLACK, or the occupancy moved one around the request count."""
+    tops = (st.sampled_from(RULE_INT_TOPS) | st.integers(0, 2**70) if ints
+            else st.sampled_from(RULE_FLOAT_TOPS) | st.floats(0, FLOAT_MAX))
+    edges = (st.sampled_from(RULE_INT_EDGES) | st.integers(-2**70, 2**70) if ints
+             else st.sampled_from(RULE_FLOAT_EDGES) | st.floats(allow_nan=True, allow_infinity=True))
+    values = dict.fromkeys(cnt.COUNTER_FIELDS, draw(tops))
+    for _ in range(draw(st.integers(0, 3))):
+        kind, step = draw(st.sampled_from(["value", "slack", "requests"])), draw(st.integers(-1, 1))
+        if kind == "value":
+            values[draw(st.sampled_from(cnt.COUNTER_FIELDS))] = draw(edges)
+        elif kind == "requests":
+            values["offcore_demand_occupancy"] = _near(values["offcore_demand_requests"], step)
+        else:
+            name, bound = draw(st.sampled_from(cnt._BOUNDED_BY))
+            edge = values[bound] * cnt._SLACK if 0 <= values[bound] <= FLOAT_MAX else math.inf
+            if math.isfinite(edge):
+                values[name] = _near(int(edge) if ints else edge, step)
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.booleans().flatmap(_rule_values))
+def test_snapshot_rules_match_reference(values):
+    assert (_verdict(lambda: cnt.CounterSnapshot(**values))
+            == _verdict(lambda: oracle.snapshot(**values)))
+
+
+INSTRUCTIONS = [0, 1, 99, 100, 101, 10**15, 2**53 + 1, 10**30, 2**64, int(FLOAT_MAX),
+                0.0, -0.0, 5e-324, 1.0, 100.0, 1e300, FLOAT_MAX]
+RUNTIMES = [1.0, 3, 0.0, -0.0, 5e-324, FLOAT_MAX, -1.0, math.nan, math.inf, 10**400, True, "1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pair_rules_match_reference(data):
+    """Instruction counts of any size around a 1 % drift, and runtimes of every kind."""
+    li = data.draw(st.sampled_from(INSTRUCTIONS) | st.integers(0, 10**30)
+                   | st.floats(0, FLOAT_MAX))
+    ri = data.draw(st.sampled_from(INSTRUCTIONS) | st.just(
+        _near(li - li // 100 if isinstance(li, int) else li - li * 0.01, data.draw(st.integers(-1, 1)))))
+    if not 0 <= ri <= FLOAT_MAX:
+        ri = li
+    local, remote = (cnt.CounterSnapshot(**{**dict.fromkeys(cnt.COUNTER_FIELDS, 0), "instructions": i})
+                     for i in (li, ri))
+    args = (data.draw(st.sampled_from(["w", 7])), local, remote,
+            *(data.draw(st.sampled_from(RUNTIMES) | st.floats()) for _ in range(2)))
+    assert _verdict(lambda: cnt.RunPair(*args)) == _verdict(lambda: oracle.run_pair(*args))
+
+
+def _no_warnings(check, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return check(*args).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_table_rules_match_reference_row_by_row(data):
+    """Each row's mask from the pairs reader's table check is the reference's
+    verdict on that row's two snapshots and pair, for float64 tables."""
+    n = len(cnt.COUNTER_FIELDS)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        values = [float(v) for v in data.draw(_rule_values(False)).values()]
+        row = [*values, *values, 1.0, 1.0]
+        edit = data.draw(st.sampled_from([None, "drift", "runtime"]))
+        if edit == "drift":   # remote instructions around a 1 % drift
+            row[2 * n - 1] = _near(row[n - 1] - row[n - 1] * 0.01, data.draw(st.integers(-1, 1)))
+        elif edit == "runtime":
+            row[data.draw(st.sampled_from([2 * n, 2 * n + 1]))] = data.draw(
+                st.sampled_from([0.0, -0.0, 5e-324, FLOAT_MAX, math.inf, math.nan]))
+        rows.append(row)
+
+    def reference(row):
+        local, remote = (oracle.snapshot(**dict(zip(cnt.COUNTER_FIELDS, half)))
+                         for half in (row[:n], row[n:2 * n]))
+        oracle.run_pair("w", local, remote, *row[2 * n:])
+    assert (_no_warnings(cnt._valid_pairs, np.array(rows))
+            == [_verdict(lambda: reference(row)) is None for row in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(_rule_values(True), min_size=1, max_size=4))
+def test_log_table_rules_match_reference_row_by_row(rows):
+    """Each row's mask from the counter log reader's table check is the
+    reference's verdict on its snapshot, for counts up to EXACT_MAX; a row
+    with a larger count fails the check and goes to the per-row loop."""
+    rows = [[min(v, int(FLOAT_MAX)) for v in row.values()] for row in rows]   # floats, for numpy
+    columns = dict(zip(cnt.COUNTER_FIELDS, np.array(rows, dtype=float).T))
+    got = _no_warnings(lambda: cnt._passing(cnt._snapshot_rules(columns, cnt.EXACT_MAX)))
+    assert got == [_verdict(lambda: oracle.snapshot(**dict(zip(cnt.COUNTER_FIELDS, row)))) is None
+                   and max(row) <= cnt.EXACT_MAX for row in rows]
+
+
+@pytest.mark.parametrize("edit,bound,built", [
+    ("local_stall_cycles_total", "local_total_cycles", ["CounterSnapshot"]),
+    ("remote_stall_cycles_total", "remote_total_cycles", ["CounterSnapshot", "CounterSnapshot"]),
+    ("remote_instructions", "local_instructions", ["CounterSnapshot", "CounterSnapshot", "RunPair"]),
+])
+def test_pairs_raise_from_one_row(tmp_path, monkeypatch, pairs_500, edit, bound, built):
+    """A 500-pair file whose row 251 sets ``edit`` to twice ``bound`` plus one,
+    and row 400 holds a negative count, raises the reference's error after
+    building row 251's objects alone, up to the one that fails."""
+    path = _write_500(tmp_path, pairs_500, "pairs")
+    with path.open(newline="") as fh:
+        records = list(csv.DictReader(fh))
+    records[250][edit] = repr(2 * float(records[250][bound]) + 1)
+    records[399]["local_lfb_hits"] = "-1"
+    _write_records(path, records)
+    calls = []
+    for cls in (cnt.CounterSnapshot, cnt.RunPair):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=check: (calls.append(type(self).__name__), check(self)))
+    got = _outcome(cnt.read_run_pairs, path)
+    assert calls == built
+    assert got == _outcome(oracle.read_run_pairs, path)
+    assert got[0] == "InvariantViolation" and "row" not in got[1]
