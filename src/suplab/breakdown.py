@@ -49,8 +49,6 @@ class SlowdownReport:
 
 def measure_slowdown(rp: RunPair) -> float:
     """Relative runtime increase; negative means the remote tier was faster."""
-    if rp.local_runtime == 0:
-        raise ZeroDenominator("local_runtime is zero")
     return (rp.remote_runtime - rp.local_runtime) / rp.local_runtime
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import suppress
+from collections import deque
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -85,13 +85,13 @@ class CounterSnapshot:
 COUNTER_FIELDS = tuple(f.name for f in fields(CounterSnapshot))
 
 
-def _snapshot_rules(c, limit: float = FLOAT_MAX):
+def _snapshot_rules(c):
     """CounterSnapshot's rules in order, drawn lazily as (holds, message): ``c``
     maps each counter to a number (``holds`` a bool) or a column (a row mask);
     ``message()``, called before the next draw, is the error text."""
     for name in COUNTER_FIELDS:   # first, so no count past the float range meets _SLACK
         v = c[name]
-        yield (0 <= v) & (v <= limit), lambda: (
+        yield (0 <= v) & (v <= FLOAT_MAX), lambda: (
             f"CounterSnapshot.{name} must be finite, got {v}" if isinstance(v, float) and not math.isfinite(v)
             else f"{name} must be >= 0, got {v}" if v < 0 else f"{name} exceeds the float range")
     for name, bound in _BOUNDED_BY:
@@ -176,21 +176,13 @@ def _header(names: Iterable, required: Iterable[str]) -> list[str]:
     return names
 
 
-# A reader parses its file once into a header and rows, stopping at the first
-# row it cannot parse and keeping that row's error as the ``defect``.  Its table
-# then meets the constructors' own rules: a log of plain integers up to EXACT_MAX
-# (exact as floats) that passes gets its snapshots unchecked (_built), any other
-# is built row by row through _count; a pairs table, each cell as _real reads it,
-# has only its first failing row, or first row float() cannot read, built to raise.
-
 def _built(cls, names: Sequence[str], values: Iterable):
     """An object of the frozen dataclass ``cls`` with these field values, made
     without its ``__init__`` and so without its checks: for a checked table.
     Fields are assigned one by one, as ``__init__`` does: filling ``__dict__``
     at once is faster but gives every object a dict of its own."""
     obj = object.__new__(cls)
-    for name, value in zip(names, values):
-        object.__setattr__(obj, name, value)
+    deque(map(object.__setattr__, repeat(obj), names, values), maxlen=0)
     return obj
 
 
@@ -250,30 +242,42 @@ def _json_table(path: Path) -> tuple[list[tuple], SupLabError | None]:
     return rows, None
 
 
+def _table(rows: Sequence[Sequence], plain, width: int) -> tuple[list, np.ndarray]:
+    """(values, table): ``plain(cells)`` for each of a reader's rows and their float64
+    table, which numpy fills as ``float()`` reads each value, text too.  A row that
+    ``plain`` refuses (an empty row or a ValueError) or that float() cannot read is all
+    NaN, so no rule passes it.  Every reader keeps one rule: a row that the
+    constructors' rules pass, checked on the whole table, comes from the table; every
+    other row goes through _count or _real and the constructors, in file order, which
+    build it exactly or raise their error."""
+    values, table = [], np.empty((len(rows), width))
+    for i, cells in enumerate(rows):
+        try:
+            table[i] = value = plain(cells)
+        except (ValueError, OverflowError):   # text, the wrong length, or an int past the float range
+            table[i] = value = [math.nan] * width
+        values.append(value)
+    return values, table
+
+
 def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSnapshot]:
-    """Parse a counter log into validated snapshots, one per row/record."""
+    """Parse a counter log into validated snapshots, one per row/record, by _table's
+    rule; plain cells are integer text or JSON integers (never bools) up to EXACT_MAX."""
     path = Path(path)
-    counts = None
     if format == "csv":
         names, rows, defect = _csv_table(path, COUNTER_FIELDS)
         rows = list(map(itemgetter(*map(names.index, COUNTER_FIELDS)), rows))
-        with suppress(ValueError):
-            counts = None if defect else [list(map(int, cells)) for cells in rows]
+        counts, table = _table(rows, lambda cells: [*map(int, cells)], len(COUNTER_FIELDS))
     elif format == "json":
         rows, defect = _json_table(path)
-        if not defect and set(map(type, chain.from_iterable(rows))) <= {int}:
-            counts = rows   # JSON integers, never bools
+        counts, table = _table(rows, lambda values: values if {*map(type, values)} == {int} else (),
+                               len(COUNTER_FIELDS))
     else:
         raise ValueError(f"unknown format: {format!r}")
-    if counts is not None:
-        with suppress(OverflowError):   # a count past the float range
-            table = np.array(counts, dtype=float).reshape(-1, len(COUNTER_FIELDS))
-            if _passing(_snapshot_rules(dict(zip(COUNTER_FIELDS, table.T)), EXACT_MAX)).all():
-                return [_built(CounterSnapshot, COUNTER_FIELDS, c) for c in counts]
-    snapshots = [
-        CounterSnapshot(*[_count(v, row, f) for f, v in zip(COUNTER_FIELDS, cells)])
-        for row, cells in enumerate(rows, start=1)
-    ]
+    exact = (table <= EXACT_MAX).all(1)   # so float64 holds every count exactly
+    snapshots = [_built(CounterSnapshot, COUNTER_FIELDS, c) for c in counts]
+    for i in np.flatnonzero(~(_passing(_snapshot_rules(dict(zip(COUNTER_FIELDS, table.T)))) & exact)).tolist():
+        snapshots[i] = CounterSnapshot(*[_count(v, i + 1, f) for f, v in zip(COUNTER_FIELDS, rows[i])])
     if defect:
         raise defect
     return snapshots
@@ -376,17 +380,12 @@ def read_pairs_table(path: str | Path, extra_columns: Iterable[str] = ()) -> tup
     names, rows, defect = _csv_table(Path(path), extra_columns + PAIR_FIELDS)
     label = names.index("label")
     numbers = itemgetter(*map(names.index, _PAIR_NUMBERS))
-    values = []
-    with suppress(ValueError):   # the table ends at the first row float() cannot read
-        for cells in rows:
-            values.append(list(map(float, numbers(cells))))
-    table = np.array(values).reshape(-1, len(_PAIR_NUMBERS))
-    row = next(iter(np.flatnonzero(~_valid_pairs(table)).tolist()), len(table))   # or the first unread
-    if row < len(rows) or defect:
-        if row < len(rows):   # built as each row's objects in turn, it raises
-            cell, n = iter(zip(_PAIR_NUMBERS, numbers(rows[row]))), len(COUNTER_FIELDS)
-            sides = [CounterSnapshot(*[_real(c, row + 1, f) for f, c in islice(cell, n)]) for _ in range(2)]
-            RunPair(rows[row][label], *sides, *[_real(c, row + 1, f) for f, c in cell])
+    _, table = _table(rows, numbers, len(_PAIR_NUMBERS))
+    for row in np.flatnonzero(~_valid_pairs(table)).tolist():   # the first one's objects raise
+        cell, n = iter(zip(_PAIR_NUMBERS, numbers(rows[row]))), len(COUNTER_FIELDS)
+        sides = [CounterSnapshot(*[_real(c, row + 1, f) for f, c in islice(cell, n)]) for _ in range(2)]
+        RunPair(rows[row][label], *sides, *[_real(c, row + 1, f) for f, c in cell])
+    if defect:
         raise defect
     extras = {k: list(map(itemgetter(names.index(k)), rows)) for k in extra_columns}
     return list(map(itemgetter(label), rows)), table, extras

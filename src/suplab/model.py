@@ -72,8 +72,6 @@ def metric_dram(s: CounterSnapshot, params: ModelParams) -> float:
     if s.offcore_demand_requests == 0:
         # No demand reads: no overlap signal, correction collapses to 1/q.
         return base / params.q
-    if s.offcore_demand_occupancy == 0:
-        raise ZeroDenominator("offcore occupancy is zero with requests present")
     return base * mlp_correction(amortized_offcore_latency(s), params)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -346,22 +347,19 @@ def write_trace(trace: TierTrace, csv_path: str | Path, header_path: str | Path)
 
 
 def _bad_trace_row(csv_path: str | Path) -> str | None:
-    """A message naming the first data row that is not three int64 fields,
-    or None; data rows count from 1, skipping blank lines, as in the
-    epoch-range error."""
+    """A message naming the first data row that is not three fields np.loadtxt
+    reads as int64 (ASCII digits, maybe signed, amid whitespace), or None; data
+    rows count from 1, skipping empty lines, as in the epoch-range error."""
     with Path(csv_path).open(errors="replace") as fh:
         fh.readline()
-        rows = (line.rstrip("\r\n").split(",") for line in fh if line.strip())
-        for row, cells in enumerate(rows, start=1):
+        lines = (line.rstrip("\r\n") for line in fh)
+        for row, cells in enumerate((line.split(",") for line in lines if line), start=1):
             if len(cells) != len(_TRACE_COLUMNS):
                 return f"trace row {row} has {len(cells)} fields, expected {len(_TRACE_COLUMNS)}"
             for name, text in zip(_TRACE_COLUMNS, cells):
-                try:
-                    if -2**63 <= int(text) < 2**63:
-                        continue
-                except ValueError:
-                    pass
-                return f"trace row {row}: {name}={text!r} is not a 64-bit integer"
+                number = re.fullmatch(r"[+-]?[0-9]+", text.strip())
+                if not (number and -2**63 <= int(number[0]) < 2**63):
+                    return f"trace row {row}: {name}={text!r} is not a 64-bit integer"
     return None
 
 

@@ -390,6 +390,66 @@ def header_is_valid(header: dict) -> bool:
             and type(instructions) in (int, float) and 1 <= instructions <= sys.float_info.max)
 
 
+# What the trace fuzz writes: each value spelled as np.loadtxt reads int64
+# (signs, whitespace and leading zeros), or a cell it refuses.
+BAD_TRACE_CELLS = ["1_0", "\u0661", "\uff11", "1.0", "1e0", "1.", "", " ", '"1"', "x", "0x1", "+-1",
+                   "- 1", "1 1", "nan", str(2**63), str(-2**63 - 1), "9" * 30]
+
+
+def _int64_spellings(v: int) -> list[str]:
+    sign = "-" if v < 0 else "+"
+    return [str(v), f"{sign}{abs(v)}", f" {v} ", f"\t{v}", f"\xa0{v}\u3000", f"{sign}00{abs(v)}", f"{v}\x1c"]
+
+
+@st.composite
+def trace_csvs(draw) -> tuple[str, int | str | None]:
+    """A trace CSV over TRACE_HEADER's 2 epochs and 4 pages, and what its error
+    must name: the first data row that np.loadtxt refuses (a bad cell, a missing
+    or extra field, a whitespace-only line) or, if it reads, the first row out
+    of range; "header" for a BOM; None when every row is valid.  Empty lines
+    may come between rows, which count from 1 without them, and line ends may
+    be CRLF."""
+    lines, rows, bad, out_of_range = [], 0, None, None
+    for _ in range(draw(st.integers(1, 4))):
+        values = [draw(st.sampled_from([0, 1, 1, 0, -1, 2])), draw(st.sampled_from([0, 1, 3, -1, 4])),
+                  draw(st.sampled_from([1, 2, 5, 0]))]
+        cells = [draw(st.sampled_from(BAD_TRACE_CELLS) if draw(st.integers(0, 11)) == 0
+                      else st.sampled_from(_int64_spellings(v))) for v in values]
+        edit = draw(st.sampled_from(["none"] * 8 + ["extra", "missing", "blank", "empty"]))
+        if edit == "empty":
+            lines.append("")
+        cells = {"extra": cells + ["0"], "missing": cells[:2],
+                 "blank": [draw(st.sampled_from([" ", "\t", "\xa0"]))]}.get(edit, cells)
+        rows += 1
+        if bad is None and (len(cells) != 3 or any(c in BAD_TRACE_CELLS for c in cells)):
+            bad = rows
+        if out_of_range is None and not (0 <= values[0] < 2 and 0 <= values[1] < 4 and values[2] >= 1):
+            out_of_range = rows
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.integers(0, 9)) == 0
+    text = ("\ufeff" if bom else "") + end.join(["epoch,page_id,group_size", *lines]) + end
+    return text, "header" if bom else bad or out_of_range
+
+
+POLICY_VALUES = st.sampled_from([0, 1, 2, 3, -1, 2**63, 10**30, 0.5, 5e-324, 1e-300, 40.0, 100.0,
+                                 1e308, math.nan, math.inf, -math.inf, "1", None, True])
+
+
+@st.composite
+def policy_config_lists(draw):
+    """A list of up to four policy configs, a policy maybe repeated, each with
+    up to two fields set to a JSON value of any kind; sometimes one bare config."""
+    configs = []
+    for policy in draw(st.lists(st.sampled_from(ts.POLICIES), max_size=4)):
+        config = {"policy": policy, "fast_capacity": 2}
+        keys = [f.name for f in dataclasses.fields(ts.PolicyConfig)][1:]
+        for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+            config[key] = draw(POLICY_VALUES)
+        configs.append(config)
+    return configs[0] if len(configs) == 1 and draw(st.booleans()) else configs
+
+
 # A pairs CSV of three valid rows, and what the breakdown fuzz puts in a cell.
 FUZZ_PAIRS = dm.make_consistency_fixture(3, seed=3)
 PAIR_CELLS = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e308",
@@ -484,10 +544,11 @@ def json_configs(draw, config) -> str:
     return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 7)) == 0 else text
 
 
-def _fuzz_run(argv: list[str], out: Path) -> None:
+def _fuzz_run(argv: list[str], out: Path) -> list[str]:
     """Run ``argv`` and check how it ends: exit 1 or 2 with one stderr line and
     neither ``out`` nor a staging directory beside it, or exit 0 with no NaN or
-    infinity in any output.  A traceback or a numpy RuntimeWarning fails."""
+    infinity in any output.  A traceback or a numpy RuntimeWarning fails.
+    Returns the stderr lines."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -496,7 +557,7 @@ def _fuzz_run(argv: list[str], out: Path) -> None:
     if rc in (1, 2):
         assert len(err) == 1 and err[0].startswith({1: "usage error: ", 2: "error: "}[rc]), err
         assert not out.exists() and not list(out.parent.glob(f".{out.name}.*"))
-        return
+        return err
     assert (rc, err) == (0, [])
     for f in out.iterdir():
         if f.suffix == ".json":
@@ -506,6 +567,7 @@ def _fuzz_run(argv: list[str], out: Path) -> None:
             for cell in chain.from_iterable(csv.reader(fh)):
                 with contextlib.suppress(ValueError):
                     assert math.isfinite(float(cell)), (f.name, cell)
+    return err
 
 
 class TestBadInputs:
@@ -634,6 +696,10 @@ class TestBadInputs:
         "epoch,page_id,group_size\n0,x,1\n": 1,        # not an integer
         "epoch,page_id,group_size\n0,1.5,1\n": 1,
         "epoch,page_id,group_size\n0,99999999999999999999,1\n": 1,
+        "epoch,page_id,group_size\n0,1_0,1\n": 1,      # int() reads these, np.loadtxt does not
+        "epoch,page_id,group_size\n0,\u0661,1\n": 1,
+        "epoch,page_id,group_size\n0,\uff11,1\n": 1,
+        "epoch,page_id,group_size\n0,1,1\n \n0,2,1\n": 2,   # a whitespace-only line is a row
         "epoch,page_id,group_size\n0,1,1\n1,2\n": 2,  # a row with too few fields
         "epoch,page_id,group_size\n0,1,1\n1,2,1,1\n": 2,
         "epoch,page_id,group_size\n0,1\n1,2\n": 1,    # every row too short
@@ -725,6 +791,22 @@ class TestBadInputs:
         rc = _tiersim(tmp_path, {"policy": "tpp", "fast_capacity": 1}, out)
         err = _assert_data_error(rc, capsys, out, tmp_path / "t.json")
         assert "TraceHeader.epoch_instructions must be >= 1" in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(trace=trace_csvs(), policies=policy_config_lists())
+    def test_tiersim_trace_and_policy_fuzz(self, tmp_path_factory, trace, policies):
+        text, named = trace
+        d = tmp_path_factory.mktemp("trace")
+        (d / "t.csv").write_bytes(text.encode())
+        (d / "t.json").write_text(json.dumps(TRACE_HEADER))
+        (d / "cfg.json").write_text(json.dumps(policies))
+        err = _fuzz_run(["tiersim", "--trace", str(d / "t.csv"), "--trace-header", str(d / "t.json"),
+                         "--policy-config", str(d / "cfg.json")], d / "sim")
+        if named == "header":
+            assert err and "t.csv: header row is not" in err[0], err
+        elif named is not None:   # a trace cell or row is at fault: the message names its row
+            row = err and re.search(r"t\.csv: trace row (\d+)\b", err[0])
+            assert row and int(row.group(1)) == named, (err, text)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

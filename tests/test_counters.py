@@ -737,6 +737,22 @@ def test_one_edge_row_among_500_matches_reference(pairs_500, data, fmt):
     _check_rows(fmt, rows)
 
 
+# Text float() reads, or refuses, in ways no writer spells a number: the pairs
+# reader's table must read each cell exactly as float() does.
+ODD_REAL_CELLS = ["1_0", "\u0661", "\uff11.5", " 2.5 ", "\xa03\u3000", "\t4\x1c", "+1e0", "1E1", ".5", "5.",
+                  "Infinity", "-nan", "1e400", "-0", "1_", "_1", "1__0", "0x1", "1e", "\u0661\u066b\u0665", ""]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_cells_read_as_float_reads_them(data):
+    rows = _pair_rows(data.draw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.sampled_from(cnt.PAIR_FIELDS[1:]))] = data.draw(st.sampled_from(ODD_REAL_CELLS))
+    _check_rows("pairs", rows)
+
+
 # --- a valid table builds its objects without checking each again -------------
 
 def _write_500(tmp_path: Path, pairs: list[cnt.RunPair], fmt: str) -> Path:
@@ -886,10 +902,12 @@ def test_pair_table_rules_match_reference_row_by_row(data):
 def test_log_table_rules_match_reference_row_by_row(rows):
     """Each row's mask from the counter log reader's table check is the
     reference's verdict on its snapshot, for counts up to EXACT_MAX; a row
-    with a larger count fails the check and goes to the per-row loop."""
+    with a larger count is not exact as floats, fails the check and goes
+    through _count."""
     rows = [[min(v, int(FLOAT_MAX)) for v in row.values()] for row in rows]   # floats, for numpy
-    columns = dict(zip(cnt.COUNTER_FIELDS, np.array(rows, dtype=float).T))
-    got = _no_warnings(lambda: cnt._passing(cnt._snapshot_rules(columns, cnt.EXACT_MAX)))
+    table = np.array(rows, dtype=float)
+    columns = dict(zip(cnt.COUNTER_FIELDS, table.T))
+    got = _no_warnings(lambda: cnt._passing(cnt._snapshot_rules(columns)) & (table <= cnt.EXACT_MAX).all(1))
     assert got == [_verdict(lambda: oracle.snapshot(**dict(zip(cnt.COUNTER_FIELDS, row)))) is None
                    and max(row) <= cnt.EXACT_MAX for row in rows]
 
@@ -918,3 +936,51 @@ def test_pairs_raise_from_one_row(tmp_path, monkeypatch, pairs_500, edit, bound,
     assert calls == built
     assert got == _outcome(oracle.read_run_pairs, path)
     assert got[0] == "InvariantViolation" and "row" not in got[1]
+
+
+# --- a log builds only the rows its table check cannot vouch for --------------
+
+def _counting_inits(monkeypatch) -> list:
+    """The arguments of every CounterSnapshot.__init__ call from now on."""
+    calls, init = [], cnt.CounterSnapshot.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cnt.CounterSnapshot, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fmt,instructions", [("csv", "1000000000.0"), ("json", 2**53 + 1)])
+def test_log_rebuilds_only_rows_the_table_cannot_hold(tmp_path, monkeypatch, pairs_500, fmt, instructions):
+    """A 500-row log whose row 251 holds its instruction count as text int()
+    refuses, or as a JSON integer past EXACT_MAX, reads as the reference does,
+    in values and types, after building that row alone through the constructor."""
+    path = _write_500(tmp_path, pairs_500, fmt)
+    with path.open(newline="") as fh:
+        records = json.load(fh) if fmt == "json" else list(csv.DictReader(fh))
+    records[250]["instructions"] = instructions
+    _write_records(path, records)
+    calls = _counting_inits(monkeypatch)
+    got = cnt.ingest_counter_log(path, fmt)
+    assert len(calls) == 1
+    assert calls[0][-1] == (1000000000 if fmt == "csv" else 2**53 + 1)
+    assert repr(got) == repr(oracle.ingest_counter_log(path, fmt))
+
+
+def test_log_raises_from_its_first_failing_row(tmp_path, monkeypatch, pairs_500):
+    """A CSV log with a valid ``1e3`` cell at row 100, a stall_cycles_total past
+    total_cycles at row 251 and ``abc`` at row 400 raises the reference error
+    after two constructor calls: row 100's, which builds, and row 251's."""
+    path = _write_500(tmp_path, pairs_500, "csv")
+    with path.open(newline="") as fh:
+        records = list(csv.DictReader(fh))
+    records[99]["lfb_hits"] = "1e3"
+    records[250]["stall_cycles_total"] = str(2 * int(records[250]["total_cycles"]) + 1)
+    records[399]["l1_demand_hits"] = "abc"
+    _write_records(path, records)
+    calls = _counting_inits(monkeypatch)
+    got = _outcome(cnt.ingest_counter_log, path)
+    assert len(calls) == 2 and calls[0][6] == 1000
+    assert got == _outcome(oracle.ingest_counter_log, path) == (
+        "InvariantViolation", "stall_cycles_total exceeds total_cycles")
