@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .counters import COUNTER_FIELDS, STALL_COUNTERS, STALL_SOURCES, RunPair, pairs_table
-from .errors import EmptyInput, ZeroDenominator, write_table
+from .errors import EmptyInput, ZeroDenominator, require_finite_values, write_table
 
 # A breakdown's columns, in breakdown.csv's order, and breakdown_long.csv's
 # sources with the column each reads.
@@ -118,14 +118,20 @@ def estimate_accuracy(breakdown: np.ndarray | Sequence[SlowdownReport],
         return AccuracyCdf(estimate - breakdown[:, 0])
 
 
-def write_report_csv(labels: Sequence[str], breakdown: np.ndarray, path: str | Path) -> None:
-    """One row per pair: label, measured, estimates, five components, residual."""
-    write_table(path, ["label", *REPORT_COLUMNS], [labels, *breakdown.T])
+def write_report_csv(labels: Sequence[str], breakdown: np.ndarray, path: str | Path) -> list[list[str]]:
+    """One row per pair: label, measured, estimates, five components, residual.
+    Returns the ten report columns as the text written, for :func:`write_report_long_csv`."""
+    for name, column in zip(REPORT_COLUMNS, breakdown.T):
+        require_finite_values(path, name, column)
+    text = [list(map(repr, column)) for column in breakdown.T.tolist()]
+    write_table(path, ["label", *REPORT_COLUMNS], [labels, *text])
+    return text
 
 
-def write_report_long_csv(labels: Sequence[str], breakdown: np.ndarray, path: str | Path) -> None:
-    """Stacked-bar-friendly long format: one (label, source, value) row each."""
+def write_report_long_csv(labels: Sequence[str], text: Sequence[Sequence[str]], path: str | Path) -> None:
+    """Stacked-bar-friendly long format: one (label, source, value) row each, from
+    the report columns as :func:`write_report_csv` wrote them."""
     sources = tuple(_LONG_SOURCES)
     write_table(path, ["label", "source", "value"],
                 [[label for label in labels for _ in sources], sources * len(labels),
-                 breakdown[:, _LONG_COLUMNS].ravel()])
+                 [cell for row in zip(*(text[i] for i in _LONG_COLUMNS)) for cell in row]])

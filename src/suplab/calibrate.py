@@ -18,6 +18,7 @@ The sensitivity threshold is placed a fixed margin above that anchor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -73,9 +74,12 @@ def _by_kind(runs: Sequence[CalibrationRun]) -> dict[str, list[CalibrationRun]]:
     groups: dict[str, list[CalibrationRun]] = {k: [] for k in RUN_KINDS}
     for r in runs:
         groups[r.kind].append(r)
-    # Deterministic processing order regardless of input permutation.
+    # Deterministic processing order regardless of input permutation.  Only a pointer
+    # chase needs demand reads; any other run without them sorts as at infinite latency.
     for k in groups:
-        groups[k].sort(key=lambda r: (amortized_offcore_latency(r.pair.local), r.pair.label))
+        groups[k].sort(key=lambda r: (amortized_offcore_latency(r.pair.local)
+                                      if k == "pointer_chase" or r.pair.local.offcore_demand_requests
+                                      else math.inf, r.pair.label))
     return groups
 
 

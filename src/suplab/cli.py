@@ -105,8 +105,8 @@ def _cmd_ingest(args, out: OutputDir) -> str:
 def _cmd_breakdown(args, out: OutputDir) -> str:
     labels, pairs, _ = cnt.read_pairs_table(args.pairs)
     breakdown = bd.decompose_table(pairs)
-    bd.write_report_csv(labels, breakdown, out / "breakdown.csv")
-    bd.write_report_long_csv(labels, breakdown, out / "breakdown_long.csv")
+    text = bd.write_report_csv(labels, breakdown, out / "breakdown.csv")
+    bd.write_report_long_csv(labels, text, out / "breakdown_long.csv")
     cdf = bd.estimate_accuracy(breakdown, which="backend")
     dump_json(out / "accuracy.json", {"pairs": len(pairs), "p95_abs_error": cdf.quantile(0.95),
                                       "within_0.05": cdf.fraction_within(0.05)})
@@ -213,11 +213,9 @@ def _cmd_demo(args, out: OutputDir) -> str:
     lines.append(
         f"breakdown: {cdf.fraction_within(0.05):.1%} of {len(pairs)} pairs within 0.05"
     )
-    points = [
-        (mdl.predict(rp.local, params, label=rp.label).s_pred, bd.measure_slowdown(rp))
-        for rp in pairs
-    ]
-    stats = mdl.evaluate_accuracy(points)
+    measured = breakdown[:, bd.REPORT_COLUMNS.index("measured")].tolist()
+    stats = mdl.evaluate_accuracy([(mdl.predict(rp.local, params).s_pred, m)
+                                   for rp, m in zip(pairs, measured)])
     lines.append(
         f"prediction: pearson {stats.pearson:.3f}, within5 {stats.within[0.05]:.1%}"
     )

@@ -124,12 +124,16 @@ def amortized_offcore_latency(s: CounterSnapshot) -> float:
     return s.offcore_demand_occupancy / s.offcore_demand_requests
 
 
+def cycle_share(s: CounterSnapshot, cycles: float) -> float:
+    """``cycles`` as a fraction of the snapshot's total cycles."""
+    if s.total_cycles == 0:
+        raise ZeroDenominator("total_cycles is zero")
+    return cycles / s.total_cycles
+
+
 def stall_fractions(s: CounterSnapshot) -> dict[str, float]:
     """Per-source stall cycles as fractions of total cycles."""
-    c = s.total_cycles
-    if c == 0:
-        raise ZeroDenominator("total_cycles is zero")
-    return {src: getattr(s, f) / c for src, f in STALL_COUNTERS.items()}
+    return {src: cycle_share(s, getattr(s, f)) for src, f in STALL_COUNTERS.items()}
 
 
 def _real(raw, row: int, field: str) -> float:

@@ -135,7 +135,7 @@ def sample_latencies(
         raise InvariantViolation(f"n must be in [1, {MAX_SAMPLES}], got {n}")
     rng = np.random.default_rng(seed)
     body = rng.standard_normal(n)   # then uniform, then exponential: two buffers, in place
-    with np.errstate(over="ignore"):    # an overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow, or inf - inf, is reported below
         body *= dev.jitter_sigma_ns
         body += dev.base_latency_ns + dev.numa_hop_extra_ns + queueing_delay_ns(dev, load)
         np.maximum(body, 0.0, out=body)

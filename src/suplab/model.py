@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
-from .counters import CounterSnapshot, amortized_offcore_latency
-from .errors import EmptyInput, JsonConfig, NoDemandReads, ZeroDenominator, write_table
+from .breakdown import AccuracyCdf
+from .counters import CounterSnapshot, amortized_offcore_latency, cycle_share
+from .errors import EmptyInput, JsonConfig, write_table
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
 
@@ -52,7 +53,6 @@ class Prediction:
     m_store: float
     s_pred: float
     sensitivity: Sensitivity
-    no_demand_reads: bool = False
 
 
 def mlp_correction(amortized_latency: float, params: ModelParams) -> float:
@@ -66,9 +66,7 @@ def mlp_correction(amortized_latency: float, params: ModelParams) -> float:
 
 def metric_dram(s: CounterSnapshot, params: ModelParams) -> float:
     """LLC-miss stall fraction with the overlap correction applied."""
-    if s.total_cycles == 0:
-        raise ZeroDenominator("total_cycles is zero")
-    base = s.llc_miss_demand_stall_cycles / s.total_cycles
+    base = cycle_share(s, s.llc_miss_demand_stall_cycles)
     if s.offcore_demand_requests == 0:
         # No demand reads: no overlap signal, correction collapses to 1/q.
         return base / params.q
@@ -82,13 +80,11 @@ def metric_cache(s: CounterSnapshot) -> float:
     L2 prefetches) zeroes the metric: without prefetch traffic there is no
     cache slowdown to predict.
     """
-    if s.total_cycles == 0:
-        raise ZeroDenominator("total_cycles is zero")
+    cache_stall_frac = cycle_share(s, s.mem_stall_cycles - s.llc_miss_demand_stall_cycles)
     loads = s.l1_demand_hits + s.lfb_hits
     l2pf = s.l2_prefetch_l3_miss + s.l2_prefetch_l3_hit
     if loads == 0 or s.l1_prefetch_total == 0 or l2pf == 0:
         return 0.0
-    cache_stall_frac = (s.mem_stall_cycles - s.llc_miss_demand_stall_cycles) / s.total_cycles
     lfb_share = s.lfb_hits / loads
     l1pf_miss_ratio = s.l1_prefetch_l3_miss / s.l1_prefetch_total
     l2pf_dram_share = s.l2_prefetch_l3_miss / l2pf
@@ -97,34 +93,21 @@ def metric_cache(s: CounterSnapshot) -> float:
 
 def metric_store(s: CounterSnapshot) -> float:
     """Store-buffer-full stall fraction."""
-    if s.total_cycles == 0:
-        raise ZeroDenominator("total_cycles is zero")
-    return s.store_buffer_full_stall_cycles / s.total_cycles
+    return cycle_share(s, s.store_buffer_full_stall_cycles)
 
 
 def classify_sensitivity(s: CounterSnapshot, params: ModelParams) -> Sensitivity:
-    """Bandwidth-bound iff the amortized offcore latency strictly exceeds the cutoff."""
-    try:
-        lam = amortized_offcore_latency(s)
-    except NoDemandReads:
-        return "latency_bound"
-    return "bandwidth_bound" if lam > params.offcore_threshold else "latency_bound"
+    """Bandwidth-bound iff there are demand reads and their amortized offcore
+    latency strictly exceeds the cutoff."""
+    if s.offcore_demand_requests and amortized_offcore_latency(s) > params.offcore_threshold:
+        return "bandwidth_bound"
+    return "latency_bound"
 
 
 def predict(s: CounterSnapshot, params: ModelParams, label: str = "") -> Prediction:
-    m_d = metric_dram(s, params)
-    m_c = metric_cache(s)
-    m_s = metric_store(s)
+    m_d, m_c, m_s = metric_dram(s, params), metric_cache(s), metric_store(s)
     s_pred = params.k1 * m_d + params.k2 * m_c + params.k3 * m_s + params.k4
-    return Prediction(
-        label=label,
-        m_dram=m_d,
-        m_cache=m_c,
-        m_store=m_s,
-        s_pred=s_pred,
-        sensitivity=classify_sensitivity(s, params),
-        no_demand_reads=s.offcore_demand_requests == 0,
-    )
+    return Prediction(label, m_d, m_c, m_s, s_pred, classify_sensitivity(s, params))
 
 
 ACCURACY_THRESHOLDS = (0.02, 0.05, 0.10)
@@ -134,7 +117,6 @@ ACCURACY_THRESHOLDS = (0.02, 0.05, 0.10)
 class AccuracyStats:
     pearson: float
     within: dict[float, float]
-    constant_series: bool = False
 
 
 def evaluate_accuracy(points: Sequence[tuple[float, float]]) -> AccuracyStats:
@@ -142,17 +124,15 @@ def evaluate_accuracy(points: Sequence[tuple[float, float]]) -> AccuracyStats:
     if len(points) < 2:
         raise EmptyInput("need at least 2 (predicted, measured) points")
     n = len(points)
-    preds = [p for p, _ in points]
-    meas = [m for _, m in points]
-    within = {
-        t: sum(1 for p, m in points if abs(p - m) <= t) / n for t in ACCURACY_THRESHOLDS
-    }
+    preds, meas = zip(*points)
+    cdf = AccuracyCdf([p - m for p, m in points])
+    within = {t: cdf.fraction_within(t) for t in ACCURACY_THRESHOLDS}
     mp = sum(preds) / n
     mm = sum(meas) / n
     vp = sum((p - mp) ** 2 for p in preds)
     vm = sum((m - mm) ** 2 for m in meas)
     if vp == 0 or vm == 0:
-        return AccuracyStats(pearson=math.nan, within=within, constant_series=True)
+        return AccuracyStats(pearson=math.nan, within=within)
     cov = sum((p - mp) * (m - mm) for p, m in points)
     return AccuracyStats(pearson=cov / math.sqrt(vp * vm), within=within)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .devmodel import CLOCK_GHZ, DeviceProfile, latency_cycles
-from .errors import (EmptyTrace, InvariantViolation, MalformedTrace, ZeroDenominator,
+from .errors import (FLOAT_MAX, EmptyTrace, InvariantViolation, MalformedTrace, ZeroDenominator,
                      Checked, JsonConfig, write_table)
 
 POLICIES = ("first_touch", "tpp", "alto")
@@ -35,8 +35,8 @@ _GATE_CHUNK = 10  # candidate pages per admission window
 # build a view and an object for it: a one-row trace whose header says 200,000
 # epochs takes 1.7-2.2 s and 115 MB peak RSS through `suplab tiersim` with three
 # policies, 0.9-1.1 s of it in `read_trace`.  Busy epochs cost more: with
-# 400,000 misses in 172,732 of them, `_grouping` took 6.7 s and one `simulate`
-# 5.6 s (first_touch) to 13.6 s (tpp, alto) (2-CPU Xeon host, numpy 2.4).
+# 400,000 misses in 172,904 of them, `_grouping` took 10.3-10.8 s and one
+# `simulate` 5.1-5.3 s (first_touch) to 10.6-14.1 s (tpp, alto) (2-CPU Xeon, numpy 2.4).
 MAX_EPOCHS = 200_000
 
 
@@ -91,22 +91,27 @@ class TierTrace(Checked):
         renumbered densely if sparse (far more id values than misses) and in id
         order, so every tie-break and output stays the same; their count; and per
         epoch with misses, its index and bounds, the misses' stable order by page,
-        the page runs' starts, the pages and their hits.  An epoch with no misses
-        changes no page state, so it costs nothing here or in ``simulate``."""
+        the page runs' starts, the pages and their hits, the pages first touched
+        in the trace in that epoch, in first-touch order, and each run's last miss
+        index.  An epoch with no misses changes no page state, so it costs nothing
+        here or in ``simulate``."""
         page_ids = self.page_ids
         n_pages = int(page_ids.max()) + 1   # not page_count: a header may overstate it
         if n_pages > 8 * len(page_ids) + 2**20:
             ids, page_ids = np.unique(page_ids, return_inverse=True)
             n_pages = len(ids)
-        busy = []
+        busy, seen = [], np.zeros(n_pages, dtype=bool)
         offsets = self.epoch_offsets.tolist()
         for i in np.flatnonzero(np.diff(self.epoch_offsets)).tolist():
             lo, hi = offsets[i], offsets[i + 1]
             order = np.argsort(page_ids[lo:hi], kind="stable")
             sorted_pages = page_ids[lo:hi][order]
             starts = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
-            busy.append((i, lo, hi, order, starts, sorted_pages[starts],
-                         np.diff(starts, append=hi - lo)))
+            uniq, hits = sorted_pages[starts], np.diff(starts, append=hi - lo)
+            new = ~seen[uniq]
+            seen[uniq] = True
+            busy.append((i, lo, hi, order, starts, uniq, hits,
+                         uniq[new][np.argsort(order[starts[new]])], lo + order[starts + hits - 1]))
         return page_ids, n_pages, busy
 
 
@@ -143,6 +148,8 @@ class PolicyConfig(JsonConfig):
             raise InvariantViolation(f"PolicyConfig.policy must be in {POLICIES}, got {self.policy!r:.40}")
         if not self.alto_lower < self.alto_upper:
             raise InvariantViolation("PolicyConfig.alto_lower must be < alto_upper")
+        if self.alto_upper - self.alto_lower > FLOAT_MAX:   # alto_gate divides by it
+            raise InvariantViolation("PolicyConfig.alto_upper - alto_lower exceeds the float range")
 
 
 @dataclass
@@ -240,15 +247,12 @@ def simulate(
         est_slowdown_series=[0.0] * n_epochs)
     stall_cycles_total = allfast_cycles_total = 0.0
 
-    for i, lo, hi, order, starts, uniq, hits in busy:
+    for i, lo, hi, order, starts, uniq, hits, touched, last in busy:
         pages, groups, n_misses = page_ids[lo:hi], trace.group_sizes[lo:hi], hi - lo
-        new = last_use[uniq] < 0
-        if new.any():
-            by_first_touch = uniq[new][np.argsort(order[starts[new]])]
-            allocated = by_first_touch[: cfg.fast_capacity - fast_pages]
-            fast[allocated] = True
-            fast_pages += len(allocated)
-        last_use[uniq] = lo + order[starts + hits - 1]
+        allocated = touched[: cfg.fast_capacity - fast_pages]
+        fast[allocated] = True
+        fast_pages += len(allocated)
+        last_use[uniq] = last
 
         is_fast = fast[pages]
         lat = np.stack((np.where(is_fast, fast_lat, slow_lat), np.full(n_misses, fast_lat)))

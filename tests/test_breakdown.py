@@ -120,9 +120,9 @@ class TestProperties:
     def test_report_csv(self, tmp_path):
         breakdown = bd.decompose_table(cnt.pairs_table([pair_with({})]))
         path = tmp_path / "rep.csv"
-        bd.write_report_csv(["t"], breakdown, path)
+        text = bd.write_report_csv(["t"], breakdown, path)
         header = path.read_text().splitlines()[0]
         assert header.split(",")[:4] == ["label", "measured", "stall_estimate", "backend_estimate"]
         long_path = tmp_path / "rep_long.csv"
-        bd.write_report_long_csv(["t"], breakdown, long_path)
+        bd.write_report_long_csv(["t"], text, long_path)
         assert len(long_path.read_text().splitlines()) == 1 + 7  # 5 sources + other + measured

@@ -503,6 +503,11 @@ JSON_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0, 0, 5e
                                1e3, 2**53 + 1, 10**30, 10**400, 2**63, "7", "", True, False,
                                None, [], [7], {}, {"a": 7}])
 RUN_KINDS = st.sampled_from([*cal.RUN_KINDS, "", "bogus", "Pointer_Chase"])
+# latcdf's --n and --load as given on the command line; no valid n is large.
+LATCDF_NS = st.sampled_from(["1", "2", "999", "0", "-1", " 7 ", "1_000", "2.5", "1e3", "x", "",
+                             str(dm.MAX_SAMPLES + 1), "9" * 30])
+LATCDF_LOADS = st.sampled_from(["0", "-0.0", "5e-324", "0.5", "0.99", "0.9999999999999999", "1",
+                                "-1e-300", "1e309", "nan", "inf", "-inf", "x", ""])
 
 
 @st.composite
@@ -601,6 +606,46 @@ class TestBadInputs:
         cfg = {"policy": "alto", "fast_capacity": 100, "promo_threshold_accesses": value}
         err = _assert_data_error(_tiersim(tmp_path, cfg, out), capsys, out)
         assert "promo_threshold_accesses" in err
+
+    @pytest.mark.parametrize("remote", ["slow", "cxl-b"])
+    def test_alto_span_past_float_range(self, tmp_path, capsys, remote):
+        # alto_upper - alto_lower overflows to inf: the gate's ramp would divide
+        # by it, a NaN with the slow profile and step one for every latency with cxl-b
+        ts.write_trace(ts.make_no_overlap_trace(seed=0), tmp_path / "t.csv", tmp_path / "t.json")
+        dm.DeviceProfile(name="slow", base_latency_ns=1e305, bandwidth_cap_gbs=30.0).to_json(
+            tmp_path / "slow.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "alto", "fast_capacity": 100,
+                                   "alto_lower": -1.797e308, "alto_upper": 1e306}))
+        out = tmp_path / "sim"
+        rc = cli.run(["tiersim", "--trace", str(tmp_path / "t.csv"),
+                      "--trace-header", str(tmp_path / "t.json"), "--policy-config", str(cfg),
+                      "--remote", str(tmp_path / "slow.json") if remote == "slow" else remote,
+                      "--out", str(out)])
+        err = _assert_data_error(rc, capsys, out, cfg)
+        assert "alto_upper - alto_lower exceeds the float range" in err
+
+    @pytest.mark.parametrize("least_squares", [False, True])
+    @pytest.mark.parametrize("kind", ["store_bound", "list_traversal", "mixed", "pointer_chase"])
+    def test_calibrate_run_without_demand_reads(self, tmp_path, capsys, kind, least_squares):
+        # Only the pointer chases' amortized latencies enter the fit: a run of
+        # another kind without demand reads fits, a pointer chase is a data error.
+        local, remote = dm.PRESETS["local-emr"], dm.PRESETS["cxl-b"]
+        runs = dm.make_calibration_runs(local, remote, dm.make_reference_params(local, remote), seed=1)
+        i = next(i for i, r in enumerate(runs) if r.kind == kind)
+        no_reads = dataclasses.replace(runs[i].pair.local, offcore_demand_requests=0,
+                                       offcore_demand_occupancy=0)
+        runs[i] = cal.CalibrationRun(kind, dataclasses.replace(runs[i].pair, local=no_reads))
+        cal.write_calibration_csv(runs, tmp_path / "runs.csv")
+        out = tmp_path / "cal"
+        rc = cli.run(["calibrate", "--runs", str(tmp_path / "runs.csv"), "--out", str(out),
+                      *["--least-squares"] * least_squares])
+        if kind == "pointer_chase":
+            assert "no offcore demand reads in window" in _assert_data_error(rc, capsys, out)
+        else:
+            assert rc == 0, capsys.readouterr().err
+            assert set(json.loads((out / "params.json").read_text())) == {
+                f.name for f in dataclasses.fields(cal.ModelParams)}
 
     # (command, config field, value): a valid config with that one field changed
     BAD_CONFIG_FIELDS = [
@@ -891,6 +936,17 @@ class TestBadInputs:
         _fuzz_run(["calibrate", "--runs", str(d / "runs.csv"), *["--least-squares"] * least_squares],
                   d / "out")
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=LATCDF_NS, load=LATCDF_LOADS, dump=st.booleans())
+    def test_latcdf_fuzz(self, tmp_path_factory, data, n, load, dump):
+        # a generated --n and --load, and a preset name or a generated profile JSON
+        d = tmp_path_factory.mktemp("latcdf")
+        profile = data.draw(st.one_of(st.just(str(d / "dev.json")),
+                                      st.sampled_from([*dm.PRESETS, "bogus", ""])))
+        (d / "dev.json").write_text(data.draw(json_configs(dm.PRESETS["cxl-b"])))
+        _fuzz_run(["latcdf", f"--profile={profile}", f"--n={n}", f"--load={load}",
+                   *["--dump-samples"] * dump], d / "out")
+
     def test_ingest_json_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{bad")
@@ -948,6 +1004,18 @@ class TestBadInputs:
                                     field: 1e308}))
         out = tmp_path / "lat"
         rc = cli.run(["latcdf", "--profile", str(prof), "--n", "10000", "--out", str(out)])
+        assert "overflow" in _assert_data_error(rc, capsys, out)
+
+    def test_latcdf_infinite_mean_meets_jitter(self, tmp_path, capsys):
+        # an unloaded mean past the float range plus jitter of -inf is NaN: the
+        # samples overflow, exit 2, with no RuntimeWarning on the way
+        prof = tmp_path / "dev.json"
+        prof.write_text(json.dumps({"name": "d", "base_latency_ns": 1e308, "bandwidth_cap_gbs": 30.0,
+                                    "numa_hop_extra_ns": 1e308, "jitter_sigma_ns": 1e308}))
+        out = tmp_path / "lat"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.run(["latcdf", "--profile", str(prof), "--n", "1000", "--out", str(out)])
         assert "overflow" in _assert_data_error(rc, capsys, out)
 
     def test_scan_nan_workload(self, tmp_path, capsys):

