@@ -95,11 +95,15 @@ _COMMON = (_arg("--seed", type=non_negative_int, default=0),
 _FORMAT = _arg("--format", choices=("csv", "json"), default="csv", help="counter log format")
 
 
+def _row_labels(log: cnt.CounterLog) -> list[str]:
+    return [f"row-{i}" for i in range(len(log))]
+
+
 def _cmd_ingest(args, out: OutputDir) -> str:
-    snaps = cnt.ingest_counter_log(args.input, format=args.format)
-    cnt.write_counter_log(snaps, out / "snapshots.csv", "csv")
-    cnt.write_derived_json(snaps, out / "derived.json")
-    return f"ingested {len(snaps)} snapshots -> {out.root}"
+    log = cnt.ingest_counter_log(args.input, format=args.format)
+    cnt.write_counter_log(log, out / "snapshots.csv", "csv")
+    cnt.write_derived_json(log, out / "derived.json")
+    return f"ingested {len(log)} snapshots -> {out.root}"
 
 
 def _cmd_breakdown(args, out: OutputDir) -> str:
@@ -124,10 +128,9 @@ def _cmd_calibrate(args, out: OutputDir) -> str:
 
 def _cmd_predict(args, out: OutputDir) -> str:
     params = mdl.ModelParams.from_json(args.params)
-    snaps = cnt.ingest_counter_log(args.input, format=args.format)
-    preds = [mdl.predict(s, params, label=f"row-{i}") for i, s in enumerate(snaps)]
-    mdl.write_predictions_csv(preds, out / "predictions.csv")
-    return f"predicted {len(preds)} snapshots -> {out.root}"
+    log = cnt.ingest_counter_log(args.input, format=args.format)
+    mdl.write_predictions_csv(mdl.predict(log, params, _row_labels(log)), out / "predictions.csv")
+    return f"predicted {len(log)} snapshots -> {out.root}"
 
 
 def _cmd_interleave(args, out: OutputDir) -> str:
@@ -146,13 +149,10 @@ def _cmd_interleave(args, out: OutputDir) -> str:
         raise _UsageError("interleave forecast requires --input, --params and --fit")
     params = mdl.ModelParams.from_json(args.params)
     fit = il.InterleaveFit.from_json(args.fit)
-    snaps = cnt.ingest_counter_log(args.input, format=args.format)
-    fcs = [
-        il.forecast(s, local, remote, params, fit, label=f"row-{i}")
-        for i, s in enumerate(snaps)
-    ]
-    il.write_forecast_csv(fcs, out / "forecast.csv")
-    return f"forecast {len(fcs)} snapshots -> {out.root}"
+    log = cnt.ingest_counter_log(args.input, format=args.format)
+    il.write_forecast_csv(il.forecast(log, local, remote, params, fit, _row_labels(log)),
+                          out / "forecast.csv")
+    return f"forecast {len(log)} snapshots -> {out.root}"
 
 
 def _cmd_tiersim(args, out: OutputDir) -> str:
@@ -214,8 +214,8 @@ def _cmd_demo(args, out: OutputDir) -> str:
         f"breakdown: {cdf.fraction_within(0.05):.1%} of {len(pairs)} pairs within 0.05"
     )
     measured = breakdown[:, bd.REPORT_COLUMNS.index("measured")].tolist()
-    stats = mdl.evaluate_accuracy([(mdl.predict(rp.local, params).s_pred, m)
-                                   for rp, m in zip(pairs, measured)])
+    preds = mdl.predict(cnt.counter_log([rp.local for rp in pairs]), params)
+    stats = mdl.evaluate_accuracy(list(zip(preds.s_pred.tolist(), measured)))
     lines.append(
         f"prediction: pearson {stats.pearson:.3f}, within5 {stats.within[0.05]:.1%}"
     )
@@ -228,16 +228,12 @@ def _cmd_demo(args, out: OutputDir) -> str:
     fit = il.fit_interleave(fit_wls, skx_local, skx_znuma, il_params, grid=101, seed=seed)
     fit.to_json(out / "interleave_fit.json")
     eval_wls = dm.make_bandwidth_bound_suite(8, seed=seed + 1, local=skx_local)
-    fcs = []
+    log = cnt.counter_log([dm.local_snapshot(w, skx_local) for w in eval_wls])
+    fcs = il.forecast(log, skx_local, skx_znuma, il_params, fit, [w.name for w in eval_wls])
     hits = 0
-    for w in eval_wls:
-        snap = dm.local_snapshot(w, skx_local)
-        fc = il.forecast(snap, skx_local, skx_znuma, il_params, fit, label=w.name)
-        fcs.append(fc)
-        curve = il.scan_ratios(w, skx_local, skx_znuma, grid=101, seed=seed)
-        best_x, _ = il.best_scan_point(curve)
-        if abs(fc.best_ratio.remote_fraction - best_x) <= 0.03:
-            hits += 1
+    for w, x in zip(eval_wls, fcs.best_remote_fraction.tolist()):
+        best_x, _ = il.best_scan_point(il.scan_ratios(w, skx_local, skx_znuma, grid=101, seed=seed))
+        hits += abs(x - best_x) <= 0.03
     il.write_forecast_csv(fcs, out / "interleave_forecast.csv")
     lines.append(f"interleave: {hits}/{len(eval_wls)} forecasts within 3 grid points of scan optimum")
 

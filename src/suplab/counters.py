@@ -1,19 +1,23 @@
 """Counter data model, log ingestion, and derived per-run metrics.
 
 A :class:`CounterSnapshot` is one measurement window's PMU counter vector,
-already delta'd (wraparound handling is out of scope).  All downstream
-models consume either a single snapshot or a local/remote
-:class:`RunPair`.
+already delta'd (wraparound handling is out of scope).  A counter log reads
+as one :class:`CounterLog`, a checked table with a row per window.  The
+kernels (:func:`amortized_offcore_latency`, :func:`stall_fractions` and the
+model's metrics) are written once, for a snapshot's numbers and for a log's
+columns; :func:`by_row` gives them the rows float64 cannot hold exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -113,25 +117,64 @@ def _passing(rules) -> np.ndarray:
     return np.logical_and.reduce([holds for holds, _ in rules])
 
 
-def amortized_offcore_latency(s: CounterSnapshot) -> float:
+def select(cond, if_true, if_false):
+    """``if_true()`` where ``cond`` holds and ``if_false()`` elsewhere, for a number
+    or per row of a column.  A branch no row takes is not called, so each may
+    assume its own rows (a number's branch may divide by what the other excludes)."""
+    if not isinstance(cond, np.ndarray):
+        return if_true() if cond else if_false()
+    taken = if_true() if cond.any() else None
+    other = if_false() if taken is None or not cond.all() else taken
+    return np.where(cond, other if taken is None else taken, other)
+
+
+def _any(mask) -> bool:
+    """Whether a number's bool, or any row of a column's mask, holds."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def by_row(kernel):
+    """``kernel``, written for a CounterSnapshot's numbers and a CounterLog's columns,
+    run on a log's float64 columns with numpy's floating-point warnings off; then
+    each row ``exact`` leaves out is computed again from its numbers, as the
+    snapshot it is, and replaces that row of each column the kernel returned.
+    Each column's dtype must hold every row's value: a float or bool column, not
+    text that numpy sizes by the values the float64 rows gave."""
+    @functools.wraps(kernel)
+    def run(s, *args):
+        if not isinstance(s, CounterLog):
+            return kernel(s, *args)
+        with np.errstate(all="ignore"):
+            out = kernel(s, *args)
+        for i in np.flatnonzero(~s.exact).tolist():
+            value = kernel(s.row(i), *args)
+            for column, v in zip(out.values(), value.values()) if isinstance(out, dict) else [(out, value)]:
+                column[i] = v
+        return out
+    return run
+
+
+@by_row
+def amortized_offcore_latency(s) -> float:
     """Mean cycles an offcore demand read keeps the core waiting.
 
     Occupancy over request count; overlapped reads share occupancy cycles,
     so high memory-level parallelism drives this down.
     """
-    if s.offcore_demand_requests == 0:
+    if _any(s.offcore_demand_requests == 0):
         raise NoDemandReads("no offcore demand reads in window")
     return s.offcore_demand_occupancy / s.offcore_demand_requests
 
 
-def cycle_share(s: CounterSnapshot, cycles: float) -> float:
-    """``cycles`` as a fraction of the snapshot's total cycles."""
-    if s.total_cycles == 0:
+def cycle_share(s, cycles):
+    """``cycles`` as a fraction of the snapshot's total cycles (of each row's, for a log)."""
+    if _any(s.total_cycles == 0):
         raise ZeroDenominator("total_cycles is zero")
     return cycles / s.total_cycles
 
 
-def stall_fractions(s: CounterSnapshot) -> dict[str, float]:
+@by_row
+def stall_fractions(s) -> dict[str, float]:
     """Per-source stall cycles as fractions of total cycles."""
     return {src: cycle_share(s, getattr(s, f)) for src, f in STALL_COUNTERS.items()}
 
@@ -264,35 +307,128 @@ def _table(rows: Sequence[Sequence], plain, width: int) -> tuple[list, np.ndarra
     return values, table
 
 
-def ingest_counter_log(path: str | Path, format: str = "csv") -> list[CounterSnapshot]:
-    """Parse a counter log into validated snapshots, one per row/record, by _table's
-    rule; plain cells are integer text or JSON integers (never bools) up to EXACT_MAX."""
-    path = Path(path)
+@dataclass(frozen=True, eq=False)
+class CounterLog:
+    """A checked counter log, one row per measurement window.
+
+    ``rows`` holds each row's counts exactly, in COUNTER_FIELDS order, for the
+    writers; ``table`` the same counts as an ``(n, counters)`` float64 array,
+    for the kernels, which read a counter's column as ``log.<counter>`` where
+    they read a snapshot's number; ``exact`` the rows on which float64
+    arithmetic gives what Python's gives on ``rows`` (see :func:`_exact`).
+    ``source`` names the log in errors.
+    """
+
+    rows: Sequence[Sequence]
+    table: np.ndarray
+    exact: np.ndarray
+    source: str
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getattr__(self, name: str) -> np.ndarray:   # called for names that are not fields
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        return self.table[:, _COLUMNS[name]]
+
+    def __getitem__(self, rows) -> "CounterLog":
+        """The log of the rows a slice, or a row mask, selects."""
+        kept = self.rows[rows] if isinstance(rows, slice) else list(compress(self.rows, rows.tolist()))
+        return CounterLog(kept, self.table[rows], self.exact[rows], self.source)
+
+    def row(self, i: int) -> CounterSnapshot:
+        return CounterSnapshot(*self.rows[i])
+
+
+_COLUMNS = {name: i for i, name in enumerate(COUNTER_FIELDS)}
+
+
+@np.errstate(over="ignore")   # counts near FLOAT_MAX sum to inf, which is not exact either
+def _exact(table: np.ndarray) -> np.ndarray:
+    """The rows of a float64 counter table with every count, and the two sums
+    metric_cache takes, at most EXACT_MAX.  There float64 holds each count and
+    sum exactly, so its quotients are Python's correctly rounded int quotients.
+    Summing in float64 decides this too: a sum past EXACT_MAX rounds to 2**53
+    or more."""
+    c = dict(zip(COUNTER_FIELDS, table.T))
+    return ((table <= EXACT_MAX).all(1) & (c["l1_demand_hits"] + c["lfb_hits"] <= EXACT_MAX)
+            & (c["l2_prefetch_l3_miss"] + c["l2_prefetch_l3_hit"] <= EXACT_MAX))
+
+
+def counter_log(snapshots: Sequence[CounterSnapshot]) -> CounterLog:
+    """The snapshots as one CounterLog."""
+    rows = list(map(attrgetter(*COUNTER_FIELDS), snapshots))
+    table = np.array(rows, dtype=float).reshape(-1, len(COUNTER_FIELDS))
+    return CounterLog(rows, table, _exact(table), "snapshots")
+
+
+# A data cell np.loadtxt reads as int64 only as int() reads it: ASCII digits, signs
+# and blanks.  Past this alphabet np.loadtxt reads text int() refuses ("\x1c1", and
+# some non-ASCII letters as digits), and int() reads text np.loadtxt refuses ("1_0").
+_PLAIN_COUNTS = b"0123456789+-, \t\r\n"
+_PLAIN_HEADER = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_, \t"
+
+
+def _plain_counts(path: Path) -> np.ndarray | None:
+    """A CSV log's counts as an int64 table, columns in COUNTER_FIELDS order, parsed
+    at once by np.loadtxt; or None, and _csv_table reads the file, unless the header
+    line and the data are of the plain alphabets above and the header passes _header."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    head = head.removesuffix(b"\r")
+    if head.translate(None, _PLAIN_HEADER) or body.translate(None, _PLAIN_COUNTS):
+        return None
+    try:
+        names = _header(head.decode().split(","), COUNTER_FIELDS)
+        counts = (np.loadtxt(body.decode().splitlines(), np.int64, delimiter=",", comments=None, ndmin=2)
+                  if body.strip(b"\r\n") else np.empty((0, len(names)), np.int64))
+    except (SupLabError, ValueError, OverflowError):   # _csv_table finds the same fault
+        return None
+    return counts[:, [names.index(f) for f in COUNTER_FIELDS]] if counts.shape[1] == len(names) else None
+
+
+def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
+    """Parse a counter log into a checked CounterLog.  Plain cells are integer
+    text or JSON integers (never bools): a CSV log of plain ASCII text parses in
+    one np.loadtxt call, and a JSON log whose every count is an int in int64
+    converts at once.  By _table's rule, a row of plain cells that the rules
+    pass and _exact keeps comes from the table; every other row goes through
+    _count and CounterSnapshot, in file order, which build it exactly or raise."""
+    path, width, defect, counts = Path(path), len(COUNTER_FIELDS), None, None
     if format == "csv":
-        names, rows, defect = _csv_table(path, COUNTER_FIELDS)
-        rows = list(map(itemgetter(*map(names.index, COUNTER_FIELDS)), rows))
-        counts, table = _table(rows, lambda cells: [*map(int, cells)], len(COUNTER_FIELDS))
+        counts = _plain_counts(path)
+        if counts is None:
+            names, cells, defect = _csv_table(path, COUNTER_FIELDS)
+            cells = list(map(itemgetter(*map(names.index, COUNTER_FIELDS)), cells))
+            rows, table = _table(cells, lambda c: [*map(int, c)], width)
     elif format == "json":
-        rows, defect = _json_table(path)
-        counts, table = _table(rows, lambda values: values if {*map(type, values)} == {int} else (),
-                               len(COUNTER_FIELDS))
+        cells, defect = _json_table(path)
+        if {*map(type, chain.from_iterable(cells))} <= {int}:
+            with suppress(OverflowError):   # a count past int64
+                counts = np.array(cells, np.int64).reshape(-1, width)
+        if counts is None:
+            rows, table = _table(cells, lambda values: values if {*map(type, values)} == {int} else (), width)
     else:
         raise ValueError(f"unknown format: {format!r}")
-    exact = (table <= EXACT_MAX).all(1)   # so float64 holds every count exactly
-    snapshots = [_built(CounterSnapshot, COUNTER_FIELDS, c) for c in counts]
-    for i in np.flatnonzero(~(_passing(_snapshot_rules(dict(zip(COUNTER_FIELDS, table.T)))) & exact)).tolist():
-        snapshots[i] = CounterSnapshot(*[_count(v, i + 1, f) for f, v in zip(COUNTER_FIELDS, rows[i])])
+    if counts is not None:
+        cells = rows = counts.tolist()
+        table = counts.astype(float)
+    for i in np.flatnonzero(~(_passing(_snapshot_rules(dict(zip(COUNTER_FIELDS, table.T)))) & _exact(table))).tolist():
+        snapshot = CounterSnapshot(*[_count(v, i + 1, f) for f, v in zip(COUNTER_FIELDS, cells[i])])
+        rows[i] = table[i] = attrgetter(*COUNTER_FIELDS)(snapshot)
     if defect:
         raise defect
-    return snapshots
+    return CounterLog(rows, table, _exact(table), str(path))
 
 
-def write_counter_log(snapshots: Sequence[CounterSnapshot], path: str | Path,
+def write_counter_log(log: CounterLog | Sequence[CounterSnapshot], path: str | Path,
                       format: str = "csv") -> None:
+    """Write a CounterLog, or snapshots, as a CSV or JSON counter log; a count
+    that is not an int is rounded, as the schema's counts are integers."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format: {format!r}")
-    rows = list(map(attrgetter(*COUNTER_FIELDS), snapshots))
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:   # the schema's integer counts
+    rows = log.rows if isinstance(log, CounterLog) else list(map(attrgetter(*COUNTER_FIELDS), log))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
         rows = [[int(round(v)) for v in row] for row in rows]
     if format == "json":
         dump_json(path, [dict(zip(COUNTER_FIELDS, row)) for row in rows])
@@ -300,22 +436,28 @@ def write_counter_log(snapshots: Sequence[CounterSnapshot], path: str | Path,
         write_table(path, COUNTER_FIELDS, list(zip(*rows)))
 
 
-def write_derived_json(snapshots: Sequence[CounterSnapshot], path: str | Path) -> None:
-    """Per snapshot its row, amortized offcore latency and stall fractions, ``null``
-    where undefined: :func:`dump_json`'s bytes without its pure-Python indenting encoder."""
+def write_derived_json(log: CounterLog, path: str | Path) -> None:
+    """Per row its index, amortized offcore latency and stall fractions, ``null``
+    where undefined: :func:`dump_json`'s bytes, formatted in one ``%`` over all rows."""
     keys = sorted(STALL_SOURCES)
-    get = itemgetter(*keys)
-    lats = [amortized_offcore_latency(s) if s.offcore_demand_requests > 0 else None
-            for s in snapshots]
-    fracs = [get(stall_fractions(s)) if s.total_cycles > 0 else None for s in snapshots]
-    require_finite_values(path, "amortized_offcore_latency", [v for v in lats if v is not None])
-    require_finite_values(path, "stall_fractions", [v for f in fracs if f for v in f])
-    template = "{\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }"
-    records = ",\n".join(
-        f'  {{\n    "amortized_offcore_latency": {"null" if lat is None else repr(lat)},\n'
-        f'    "row": {i},\n    "stall_fractions": {"null" if f is None else template % f}\n  }}'
-        for i, (lat, f) in enumerate(zip(lats, fracs)))
-    Path(path).write_text(f"[\n{records}\n]\n" if records else "[]\n")
+    reads, windows = log.offcore_demand_requests > 0, log.total_cycles > 0
+    lats = amortized_offcore_latency(log[reads])
+    shares = stall_fractions(log[windows])
+    fracs = np.column_stack([shares[k] for k in keys])
+    require_finite_values(path, "amortized_offcore_latency", lats)
+    require_finite_values(path, "stall_fractions", fracs)
+    values = np.empty((len(log), 7))   # per row: latency, row ("%d" prints it whole), fractions
+    values[reads, 0] = lats
+    values[:, 1] = np.arange(len(log))
+    values[windows, 2:] = fracs
+    present = np.column_stack([reads, np.ones_like(reads), *[windows] * len(keys)])
+    lat = ("null", "%r")
+    frac = ("null", "{\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }")
+    templates = [f'  {{\n    "amortized_offcore_latency": {lat[r]},\n    "row": %d,\n'
+                 f'    "stall_fractions": {frac[w]}\n  }}' for r in (0, 1) for w in (0, 1)]
+    records = ",\n".join(map(templates.__getitem__, (2 * reads + windows).tolist()))
+    text = records % tuple(values[present].tolist())
+    Path(path).write_text(f"[\n{text}\n]\n" if text else "[]\n")
 
 
 @dataclass(frozen=True)

@@ -136,16 +136,18 @@ def sample_latencies(
     rng = np.random.default_rng(seed)
     body = rng.standard_normal(n)   # then uniform, then exponential: two buffers, in place
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow, or inf - inf, is reported below
+        mean = dev.base_latency_ns + dev.numa_hop_extra_ns + queueing_delay_ns(dev, load)
         body *= dev.jitter_sigma_ns
-        body += dev.base_latency_ns + dev.numa_hop_extra_ns + queueing_delay_ns(dev, load)
+        body += mean
         np.maximum(body, 0.0, out=body)
         draws = rng.random(n)
         tail = np.flatnonzero(draws < dev.tail_prob)
         rng.standard_exponential(out=draws)
         body[tail] += draws[tail] * dev.tail_scale_ns
     if not np.isfinite(body.max()):
-        raise InvariantViolation(f"{dev.name}: latency samples overflow; "
-                                 "jitter_sigma_ns or tail_scale_ns is too large")
+        cause = ("jitter_sigma_ns or tail_scale_ns is too large" if np.isfinite(mean) else
+                 "base_latency_ns + numa_hop_extra_ns + queueing delay is past the float range")
+        raise InvariantViolation(f"{dev.name}: latency samples overflow; {cause}")
     return body
 
 

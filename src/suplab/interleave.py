@@ -10,6 +10,7 @@ slowdown model ``slowdown_at`` instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .breakdown import SlowdownReport
-from .counters import CounterSnapshot, amortized_offcore_latency
+from .counters import CounterLog, amortized_offcore_latency, cycle_share, select
 from .devmodel import (
     CACHE_STALL_WEIGHT,
     CLOCK_GHZ,
@@ -32,7 +33,7 @@ from .devmodel import (
     utilization,
 )
 from .errors import (EmptyInput, InconsistentProfile, InvariantViolation, MissingFit,
-                     Checked, JsonConfig, write_table)
+                     NoDemandReads, Checked, JsonConfig, write_table)
 from .model import ModelParams, classify_sensitivity, metric_cache, metric_dram, metric_store
 
 # Cap on scan_ratios' grid.  At the cap `interleave scan` took 1.8-2.5 s and peaked at
@@ -62,17 +63,23 @@ class InterleaveFit(JsonConfig):
 
 @dataclass(frozen=True)
 class InterleaveForecast:
+    """One forecast or, field by field, a column of them (one per row of a CounterLog)."""
+
     label: str
     r_dram: float
     r_cache: float
     r_store: float
-    best_ratio: InterleaveRatio
+    best_remote_fraction: float
     predicted_speedup: float
     beneficial: bool
 
     def __post_init__(self):
-        if self.beneficial and self.predicted_speedup <= 0:
+        if np.any(np.logical_and(self.beneficial, np.less_equal(self.predicted_speedup, 0))):
             raise InvariantViolation("beneficial forecasts must predict positive speedup")
+
+    @property
+    def best_ratio(self) -> InterleaveRatio:
+        return InterleaveRatio(self.best_remote_fraction)
 
 
 def slowdown_at(x: float, components: SlowdownReport) -> float:
@@ -85,10 +92,10 @@ def slowdown_at(x: float, components: SlowdownReport) -> float:
     return x * total
 
 
-def r_components(
-    s: CounterSnapshot, params: ModelParams
-) -> tuple[float, float, float]:
-    """Latency-weighted per-source predictors (one shared offcore latency)."""
+@np.errstate(over="ignore", invalid="ignore")   # an infinite predictor is reported by the writer
+def r_components(s, params: ModelParams) -> tuple[float, float, float]:
+    """Latency-weighted per-source predictors (one shared offcore latency), for a
+    snapshot or each row of a CounterLog."""
     lam = amortized_offcore_latency(s)
     return (
         metric_dram(s, params) * lam,
@@ -213,33 +220,53 @@ def fit_interleave(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forecast(
-    s: CounterSnapshot,
+    s,
     local: DeviceProfile,
     remote: DeviceProfile,
     params: ModelParams,
     fit: InterleaveFit | None,
-    label: str = "",
+    label="",
 ) -> InterleaveForecast:
-    """One-run interleaving forecast from a local-DRAM snapshot.
+    """One-run interleaving forecast from a local-DRAM snapshot or, with one
+    label per row, from each row of a CounterLog.
 
     Only bandwidth-bound snapshots are flagged beneficial; latency-bound
     workloads keep everything local (their curve is handled by
-    ``slowdown_at``).
+    ``slowdown_at``).  A log's rows fail in order, as a snapshot at a time
+    would: the first row without demand reads or cycles raises once the rows
+    before it pass, a row without reads naming the log and the row.
     """
+    if isinstance(s, CounterLog):
+        stop = np.flatnonzero((s.offcore_demand_requests == 0) | (s.total_cycles == 0))
+        if stop.size:
+            i = int(stop[0])
+            forecast(s[:i], local, remote, params, fit, label[:i])
+            if s.offcore_demand_requests[i] == 0:
+                raise NoDemandReads(f"{s.source}: row {i + 1}: no offcore demand reads in window")
+            cycle_share(s.row(i), 0)   # raises ZeroDenominator
     r_d, r_c, r_s = r_components(s, params)
-    best, gain = 0.0, 0.0
-    if classify_sensitivity(s, params) == "bandwidth_bound":
-        if fit is None:
-            raise MissingFit("bandwidth-bound forecast needs a per-platform InterleaveFit")
-        r_total = r_d + r_c + r_s
-        gain = fit.speedup_slope * r_total + fit.speedup_intercept
-        if gain > 0.0:
-            best = min(max(fit.ratio_slope * r_total + fit.ratio_intercept, 0.0), 1.0)
-    return InterleaveForecast(
-        label=label, r_dram=r_d, r_cache=r_c, r_store=r_s,
-        best_ratio=InterleaveRatio(best), predicted_speedup=gain, beneficial=gain > 0.0,
-    )
+    r_total = r_d + r_c + r_s
+    gain = select(classify_sensitivity(s, params) == "bandwidth_bound",
+                  lambda: _mapped(fit, "speedup", r_total), lambda: 0.0)
+    best = select(gain > 0.0, lambda: _clamped(_mapped(fit, "ratio", r_total)), lambda: 0.0)
+    if np.isnan(best).any():
+        InterleaveRatio(math.nan)   # raises the ratio's own error
+    return InterleaveForecast(label, r_d, r_c, r_s, best, gain, gain > 0.0)
+
+
+def _mapped(fit: InterleaveFit | None, name: str, r_total):
+    """The fit's linear map ``name`` ("ratio" or "speedup") at ``r_total``."""
+    if fit is None:
+        raise MissingFit("bandwidth-bound forecast needs a per-platform InterleaveFit")
+    return getattr(fit, f"{name}_slope") * r_total + getattr(fit, f"{name}_intercept")
+
+
+def _clamped(x):
+    """``min(max(x, 0.0), 1.0)``, bit for bit: a NaN stays NaN and -0.0 stays -0.0."""
+    x = select(0.0 > x, lambda: 0.0, lambda: x)
+    return select(1.0 < x, lambda: 1.0, lambda: x)
 
 
 def write_scan_csv(curve: np.ndarray, path: str | Path) -> None:
@@ -247,11 +274,9 @@ def write_scan_csv(curve: np.ndarray, path: str | Path) -> None:
     write_table(path, ["remote_fraction", "runtime_s"], list(np.reshape(curve, (-1, 2)).T))
 
 
-def write_forecast_csv(forecasts: Sequence[InterleaveForecast], path: str | Path) -> None:
+def write_forecast_csv(forecasts: InterleaveForecast, path: str | Path) -> None:
+    """An InterleaveForecast of columns, one CSV row per row of its log."""
     header = ["label", "r_dram", "r_cache", "r_store", "best_remote_fraction",
               "predicted_speedup", "beneficial"]
-    columns = [[getattr(f, a) for f in forecasts] for a in header[:4]]
-    columns += [[f.best_ratio.remote_fraction for f in forecasts],
-                [f.predicted_speedup for f in forecasts],
-                [str(f.beneficial).lower() for f in forecasts]]
-    write_table(path, header, columns)
+    write_table(path, header, [*(getattr(forecasts, a) for a in header[:-1]),
+                               np.where(forecasts.beneficial, "true", "false")])

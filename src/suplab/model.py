@@ -9,6 +9,9 @@ all three metrics are counter ratios taken from a run on local memory:
   LFB-hit share of demand loads, the L1-prefetch L3-miss ratio, and the
   DRAM-sourced share of L2 prefetches.
 * ``M_store``  - store-buffer-full stall fraction ``P7/P1``.
+
+Each metric, and :func:`predict`, takes a CounterSnapshot, or a CounterLog
+and gives a column with one value per row (see ``counters.by_row``).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
+import numpy as np
+
 from .breakdown import AccuracyCdf
-from .counters import CounterSnapshot, amortized_offcore_latency, cycle_share
+from .counters import by_row, cycle_share, select
 from .errors import EmptyInput, JsonConfig, write_table
 
 Sensitivity = Literal["latency_bound", "bandwidth_bound"]
@@ -47,6 +52,8 @@ class ModelParams(JsonConfig):
 
 @dataclass(frozen=True)
 class Prediction:
+    """One prediction or, field by field, a column of them (one per row of a CounterLog)."""
+
     label: str
     m_dram: float
     m_cache: float
@@ -64,16 +71,17 @@ def mlp_correction(amortized_latency: float, params: ModelParams) -> float:
     return 1.0 / (params.p / amortized_latency + params.q)
 
 
-def metric_dram(s: CounterSnapshot, params: ModelParams) -> float:
+@by_row
+def metric_dram(s, params: ModelParams) -> float:
     """LLC-miss stall fraction with the overlap correction applied."""
     base = cycle_share(s, s.llc_miss_demand_stall_cycles)
-    if s.offcore_demand_requests == 0:
-        # No demand reads: no overlap signal, correction collapses to 1/q.
-        return base / params.q
-    return base * mlp_correction(amortized_offcore_latency(s), params)
+    # No demand reads: no overlap signal, correction collapses to 1/q.
+    return select(s.offcore_demand_requests == 0, lambda: base / params.q, lambda: base * mlp_correction(
+        s.offcore_demand_occupancy / s.offcore_demand_requests, params))
 
 
-def metric_cache(s: CounterSnapshot) -> float:
+@by_row
+def metric_cache(s) -> float:
     """Prefetch-efficiency-loss predictor for cache slowdown.
 
     Any denominator with no traffic (no demand loads, no L1 prefetches, no
@@ -83,28 +91,42 @@ def metric_cache(s: CounterSnapshot) -> float:
     cache_stall_frac = cycle_share(s, s.mem_stall_cycles - s.llc_miss_demand_stall_cycles)
     loads = s.l1_demand_hits + s.lfb_hits
     l2pf = s.l2_prefetch_l3_miss + s.l2_prefetch_l3_hit
-    if loads == 0 or s.l1_prefetch_total == 0 or l2pf == 0:
-        return 0.0
-    lfb_share = s.lfb_hits / loads
-    l1pf_miss_ratio = s.l1_prefetch_l3_miss / s.l1_prefetch_total
-    l2pf_dram_share = s.l2_prefetch_l3_miss / l2pf
-    return cache_stall_frac * lfb_share * l1pf_miss_ratio * l2pf_dram_share
+    return select((loads == 0) | (s.l1_prefetch_total == 0) | (l2pf == 0), lambda: 0.0, lambda: (
+        cache_stall_frac * (s.lfb_hits / loads) * (s.l1_prefetch_l3_miss / s.l1_prefetch_total)
+        * (s.l2_prefetch_l3_miss / l2pf)))
 
 
-def metric_store(s: CounterSnapshot) -> float:
+@by_row
+def metric_store(s) -> float:
     """Store-buffer-full stall fraction."""
     return cycle_share(s, s.store_buffer_full_stall_cycles)
 
 
-def classify_sensitivity(s: CounterSnapshot, params: ModelParams) -> Sensitivity:
-    """Bandwidth-bound iff there are demand reads and their amortized offcore
-    latency strictly exceeds the cutoff."""
-    if s.offcore_demand_requests and amortized_offcore_latency(s) > params.offcore_threshold:
-        return "bandwidth_bound"
-    return "latency_bound"
+@by_row
+def _bandwidth_bound(s, params: ModelParams) -> bool:
+    """Whether there are demand reads and their amortized offcore latency
+    strictly exceeds the cutoff, compared exactly: an int cutoff ``t`` rounds
+    to a float ``c``, and no float lies strictly between them, so a latency
+    equal to ``c`` exceeds ``t`` just when ``c`` does."""
+    t = params.offcore_threshold
+    c = float(t)
+
+    def above(latency):
+        return (latency > c) | ((latency == c) & (c > t))
+    return select(s.offcore_demand_requests == 0, lambda: False,
+                  lambda: above(s.offcore_demand_occupancy / s.offcore_demand_requests))
 
 
-def predict(s: CounterSnapshot, params: ModelParams, label: str = "") -> Prediction:
+def classify_sensitivity(s, params: ModelParams) -> Sensitivity:
+    """Bandwidth-bound iff :func:`_bandwidth_bound`.  The labels are drawn after
+    its rerun of inexact rows, which writes into a bool column: a label column
+    sized by the one label every float64 row took would cut a longer one short."""
+    return select(_bandwidth_bound(s, params), lambda: "bandwidth_bound", lambda: "latency_bound")
+
+
+@np.errstate(over="ignore", invalid="ignore")   # an infinite metric is reported by the writer
+def predict(s, params: ModelParams, label="") -> Prediction:
+    """The model's prediction for a snapshot or, with one label per row, a CounterLog."""
     m_d, m_c, m_s = metric_dram(s, params), metric_cache(s), metric_store(s)
     s_pred = params.k1 * m_d + params.k2 * m_c + params.k3 * m_s + params.k4
     return Prediction(label, m_d, m_c, m_s, s_pred, classify_sensitivity(s, params))
@@ -137,6 +159,7 @@ def evaluate_accuracy(points: Sequence[tuple[float, float]]) -> AccuracyStats:
     return AccuracyStats(pearson=cov / math.sqrt(vp * vm), within=within)
 
 
-def write_predictions_csv(preds: Sequence[Prediction], path: str | Path) -> None:
+def write_predictions_csv(preds: Prediction, path: str | Path) -> None:
+    """A Prediction of columns, one CSV row per row of its log."""
     header = ["label", "m_dram", "m_cache", "m_store", "s_pred", "sensitivity"]
-    write_table(path, header, [[getattr(p, a) for p in preds] for a in header])
+    write_table(path, header, [getattr(preds, a) for a in header])

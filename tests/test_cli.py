@@ -506,6 +506,10 @@ RUN_KINDS = st.sampled_from([*cal.RUN_KINDS, "", "bogus", "Pointer_Chase"])
 # latcdf's --n and --load as given on the command line; no valid n is large.
 LATCDF_NS = st.sampled_from(["1", "2", "999", "0", "-1", " 7 ", "1_000", "2.5", "1e3", "x", "",
                              str(dm.MAX_SAMPLES + 1), "9" * 30])
+# interleave scan's --grid as given on the command line; no valid grid is large.
+SCAN_GRIDS = st.sampled_from(["2", "3", "11", "101", "1", "0", "-1", " 7 ", "1_0", "+5", "2.5", "1e2",
+                              "x", "", str(il.MAX_GRID + 1), "9" * 30])
+FUZZ_WORKLOAD = dm.make_bandwidth_bound_suite(1, seed=2, local=FUZZ_LOCAL)[0]
 LATCDF_LOADS = st.sampled_from(["0", "-0.0", "5e-324", "0.5", "0.99", "0.9999999999999999", "1",
                                 "-1e-300", "1e309", "nan", "inf", "-inf", "x", ""])
 
@@ -946,6 +950,53 @@ class TestBadInputs:
         (d / "dev.json").write_text(data.draw(json_configs(dm.PRESETS["cxl-b"])))
         _fuzz_run(["latcdf", f"--profile={profile}", f"--n={n}", f"--load={load}",
                    *["--dump-samples"] * dump], d / "out")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), grid=SCAN_GRIDS)
+    def test_interleave_scan_fuzz(self, tmp_path_factory, data, grid):
+        # a generated workload, local or remote device JSON (or preset name), and --grid
+        d = tmp_path_factory.mktemp("scan")
+        configs = {"workload": FUZZ_WORKLOAD, "local": FUZZ_LOCAL, "remote": FUZZ_REMOTE}
+        target = data.draw(st.sampled_from(list(configs)))
+        for name, config in configs.items():
+            (d / f"{name}.json").write_text(data.draw(json_configs(config)) if name == target
+                                            else json.dumps(dataclasses.asdict(config)))
+        remote = data.draw(st.sampled_from([str(d / "remote.json"), "cxl-a", "bogus"]))
+        _fuzz_run(["interleave", "scan", f"--workload={d / 'workload.json'}",
+                   f"--local={d / 'local.json'}", f"--remote={remote}", f"--grid={grid}"], d / "out")
+
+    def test_forecast_row_without_reads_names_file_and_row(self, tmp_path, capsys):
+        # the forecast of a log row without demand reads: exit 2, naming the log and the row
+        log = tmp_path / "log.csv"
+        cnt.write_counter_log([p.local for p in FUZZ_PAIRS], log)
+        header, *rows = log.read_text().splitlines()
+        cells = rows[1].split(",")
+        for field in ("offcore_demand_requests", "offcore_demand_occupancy"):
+            cells[cnt.COUNTER_FIELDS.index(field)] = "0"
+        rows[1] = ",".join(cells)
+        log.write_text("\n".join([header, *rows]) + "\n")
+        FUZZ_PARAMS.to_json(tmp_path / "params.json")
+        FUZZ_FIT.to_json(tmp_path / "fit.json")
+        out = tmp_path / "fc"
+        rc = cli.run(["interleave", "forecast", "--input", str(log), "--params", str(tmp_path / "params.json"),
+                      "--fit", str(tmp_path / "fit.json"), "--out", str(out)])
+        assert _assert_data_error(rc, capsys, out) == (
+            f"error: {log}: row 2: no offcore demand reads in window")
+        assert cli.run(["predict", "--input", str(log), "--params", str(tmp_path / "params.json"),
+                        "--out", str(tmp_path / "pred")]) == 0
+
+    def test_latcdf_overflowing_mean_names_its_fields(self, tmp_path, capsys):
+        # the mean itself overflows, with no jitter or tail: the message blames the mean's fields
+        prof = tmp_path / "dev.json"
+        prof.write_text(json.dumps({"name": "d", "base_latency_ns": 1e308, "bandwidth_cap_gbs": 30.0,
+                                    "numa_hop_extra_ns": 1e308}))
+        out = tmp_path / "lat"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.run(["latcdf", "--profile", str(prof), "--n", "1000", "--out", str(out)])
+        assert _assert_data_error(rc, capsys, out) == (
+            "error: d: latency samples overflow; "
+            "base_latency_ns + numa_hop_extra_ns + queueing delay is past the float range")
 
     def test_ingest_json_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

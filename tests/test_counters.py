@@ -38,6 +38,18 @@ total_cycles,stall_cycles_total,backend_stall_cycles,mem_stall_cycles,llc_miss_d
 """
 
 
+def as_snapshots(log: cnt.CounterLog) -> list[cnt.CounterSnapshot]:
+    """A CounterLog's rows as the snapshots the per-row reference reader builds.
+    Its float64 table and its exact mask must follow from its rows."""
+    table = np.array(log.rows, dtype=float).reshape(-1, len(cnt.COUNTER_FIELDS))
+    assert np.array_equal(log.table, table) and np.array_equal(log.exact, cnt._exact(table))
+    return [cnt.CounterSnapshot(*row) for row in log.rows]
+
+
+def read_log(path, format: str = "csv") -> list[cnt.CounterSnapshot]:
+    return as_snapshots(cnt.ingest_counter_log(path, format))
+
+
 @pytest.fixture
 def fixture_csv(tmp_path):
     path = tmp_path / "counters.csv"
@@ -52,8 +64,8 @@ def test_shipped_fixture_matches_inline_copy():
 
 def test_shipped_fixture_ingests():
     shipped = Path(__file__).parent / "fixtures" / "counters_3rows.csv"
-    snaps = cnt.ingest_counter_log(shipped)
-    assert [cnt.amortized_offcore_latency(s) for s in snaps[1:]] == [300.0, 40.0]
+    log = cnt.ingest_counter_log(shipped)
+    assert cnt.amortized_offcore_latency(log[1:]).tolist() == [300.0, 40.0]
 
 
 class TestInvariants:
@@ -88,7 +100,7 @@ class TestInvariants:
 
 class TestIngest:
     def test_three_row_fixture(self, fixture_csv):
-        snaps = cnt.ingest_counter_log(fixture_csv, format="csv")
+        snaps = read_log(fixture_csv, format="csv")
         assert len(snaps) == 3
         # amortized latency recomputed by hand from the fixture rows
         assert snaps[1].offcore_demand_occupancy / snaps[1].offcore_demand_requests == 300.0
@@ -96,7 +108,7 @@ class TestIngest:
         assert cnt.amortized_offcore_latency(snaps[2]) == 40.0
 
     def test_zero_row_valid(self, fixture_csv):
-        snaps = cnt.ingest_counter_log(fixture_csv)
+        snaps = read_log(fixture_csv)
         assert snaps[0].total_cycles == 1000
         assert snaps[0].instructions == 1000
 
@@ -144,17 +156,17 @@ class TestIngest:
         assert len(cnt.ingest_counter_log(path)) == 3
 
     def test_json_mirror(self, tmp_path, fixture_csv):
-        snaps = cnt.ingest_counter_log(fixture_csv)
+        log = cnt.ingest_counter_log(fixture_csv)
         out = tmp_path / "counters.json"
-        cnt.write_counter_log(snaps, out, format="json")
+        cnt.write_counter_log(log, out, format="json")
         again = cnt.ingest_counter_log(out, format="json")
-        assert again == snaps
+        assert as_snapshots(again) == as_snapshots(log)
 
     def test_roundtrip_bit_exact(self, tmp_path, fixture_csv):
-        snaps = cnt.ingest_counter_log(fixture_csv)
+        log = cnt.ingest_counter_log(fixture_csv)
         out = tmp_path / "again.csv"
-        cnt.write_counter_log(snaps, out)
-        assert cnt.ingest_counter_log(out) == snaps
+        cnt.write_counter_log(log, out)
+        assert read_log(out) == as_snapshots(log)
 
 
 class TestDerived:
@@ -189,7 +201,7 @@ class TestDerived:
 
     def test_stall_fractions_fixture_hand_check(self, fixture_csv):
         # second fixture row, recomputed by hand against c = 20000
-        s = cnt.ingest_counter_log(fixture_csv)[1]
+        s = cnt.ingest_counter_log(fixture_csv).row(1)
         assert cnt.stall_fractions(s) == {
             "store": 1200 / 20000,
             "L1": 300 / 20000,
@@ -332,8 +344,8 @@ BAD_RECORDS = {
 }
 COUNT_ONLY = ("true", "2.5")   # valid reals, so they apply to counter logs only
 READERS = {
-    "csv log": ("log.csv", lambda p: cnt.ingest_counter_log(p, "csv")),
-    "json log": ("log.json", lambda p: cnt.ingest_counter_log(p, "json")),
+    "csv log": ("log.csv", lambda p: read_log(p, "csv")),
+    "json log": ("log.json", lambda p: read_log(p, "json")),
     "pairs csv": ("pairs.csv", cnt.read_run_pairs),
 }
 
@@ -390,7 +402,7 @@ def test_counter_log_roundtrip_exact(snaps, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"log.{fmt}"
         cnt.write_counter_log(snaps, path, fmt)
-        assert cnt.ingest_counter_log(path, fmt) == snaps
+        assert read_log(path, fmt) == snaps
 
 
 @given(data=st.data(),
@@ -504,7 +516,7 @@ def test_counter_log_reader_matches_reference(log):
         path = Path(tmp) / f"log.{fmt}"
         write(path)
         with mock.patch.object(cnt, "_count", wraps=cnt._count) as per_cell:
-            got = cnt.ingest_counter_log(path, fmt)
+            got = read_log(path, fmt)
         want = oracle.ingest_counter_log(path, fmt)
         assert got == want
         assert _value_types(got) == _value_types(want) == {int}
@@ -565,7 +577,7 @@ def test_csv_readers_report_the_reference_error(data, reader):
     if reader == "csv log":
         rows = [s.as_dict() for s in data.draw(st.lists(_count_snapshots(10**15), min_size=1, max_size=4))]
         names, grid = data.draw(_csv_grid(list(cnt.COUNTER_FIELDS), rows, (str,)))
-        read, ref, args = cnt.ingest_counter_log, oracle.ingest_counter_log, ()
+        read, ref, args = read_log, oracle.ingest_counter_log, ()
     else:
         names, grid = data.draw(_csv_grid(["kind"] + cnt.PAIR_FIELDS, _pair_rows(data.draw), (repr,)))
         read, ref, args = cnt.read_run_pairs, oracle.read_run_pairs, (["kind"],)
@@ -604,7 +616,7 @@ def test_json_reader_reports_the_reference_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.json"
         path.write_text(json.dumps(records))
-        assert (_outcome(cnt.ingest_counter_log, path, "json")
+        assert (_outcome(read_log, path, "json")
                 == _outcome(oracle.ingest_counter_log, path, "json"))
 
 
@@ -625,8 +637,11 @@ def test_written_logs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500, f
     cnt.write_counter_log([p.local for p in pairs_500], path, fmt)
     monkeypatch.setattr(cnt, "_count", _no_per_cell)
     monkeypatch.setattr(cnt, "_real", _no_per_cell)
-    snaps = cnt.ingest_counter_log(path, fmt)
-    assert len(snaps) == 500 and _value_types(snaps) == {int}
+    calls = _counting_inits(monkeypatch)
+    log = cnt.ingest_counter_log(path, fmt)
+    assert calls == []   # and no row is built as a CounterSnapshot
+    assert len(log) == 500 and {type(v) for row in log.rows for v in row} == {int}
+    assert log.exact.all()
 
 
 def test_written_pairs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500):
@@ -718,7 +733,7 @@ def _check_rows(fmt: str, rows: list[dict]) -> None:
         if fmt == "pairs":
             _same_as_reference(cnt.read_run_pairs, oracle.read_run_pairs, path, ["kind"])
         else:
-            _same_as_reference(cnt.ingest_counter_log, oracle.ingest_counter_log, path, fmt)
+            _same_as_reference(read_log, oracle.ingest_counter_log, path, fmt)
 
 
 @settings(max_examples=8, deadline=None)
@@ -766,14 +781,14 @@ def _write_500(tmp_path: Path, pairs: list[cnt.RunPair], fmt: str) -> Path:
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "pairs"])
 def test_valid_tables_skip_per_object_checks(tmp_path, monkeypatch, pairs_500, fmt):
-    read = cnt.read_run_pairs if fmt == "pairs" else lambda p: cnt.ingest_counter_log(p, fmt)
+    read = cnt.read_run_pairs if fmt == "pairs" else lambda p: read_log(p, fmt)
     ref = oracle.read_run_pairs if fmt == "pairs" else lambda p: oracle.ingest_counter_log(p, fmt)
     checks = []
     for cls in (cnt.CounterSnapshot, cnt.RunPair):
         check = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: (checks.append(self), check(self)))
     valid = _write_500(tmp_path, pairs_500, fmt)
-    assert len(read(valid)[0] if fmt == "pairs" else read(valid)) == 500
+    assert len(read(valid)[0] if fmt == "pairs" else cnt.ingest_counter_log(valid, fmt)) == 500
     assert checks == []
     # One row that breaks an invariant is rebuilt alone through the constructors,
     # which raise the reference's error.
@@ -965,7 +980,7 @@ def test_log_rebuilds_only_rows_the_table_cannot_hold(tmp_path, monkeypatch, pai
     got = cnt.ingest_counter_log(path, fmt)
     assert len(calls) == 1
     assert calls[0][-1] == (1000000000 if fmt == "csv" else 2**53 + 1)
-    assert repr(got) == repr(oracle.ingest_counter_log(path, fmt))
+    assert repr(as_snapshots(got)) == repr(oracle.ingest_counter_log(path, fmt))
 
 
 def test_log_raises_from_its_first_failing_row(tmp_path, monkeypatch, pairs_500):
@@ -980,7 +995,7 @@ def test_log_raises_from_its_first_failing_row(tmp_path, monkeypatch, pairs_500)
     records[399]["l1_demand_hits"] = "abc"
     _write_records(path, records)
     calls = _counting_inits(monkeypatch)
-    got = _outcome(cnt.ingest_counter_log, path)
+    got = _outcome(read_log, path)
     assert len(calls) == 2 and calls[0][6] == 1000
     assert got == _outcome(oracle.ingest_counter_log, path) == (
         "InvariantViolation", "stall_cycles_total exceeds total_cycles")

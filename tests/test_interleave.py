@@ -31,7 +31,7 @@ class TestForecastInvariant:
         with pytest.raises(InvariantViolation):
             il.InterleaveForecast(
                 label="x", r_dram=1.0, r_cache=0.0, r_store=0.0,
-                best_ratio=il.InterleaveRatio(0.3), predicted_speedup=0.0,
+                best_remote_fraction=0.3, predicted_speedup=0.0,
                 beneficial=True,
             )
 

@@ -7,7 +7,8 @@ column-wise ``errors.write_table`` and the shape-specific
 Kept unchanged as the oracle the writers are checked against
 (``test_writers_oracle.py``): for any valid input, suplab's writers must
 write the same bytes as the functions here.  Domain objects and field lists
-are suplab's own; only the writing loops live here.
+are suplab's own; only the writing loops live here.  ``derived.json``'s values
+come from ``model_oracle``'s per-snapshot latency and stall fractions.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from suplab.breakdown import SlowdownReport
 from suplab.calibrate import CalibrationRun
-from suplab.counters import (COUNTER_FIELDS, PAIR_FIELDS, STALL_SOURCES, CounterSnapshot,
-                             RunPair, amortized_offcore_latency, stall_fractions)
+from model_oracle import amortized_offcore_latency, stall_fractions
+from suplab.counters import COUNTER_FIELDS, PAIR_FIELDS, STALL_SOURCES, CounterSnapshot, RunPair
 from suplab.devmodel import SAMPLES_CSV_CHUNK
 from suplab.interleave import InterleaveForecast
 from suplab.model import Prediction
