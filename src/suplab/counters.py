@@ -167,9 +167,12 @@ def amortized_offcore_latency(s) -> float:
 
 
 def cycle_share(s, cycles):
-    """``cycles`` as a fraction of the snapshot's total cycles (of each row's, for a log)."""
-    if _any(s.total_cycles == 0):
-        raise ZeroDenominator("total_cycles is zero")
+    """``cycles`` as a fraction of the snapshot's total cycles (of each row's, for a
+    log, whose first row without cycles the error names)."""
+    idle = s.total_cycles == 0
+    if _any(idle):
+        where = f"{s.source}: row {idle.argmax() + 1}: " if isinstance(s, CounterLog) else ""
+        raise ZeroDenominator(f"{where}total_cycles is zero")
     return cycles / s.total_cycles
 
 
@@ -363,28 +366,45 @@ def counter_log(snapshots: Sequence[CounterSnapshot]) -> CounterLog:
     return CounterLog(rows, table, _exact(table), "snapshots")
 
 
-# A data cell np.loadtxt reads as int64 only as int() reads it: ASCII digits, signs
-# and blanks.  Past this alphabet np.loadtxt reads text int() refuses ("\x1c1", and
-# some non-ASCII letters as digits), and int() reads text np.loadtxt refuses ("1_0").
-_PLAIN_COUNTS = b"0123456789+-, \t\r\n"
+# The cells np.loadtxt reads as int() (int64) or float() (float64) reads them, with
+# ",": ASCII digits and signs, and blanks for int or "." and "e" for float.  Past
+# them np.loadtxt reads text the builtins refuse ("\x1c1", some non-ASCII letters
+# as digits), the builtins read text np.loadtxt refuses ("1_0"), and a CR ends a row.
+_PLAIN_CELLS = {np.int64: b"0123456789+-, \t", np.float64: b"0123456789.eE+-,"}
+_PLAIN_TEXT = bytes(range(0x20, 0x7f)).replace(b'"', b"")   # cells csv.reader keeps as they are
 _PLAIN_HEADER = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_, \t"
 
 
-def _plain_counts(path: Path) -> np.ndarray | None:
-    """A CSV log's counts as an int64 table, columns in COUNTER_FIELDS order, parsed
-    at once by np.loadtxt; or None, and _csv_table reads the file, unless the header
-    line and the data are of the plain alphabets above and the header passes _header."""
+def _plain_table(path: Path, text_columns: Sequence[str], numbers: Sequence[str], dtype):
+    """(header, data lines, text columns, table) of a plain CSV file: its leading
+    ``text_columns`` split off once per line, and all its other cells parsed by
+    one np.loadtxt call into a ``dtype`` table of the ``numbers`` columns, in that
+    order.  None, and _csv_table reads the file, unless its header passes _header
+    and is of _PLAIN_HEADER, its lines end in LF or CRLF and none is blank, the
+    text columns lead (as the writers put them) and are of _PLAIN_TEXT, and every
+    other cell is of the dtype's _PLAIN_CELLS and converts."""
     head, _, body = path.read_bytes().partition(b"\n")
-    head = head.removesuffix(b"\r")
-    if head.translate(None, _PLAIN_HEADER) or body.translate(None, _PLAIN_COUNTS):
+    head, k = head.removesuffix(b"\r"), len(text_columns)
+    if head.translate(None, _PLAIN_HEADER):
         return None
     try:
-        names = _header(head.decode().split(","), COUNTER_FIELDS)
-        counts = (np.loadtxt(body.decode().splitlines(), np.int64, delimiter=",", comments=None, ndmin=2)
-                  if body.strip(b"\r\n") else np.empty((0, len(names)), np.int64))
+        names, body = _header(head.decode().split(","), [*text_columns, *numbers]), body.decode()
+        lines = body.removesuffix("\n").split("\n") if body else []
+        if "\r" in body:   # a CR before an LF ends a line; any other is in no plain cell
+            lines = [line.removesuffix("\r") for line in lines]
+        split = zip(*(line.split(",", k) for line in lines), strict=True) if k else [lines]
+        *text, cells = [*split] or [()] * (k + 1)   # no lines: k empty text columns, no cells
+        if ("" in cells or names[:k] != list(text_columns)
+                or ",".join(chain(*text)).encode().translate(None, _PLAIN_TEXT)
+                or ",".join(cells).encode().translate(None, _PLAIN_CELLS[dtype])):
+            return None
+        width = len(names) - k
+        table = np.loadtxt(cells, dtype, delimiter=",", comments=None, ndmin=2) if cells else np.empty((0, width), dtype)
     except (SupLabError, ValueError, OverflowError):   # _csv_table finds the same fault
         return None
-    return counts[:, [names.index(f) for f in COUNTER_FIELDS]] if counts.shape[1] == len(names) else None
+    if table.shape != (len(cells), width):
+        return None
+    return names, lines, text, table[:, [names.index(f) - k for f in numbers]]
 
 
 def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
@@ -396,8 +416,10 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
     _count and CounterSnapshot, in file order, which build it exactly or raise."""
     path, width, defect, counts = Path(path), len(COUNTER_FIELDS), None, None
     if format == "csv":
-        counts = _plain_counts(path)
-        if counts is None:
+        plain = _plain_table(path, (), COUNTER_FIELDS, np.int64)
+        if plain:
+            counts = plain[-1]
+        else:
             names, cells, defect = _csv_table(path, COUNTER_FIELDS)
             cells = list(map(itemgetter(*map(names.index, COUNTER_FIELDS)), cells))
             rows, table = _table(cells, lambda c: [*map(int, c)], width)
@@ -521,20 +543,30 @@ def write_run_pairs(pairs: Sequence[RunPair], path: str | Path, extra: dict[str,
 
 def read_pairs_table(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[str], np.ndarray, dict[str, list[str]]]:
     """Read a pairs CSV; returns (labels, checked pairs table in _PAIR_NUMBERS
-    order, extra column values)."""
-    extra_columns = list(extra_columns)
-    names, rows, defect = _csv_table(Path(path), extra_columns + PAIR_FIELDS)
-    label = names.index("label")
-    numbers = itemgetter(*map(names.index, _PAIR_NUMBERS))
-    _, table = _table(rows, numbers, len(_PAIR_NUMBERS))
+    order, extra column values).  A plain file, as write_run_pairs writes it
+    (see _plain_table: ASCII text without quotes, no blank line, the extra
+    columns and the label first, every other cell real-number text), parses in
+    one np.loadtxt call; over that alphabet np.loadtxt reads a cell exactly as
+    float() does.  Any other file goes through _csv_table and _table.  Either
+    way, the first pair _valid_pairs flags is rebuilt from its cells through
+    _real and the constructors, which raise its error."""
+    path, text = Path(path), [*extra_columns, "label"]
+    plain = _plain_table(path, text, _PAIR_NUMBERS, np.float64)
+    if plain:
+        names, lines, columns, table = plain
+        cells, defect = (lambda row: lines[row].split(",")), None
+    else:
+        names, rows, defect = _csv_table(path, text[:-1] + PAIR_FIELDS)
+        _, table = _table(rows, itemgetter(*map(names.index, _PAIR_NUMBERS)), len(_PAIR_NUMBERS))
+        columns, cells = [list(map(itemgetter(names.index(c)), rows)) for c in text], rows.__getitem__
+    numbers, n = itemgetter(*map(names.index, _PAIR_NUMBERS)), len(COUNTER_FIELDS)
     for row in np.flatnonzero(~_valid_pairs(table)).tolist():   # the first one's objects raise
-        cell, n = iter(zip(_PAIR_NUMBERS, numbers(rows[row]))), len(COUNTER_FIELDS)
+        cell = iter(zip(_PAIR_NUMBERS, numbers(cells(row))))
         sides = [CounterSnapshot(*[_real(c, row + 1, f) for f, c in islice(cell, n)]) for _ in range(2)]
-        RunPair(rows[row][label], *sides, *[_real(c, row + 1, f) for f, c in cell])
+        RunPair(columns[-1][row], *sides, *[_real(c, row + 1, f) for f, c in cell])
     if defect:
         raise defect
-    extras = {k: list(map(itemgetter(names.index(k)), rows)) for k in extra_columns}
-    return list(map(itemgetter(label), rows)), table, extras
+    return list(columns[-1]), table, dict(zip(text[:-1], map(list, columns)))
 
 
 def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple[list[RunPair], dict[str, list[str]]]:

@@ -245,7 +245,7 @@ def forecast(
             forecast(s[:i], local, remote, params, fit, label[:i])
             if s.offcore_demand_requests[i] == 0:
                 raise NoDemandReads(f"{s.source}: row {i + 1}: no offcore demand reads in window")
-            cycle_share(s.row(i), 0)   # raises ZeroDenominator
+            cycle_share(s[:i + 1], 0)   # raises ZeroDenominator, naming row i + 1
     r_d, r_c, r_s = r_components(s, params)
     r_total = r_d + r_c + r_s
     gain = select(classify_sensitivity(s, params) == "bandwidth_bound",

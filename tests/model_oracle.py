@@ -106,18 +106,23 @@ def forecast(s: CounterSnapshot, params: ModelParams, fit: InterleaveFit | None,
     return Forecast(label, r_d, r_c, r_s, InterleaveRatio(best), gain, gain > 0.0)
 
 
-def predictions(snapshots, params: ModelParams) -> list[Prediction]:
-    """``suplab predict``'s per-row loop."""
-    return [predict(s, params, label=f"row-{i}") for i, s in enumerate(snapshots)]
-
-
-def forecasts(snapshots, params: ModelParams, fit: InterleaveFit | None, source: str | Path) -> list[Forecast]:
-    """``suplab interleave forecast``'s per-row loop.  A row without demand reads
-    raises naming the log and its row, as the column kernel's error does."""
+def _per_row(call, snapshots, source: str | Path) -> list:
+    """``call(snapshot, label)`` row by row.  A row without demand reads or cycles
+    raises naming the log and its row, as the column kernels' errors do."""
     out = []
     for i, s in enumerate(snapshots):
         try:
-            out.append(forecast(s, params, fit, label=f"row-{i}"))
-        except NoDemandReads as exc:
-            raise NoDemandReads(f"{source}: row {i + 1}: {exc}") from None
+            out.append(call(s, f"row-{i}"))
+        except (NoDemandReads, ZeroDenominator) as exc:
+            raise type(exc)(f"{source}: row {i + 1}: {exc}") from None
     return out
+
+
+def predictions(snapshots, params: ModelParams, source: str | Path) -> list[Prediction]:
+    """``suplab predict``'s per-row loop."""
+    return _per_row(lambda s, label: predict(s, params, label), snapshots, source)
+
+
+def forecasts(snapshots, params: ModelParams, fit: InterleaveFit | None, source: str | Path) -> list[Forecast]:
+    """``suplab interleave forecast``'s per-row loop."""
+    return _per_row(lambda s, label: forecast(s, params, fit, label), snapshots, source)

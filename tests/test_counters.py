@@ -623,7 +623,7 @@ def test_json_reader_reports_the_reference_error(data):
 # --- writer output always takes the whole-table path --------------------------
 
 def _no_per_cell(*args):
-    raise AssertionError("per-cell converter called")
+    raise AssertionError("per-cell converter or per-row reader called")
 
 
 @pytest.fixture(scope="module")
@@ -645,11 +645,128 @@ def test_written_logs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500, f
 
 
 def test_written_pairs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500):
+    """With a kind column or without, nor do they reach the per-row reader."""
+    for name in ("_count", "_real", "_csv_table", "_table"):
+        monkeypatch.setattr(cnt, name, _no_per_cell)
+    for extra in ({"kind": ["k"] * 500}, {}):
+        path = tmp_path / "pairs.csv"
+        cnt.write_run_pairs(pairs_500, path, extra=extra)
+        assert cnt.read_run_pairs(path, list(extra)) == (pairs_500, extra)
+
+
+# --- a plain pairs file parses in one np.loadtxt call -------------------------
+
+# Real-number text of the plain alphabet that no writer spells, each of which
+# float() reads; "1e400" and "-1" make the pair fail, naming the cell's text.
+PLAIN_REAL_CELLS = ["1e400", "1.", ".5", "-0", "+1e-5", "00012", "1E2", "0e0", "-1",
+                    "5e-324", "2.2250738585072014e-308", "4.9406564584124654e-324",
+                    "1.2345678901234567e8", "0.10000000000000001", "9007199254740993"]
+PLAIN_REALS = st.one_of(st.sampled_from(PLAIN_REAL_CELLS),
+                        st.floats(0, 2.2250738585072014e-308).map(repr),     # subnormals
+                        st.floats(1e-300, 1e300).map(lambda v: f"{v:.16e}"))   # 17-digit mantissas
+
+
+@st.composite
+def plain_pairs_files(draw):
+    """(extra columns, file bytes) of a pairs CSV the plain path reads: the extra
+    column and the label first, then the numbers in any order and real spelling,
+    a few cells from PLAIN_REALS, all lines ending in LF or all in CRLF."""
+    extra = draw(st.sampled_from([[], ["kind"]]))
+    rows = _pair_rows(draw)
+    header = [*extra, "label", *draw(st.permutations(cnt.PAIR_FIELDS[1:]))]
+    grid = []
+    for row in rows:
+        row["label"] = draw(st.from_regex(r"[A-Za-z0-9 _.+-]{0,8}", fullmatch=True))
+        cells = [draw(st.sampled_from(REAL_SPELLINGS))(row[c]) if isinstance(row[c], float) else row[c]
+                 for c in header]
+        for _ in range(draw(st.integers(0, 3))):
+            cells[draw(st.integers(len(extra) + 1, len(header) - 1))] = draw(PLAIN_REALS)
+        grid.append(cells)
+    if draw(st.booleans()):
+        header = [c.upper() for c in header]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return extra, "".join(",".join(cells) + end for cells in [header, *grid]).encode()
+
+
+@settings(max_examples=80, deadline=None)
+@given(file=plain_pairs_files())
+def test_plain_pairs_files_match_reference(file):
+    extra, text = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.csv"
+        path.write_bytes(text)
+        with mock.patch.object(cnt, "_csv_table", wraps=cnt._csv_table) as per_row:
+            _same_as_reference(cnt.read_run_pairs, oracle.read_run_pairs, path, extra)
+        assert not per_row.called
+
+
+def _move_label_last(text: str) -> str:
+    """The label column moved last, each label made a number, as a real cell is."""
+    rows = [line.split(",") for line in text.splitlines()]
+    i = rows[0].index("label")
+    return "".join(",".join([*r[:i], *r[i + 1:], r[i] if n == 0 else str(n)]) + "\r\n"
+                   for n, r in enumerate(rows))
+
+
+# Files the plain path leaves to the per-row reader: (kind of file, edit of the
+# text write_run_pairs wrote, a header and rows p0-p2 with runtimes 1.0 and 1.5).
+NOT_PLAIN = {
+    "quote": lambda t: t.replace("p1,", '"p,1",', 1),
+    "lone CR ending a line": lambda t: t.replace("\r\n", "\r", 2).replace("\r", "\r\n", 1),
+    "lone CR in a row": lambda t: t.replace(",1.5,", ",1.5\r,", 1),
+    "CR after the text columns": lambda t: t.replace("p1,", "p1,\r", 1),
+    "CR before a CRLF": lambda t: t.replace("\r\n", "\r\r\n"),
+    "blank line": lambda t: t.replace("\r\n", "\r\n\r\n", 2).replace("\r\n\r\n", "\r\n", 1),
+    "non-ASCII label": lambda t: t.replace("p1,", "p\u00e91,", 1),
+    "space in a number": lambda t: t.replace(",1.5,", ", 1.5,", 1),
+    "1_0 in a number": lambda t: t.replace(",10000.0,", ",1_0000.0,", 1),
+    "label not leading": _move_label_last,
+    "wrong field count": lambda t: t.replace("\r\n", ",7\r\n", 3).replace(",7\r\n", "\r\n", 2),
+}
+
+
+@pytest.mark.parametrize("kind", [False, True])
+@pytest.mark.parametrize("edit", NOT_PLAIN)
+def test_files_off_the_plain_path_read_per_row(tmp_path, edit, kind):
+    extra = {"kind": ["k0", "k1", "k2"]} if kind else {}
+    pairs = [cnt.RunPair(f"p{i}", snapshot(), snapshot(), 1.0, 1.5) for i in range(3)]
     path = tmp_path / "pairs.csv"
-    cnt.write_run_pairs(pairs_500, path, extra={"kind": ["k"] * 500})
-    monkeypatch.setattr(cnt, "_count", _no_per_cell)
-    monkeypatch.setattr(cnt, "_real", _no_per_cell)
-    assert cnt.read_run_pairs(path, ["kind"]) == (pairs_500, {"kind": ["k"] * 500})
+    cnt.write_run_pairs(pairs, path, extra=extra)
+    path.write_bytes(NOT_PLAIN[edit](path.read_bytes().decode()).encode())
+    with mock.patch.object(cnt, "_csv_table", wraps=cnt._csv_table) as per_row:
+        _same_as_reference(cnt.read_run_pairs, oracle.read_run_pairs, path, list(extra))
+    assert per_row.called
+
+
+@pytest.mark.filterwarnings("error")   # np.loadtxt warns on a file of blank lines
+@pytest.mark.parametrize("fmt", ["csv", "pairs"])
+def test_blank_lines_alone_read_per_row(tmp_path, fmt):
+    path = tmp_path / "in.csv"
+    header = cnt.COUNTER_FIELDS if fmt == "csv" else cnt.PAIR_FIELDS
+    path.write_text(",".join(header) + "\n\n\r\n")
+    read, ref = ((read_log, oracle.ingest_counter_log) if fmt == "csv"
+                 else (cnt.read_run_pairs, oracle.read_run_pairs))
+    with mock.patch.object(cnt, "_csv_table", wraps=cnt._csv_table) as per_row:
+        _same_as_reference(read, ref, path)
+    assert per_row.called
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.from_regex(r"[+-]?[0-9]{0,20}(\.[0-9]{0,20})?([eE][+-]?[0-9]{0,4})?", fullmatch=True)
+                      | st.text(cnt._PLAIN_CELLS[np.float64].decode().replace(",", ""), max_size=12)
+                      | PLAIN_REALS, min_size=1, max_size=20))
+def test_loadtxt_reads_plain_reals_as_float_does(cells):
+    """The premise of the plain path: over _PLAIN_CELLS' real alphabet (less the
+    delimiter), np.loadtxt reads each cell as float() does, to the bit, and
+    refuses each that float() refuses."""
+    def read(convert, cell):
+        try:
+            return repr(convert(cell))
+        except ValueError:
+            return "ValueError"
+    for cell in cells:
+        row = lambda c: np.loadtxt([f"{c},0"], np.float64, delimiter=",", comments=None, ndmin=2)[0, 0].item()
+        assert read(row, cell) == read(float, cell), cell
 
 
 # --- the table check at its edges, against the row-by-row reference -----------

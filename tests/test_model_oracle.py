@@ -128,7 +128,7 @@ def test_kernels_equal_per_row_calls(inputs, scale):
     log = cnt.counter_log(snaps)
     labels = [f"row-{i}" for i in range(len(snaps))]
     assert (outcome(lambda: prediction_rows(mdl.predict(log, params, labels)))
-            == outcome(lambda: [tuple(vars(p).values()) for p in oracle.predictions(snaps, params)]))
+            == outcome(lambda: [tuple(vars(p).values()) for p in oracle.predictions(snaps, params, "snapshots")]))
     assert (outcome(lambda: forecast_rows(il.forecast(log, dm.PRESETS["local-emr"], dm.PRESETS["cxl-a"],
                                                       params, fit, labels)))
             == outcome(lambda: oracle_forecast_rows(oracle.forecasts(snaps, params, fit, "snapshots"))))
@@ -183,7 +183,7 @@ def _reference(command: str, log: Path, fmt: str, params, fit, out: Path):
             writers_oracle.write_derived_json(snaps, out / "derived.json")
             return None
         if command == "predict":
-            preds = oracle.predictions(snaps, params)
+            preds = oracle.predictions(snaps, params, log)
             header = ["label", "m_dram", "m_cache", "m_store", "s_pred", "sensitivity"]
             columns = [[getattr(p, a) for p in preds] for a in header]
             error = _expected_writer_error("predictions.csv", header, columns)
@@ -251,7 +251,7 @@ def test_forecast_raises_for_the_first_row_to_fail():
                                                         p, fit, labels)))
         assert got == outcome(lambda: oracle_forecast_rows(oracle.forecasts(rows, p, fit, "snapshots")))
         assert got[0] == error
-    assert got[1] == "total_cycles is zero"
+    assert got[1] == "snapshots: row 2: total_cycles is zero"
 
 
 def test_edges_a_column_meets_as_a_number():
