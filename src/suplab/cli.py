@@ -2,8 +2,8 @@
 
 Subcommands: ingest, breakdown, calibrate, predict, interleave scan|forecast,
 tiersim, latcdf, demo.  All randomness flows from --seed.  Outputs, with a
-copy of the run manifest, are staged beside the output directory and moved
-into it only when the command succeeds, so a failed command leaves no output
+copy of the run manifest, are staged beside the output directory and published
+only when the command succeeds, so a failed command leaves no output
 directory.  Exit codes: 0 success, 1 usage error, 2 data/invariant error.
 """
 
@@ -13,7 +13,6 @@ import argparse
 import os
 import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 from . import breakdown as bd
@@ -43,22 +42,40 @@ class OutputDir:
     """A hidden staging directory beside ``root``; ``out / name`` is a path in it.
 
     Nothing appears under ``root`` until :meth:`publish`.  The caller removes
-    ``staging`` afterwards, whether or not the command succeeded.
+    ``staging`` afterwards, whether or not the command succeeded; a publish
+    that renames it into place sets it to None.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.parent.mkdir(parents=True, exist_ok=True)
-        self.staging = Path(tempfile.mkdtemp(dir=self.root.parent, prefix=f".{self.root.name}."))
+        # A plain mkdir, not mkdtemp's 0700, so that the umask sets the mode
+        # ``root`` has once the directory is renamed into place.
+        for attempt in range(100):
+            self.staging = self.root.parent / f".{self.root.name}.{os.urandom(6).hex()}"
+            try:
+                os.mkdir(self.staging)
+                break
+            except FileExistsError:
+                if attempt == 99:
+                    raise
 
     def __truediv__(self, name: str) -> Path:
         return self.staging / name
 
     def publish(self) -> None:
-        """Move each staged file into ``root``, replacing same-named files.
+        """Rename the staging directory to a ``root`` that does not exist yet, so
+        that every output appears at once.  Into an existing ``root``, move each
+        staged file, replacing same-named files, and the manifest last, after
+        every output it describes.
 
-        The manifest is moved last, after every output it describes.
+        Anything at ``root``, even an empty directory that ``rename(2)`` would
+        silently replace, takes the per-file path; a file or symlink fails there.
         """
+        if not os.path.lexists(self.root):
+            os.rename(self.staging, self.root)
+            self.staging = None
+            return
         self.root.mkdir(exist_ok=True)
         for f in sorted(self.staging.iterdir(), key=lambda f: f.name == "manifest.json"):
             os.replace(f, self.root / f.name)
@@ -134,9 +151,9 @@ def _cmd_predict(args, out: OutputDir) -> str:
 
 
 def _cmd_interleave(args, out: OutputDir) -> str:
-    local = _load_device(args.local)
-    remote = _load_device(args.remote)
     if args.action == "scan":
+        local = _load_device(args.local)
+        remote = _load_device(args.remote)
         if not args.workload:
             raise _UsageError("interleave scan requires --workload")
         w = dm.WorkloadProfile.from_json(args.workload)
@@ -150,7 +167,8 @@ def _cmd_interleave(args, out: OutputDir) -> str:
     params = mdl.ModelParams.from_json(args.params)
     fit = il.InterleaveFit.from_json(args.fit)
     log = cnt.ingest_counter_log(args.input, format=args.format)
-    il.write_forecast_csv(il.forecast(log, local, remote, params, fit, _row_labels(log)),
+    # forecast reads no device: the fit carries the platform
+    il.write_forecast_csv(il.forecast(log, None, None, params, fit, _row_labels(log)),
                           out / "forecast.csv")
     return f"forecast {len(log)} snapshots -> {out.root}"
 
@@ -294,8 +312,9 @@ COMMANDS = {
                 ("input", "params")),
     "interleave": ("ratio scanning and best-shot forecasts", _cmd_interleave,
                    (_FORMAT, _arg("action", choices=("scan", "forecast")),
-                    _arg("--local", default="local-emr", help="device preset name or profile JSON"),
-                    _arg("--remote", default="cxl-a"),
+                    _arg("--local", default="local-emr",
+                         help="device preset name or profile JSON (scan only)"),
+                    _arg("--remote", default="cxl-a", help="(scan only)"),
                     _arg("--workload", help="workload profile JSON (scan)"),
                     _arg("--input", help="counter log of a local run (forecast)"),
                     _arg("--params", help="ModelParams JSON (forecast)"),
@@ -350,7 +369,8 @@ def run(argv: list[str] | None = None) -> int:
             _write_manifest(out, args, inputs)
             out.publish()
         finally:
-            shutil.rmtree(out.staging, ignore_errors=True)
+            if out.staging is not None:
+                shutil.rmtree(out.staging, ignore_errors=True)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -223,8 +223,8 @@ def fit_interleave(
 @np.errstate(over="ignore", invalid="ignore")
 def forecast(
     s,
-    local: DeviceProfile,
-    remote: DeviceProfile,
+    local: DeviceProfile | None,
+    remote: DeviceProfile | None,
     params: ModelParams,
     fit: InterleaveFit | None,
     label="",
@@ -237,6 +237,7 @@ def forecast(
     ``slowdown_at``).  A log's rows fail in order, as a snapshot at a time
     would: the first row without demand reads or cycles raises once the rows
     before it pass, a row without reads naming the log and the row.
+    ``local`` and ``remote`` are not read: the fit carries the platform.
     """
     if isinstance(s, CounterLog):
         stop = np.flatnonzero((s.offcore_demand_requests == 0) | (s.total_cycles == 0))

@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
+import stat
 import sys
 import warnings
 from itertools import chain
@@ -299,6 +301,25 @@ class TestPipelines:
         assert rc == 0
         body = (fout / "forecast.csv").read_text().splitlines()
         assert body[0].startswith("label,r_dram")
+
+    def test_forecast_reads_no_device(self, tmp_path):
+        local = dm.DeviceProfile(name="l", base_latency_ns=90.0, bandwidth_cap_gbs=50.0)
+        pjson, fjson, log = tmp_path / "params.json", tmp_path / "fit.json", tmp_path / "log.csv"
+        dm.make_reference_params(local, dm.PRESETS["cxl-a"]).to_json(pjson)
+        il.InterleaveFit("l", 0.5, 0.1, 0.2, 0.05).to_json(fjson)
+        cnt.write_counter_log([dm.local_snapshot(w, local) for w in
+                               dm.make_bandwidth_bound_suite(3, seed=2, local=local)], log)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x"}))
+        argv = ["interleave", "forecast", "--input", str(log), "--params", str(pjson),
+                "--fit", str(fjson)]
+        assert cli.run(argv + ["--out", str(tmp_path / "defaults")]) == 0
+        assert cli.run(argv + ["--local", str(bad), "--remote", str(tmp_path / "missing.json"),
+                               "--out", str(tmp_path / "bad")]) == 0
+        forecast = [(tmp_path / d / "forecast.csv").read_bytes() for d in ("defaults", "bad")]
+        assert forecast[0] == forecast[1] and forecast[0].count(b"true") == 3
+        inputs = json.loads((tmp_path / "bad" / "manifest.json").read_text())["inputs"]
+        assert inputs["local"] == str(bad) and inputs["remote"] == str(tmp_path / "missing.json")
 
     def test_tiersim_subcommand(self, tmp_path):
         trace = ts.make_no_overlap_trace(seed=0)
@@ -1199,6 +1220,7 @@ class TestStagedOutput:
         "tiersim": (ts, "write_epoch_report_csv"),
         "ingest": (cnt, "stall_fractions"),
     }
+    LATCDF = ["latcdf", "--profile", "cxl-b", "--n", "1000", "--dump-samples"]
 
     @pytest.mark.parametrize("command", list(FAILING))
     def test_failure_leaves_no_output(self, tmp_path, capsys, monkeypatch, counters_csv,
@@ -1233,6 +1255,54 @@ class TestStagedOutput:
         assert manifest["seed"] == 2 and manifest["output_dir"] == str(tmp_path / "o")
         del rerun["manifest.json"], fresh["manifest.json"]
         assert rerun == fresh
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_fresh_out_gets_mkdirs_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            os.mkdir(tmp_path / "plain")
+            assert cli.run(self.LATCDF + ["--out", str(tmp_path / "o")]) == 0
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "o").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o777 & ~umask
+
+    def test_fresh_out_is_one_rename(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(os, name)
+            return lambda src, dst: calls.append((name, Path(dst).name)) or real(src, dst)
+
+        for name in ("rename", "replace"):
+            monkeypatch.setattr(os, name, spy(name))
+        assert cli.run(self.LATCDF + ["--out", str(tmp_path / "o")]) == 0
+        assert calls == [("rename", "o")]
+        # into the existing --out: one replace per file, the manifest last
+        calls.clear()
+        assert cli.run(self.LATCDF + ["--out", str(tmp_path / "o")]) == 0
+        assert [name for name, _ in calls] == ["replace"] * 4
+        assert calls[-1] == ("replace", "manifest.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+    @pytest.mark.parametrize("mode", [None, 0o700], ids=["umask", "0700"])
+    def test_existing_out_keeps_inode_and_mode(self, tmp_path, mode):
+        out = tmp_path / "o"
+        out.mkdir()
+        if mode is not None:
+            out.chmod(mode)
+        before = out.stat()
+        assert cli.run(self.LATCDF + ["--out", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "percentiles.csv", "samples.csv", "summary.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+    def test_failed_rename_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "rename", _fail)
+        out = tmp_path / "o"
+        _assert_data_error(cli.run(self.LATCDF + ["--out", str(out)]), capsys, out)
 
 
 class TestDecomposeCalls:

@@ -81,7 +81,9 @@ def model_inputs(draw):
         requests = draw(st.sampled_from([2**53 + 3, 2**54 + 6, 2**60 + 3 * 2**7]) | st.integers(EXACT, 2**60))
         threshold = draw(st.just(3) | st.integers(1, 1000))
         row["offcore_demand_requests"] = requests
-        row["offcore_demand_occupancy"] = threshold * int(float(requests)) + draw(st.just(0) | st.integers(-2, 2))
+        # no fewer cycles than requests: a cutoff of 1 less 2 would make the row invalid
+        row["offcore_demand_occupancy"] = max(requests, threshold * int(float(requests))
+                                              + draw(st.just(0) | st.integers(-2, 2)))
         rows = draw(st.sampled_from([rows, [row]]))   # alone, no other row's label sizes the column
     params = mdl.ModelParams(k1=draw(REALS), k2=draw(REALS), k3=draw(REALS),
                              k4=draw(st.floats(-1, 1) | st.integers(-5, 5)), p=draw(REALS | st.just(0)),
