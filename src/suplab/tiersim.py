@@ -35,8 +35,8 @@ _GATE_CHUNK = 10  # candidate pages per admission window
 # build a view and an object for it: a one-row trace whose header says 200,000
 # epochs takes 1.7-2.2 s and 115 MB peak RSS through `suplab tiersim` with three
 # policies, 0.9-1.1 s of it in `read_trace`.  Busy epochs cost more: with
-# 400,000 misses in 172,904 of them, `_grouping` took 10.3-10.8 s and one
-# `simulate` 5.1-5.3 s (first_touch) to 10.6-14.1 s (tpp, alto) (2-CPU Xeon, numpy 2.4).
+# 400,000 misses in 172,904 of them, `_grouping` took 4.4-4.5 s and one
+# `simulate` 1.9 s (first_touch) to 3.2-3.6 s (tpp, alto) (2-CPU Xeon, numpy 2.4).
 MAX_EPOCHS = 200_000
 
 
@@ -101,11 +101,19 @@ class TierTrace(Checked):
             ids, page_ids = np.unique(page_ids, return_inverse=True)
             n_pages = len(ids)
         busy, seen = [], np.zeros(n_pages, dtype=bool)
+        sizes = np.diff(self.epoch_offsets)
+        keys, b = _sort_keys(page_ids, n_pages, self.epoch_offsets, sizes)
+        index_mask = (1 << b) - 1
         offsets = self.epoch_offsets.tolist()
-        for i in np.flatnonzero(np.diff(self.epoch_offsets)).tolist():
+        for i in np.flatnonzero(sizes).tolist():
             lo, hi = offsets[i], offsets[i + 1]
-            order = np.argsort(page_ids[lo:hi], kind="stable")
-            sorted_pages = page_ids[lo:hi][order]
+            if keys is None:
+                order = np.argsort(page_ids[lo:hi], kind="stable")
+                sorted_pages = page_ids[lo:hi][order]
+            else:   # the sorted keys hold both the order and the pages
+                sorted_keys = keys[lo:hi]
+                sorted_keys.sort()   # in place: no one else reads the keys
+                order, sorted_pages = sorted_keys & index_mask, sorted_keys >> b
             starts = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
             uniq, hits = sorted_pages[starts], np.diff(starts, append=hi - lo)
             new = ~seen[uniq]
@@ -113,6 +121,36 @@ class TierTrace(Checked):
             busy.append((i, lo, hi, order, starts, uniq, hits,
                          uniq[new][np.argsort(order[starts[new]])], lo + order[starts + hits - 1]))
         return page_ids, n_pages, busy
+
+    def _allfast_stalls(self, fast_lat: float) -> list[float]:
+        """Each busy epoch's stall cycles with every page in the fast tier, summed
+        miss by miss as ``simulate`` sums its own: made once per fast-tier latency,
+        since no policy changes it."""
+        cache = self.__dict__.setdefault("_allfast_cache", {})   # frozen: no setattr
+        if fast_lat not in cache:
+            groups = self.group_sizes
+            cache[fast_lat] = [np.cumsum(fast_lat / groups[lo:hi])[-1].item()
+                               for _, lo, hi, *_ in self._grouping[2]]
+        return cache[fast_lat]
+
+
+def _sort_keys(page_ids: np.ndarray, n_pages: int, offsets: np.ndarray,
+               sizes: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Each miss's key ``(page << b) | its index in its epoch``, and b, the bits of
+    the longest epoch's last index.  The keys are unique within an epoch, so
+    an epoch's keys sorted and masked back to the index are
+    ``np.argsort(pages, kind="stable")``, and shifted back, the sorted pages.
+
+    Keys are None if one could pass 2**63.  That needs a trace of more than 2**29
+    misses (12 GiB as ``read_trace`` parses it): past renumbering, ``n_pages``
+    <= 8 * misses + 2**20, and 2**b < 2 * misses."""
+    b = int(sizes.max() - 1).bit_length()
+    if (n_pages - 1).bit_length() + b > 63:
+        return None, b
+    keys = page_ids << b   # then the index, in place: fewer trace-sized temporaries
+    keys += np.arange(len(page_ids))
+    keys -= np.repeat(offsets[:-1], sizes)
+    return keys, b
 
 
 @dataclass(frozen=True)
@@ -225,7 +263,10 @@ def simulate(
     carries the runtime the trace would take with every page in the fast
     tier, summed miss by miss in trace order.  Per-page state lives in
     arrays indexed by page id; each epoch with misses is array operations over
-    them, grouped by page once per trace (``TierTrace._grouping``).
+    them.  What no policy changes is made on a trace's first simulation and
+    reused by every later one: the misses grouped by page
+    (``TierTrace._grouping``), and per fast-tier latency each epoch's all-fast
+    stall (``TierTrace._allfast_stalls``).
     """
     fast_lat = latency_cycles(local)
     slow_lat = latency_cycles(remote)
@@ -247,17 +288,16 @@ def simulate(
         est_slowdown_series=[0.0] * n_epochs)
     stall_cycles_total = allfast_cycles_total = 0.0
 
-    for i, lo, hi, order, starts, uniq, hits, touched, last in busy:
-        pages, groups, n_misses = page_ids[lo:hi], trace.group_sizes[lo:hi], hi - lo
+    for (i, lo, hi, order, starts, uniq, hits, touched, last), stall_allfast in zip(
+            busy, trace._allfast_stalls(fast_lat)):
+        n_misses = hi - lo
         allocated = touched[: cfg.fast_capacity - fast_pages]
         fast[allocated] = True
         fast_pages += len(allocated)
-        last_use[uniq] = last
 
-        is_fast = fast[pages]
-        lat = np.stack((np.where(is_fast, fast_lat, slow_lat), np.full(n_misses, fast_lat)))
-        sums = np.cumsum(lat / groups, axis=1)   # in miss order, so bit-identical to a loop
-        stall, stall_allfast = sums[:, -1].tolist()
+        is_fast = fast[page_ids[lo:hi]]
+        lat = np.where(is_fast, fast_lat, slow_lat)
+        stall = np.cumsum(lat / trace.group_sizes[lo:hi])[-1].item()   # in miss order, as a loop sums
         slow_hits = n_misses - int(np.count_nonzero(is_fast))
         amortized = stall / n_misses
 
@@ -265,24 +305,27 @@ def simulate(
 
         promoted = 0
         if cfg.policy != "first_touch":
+            last_use[uniq] = last   # read only to pick LRU victims
             slow = ~fast[uniq]
-            prior = access_count[uniq[slow]]
-            access_count[uniq[slow]] = prior + hits[slow]
+            slow_pages, slow_page_hits = uniq[slow], hits[slow]
+            prior = access_count[slow_pages]
+            access_count[slow_pages] = prior + slow_page_hits
             if gate > 0:
-                # Candidates in the order of the misses that take them to the threshold.
                 need = np.maximum(1, cfg.promo_threshold_accesses - prior)
-                crosses = hits[slow] >= need
-                at = order[starts[slow][crosses] + need[crosses] - 1]
-                candidates = uniq[slow][crosses][np.argsort(at)]
-                admitted = _admit(candidates, gate)[: cfg.max_promo_rate]
-                victims = _lru_victims(fast, last_use, admitted, cfg.fast_capacity - fast_pages)
-                # Victims last: a page promoted and demoted in one epoch ends slow.
-                fast[admitted] = True
-                fast[victims] = False
-                access_count[admitted] = access_count[victims] = 0
-                promoted = len(admitted)
-                fast_pages += promoted - len(victims)
-                outcome.demotions += len(victims)
+                crosses = slow_page_hits >= need
+                if crosses.any():   # else nothing moves
+                    # Candidates in the order of the misses that take them to the threshold.
+                    at = order[starts[slow][crosses] + need[crosses] - 1]
+                    candidates = slow_pages[crosses][np.argsort(at)]
+                    admitted = _admit(candidates, gate)[: cfg.max_promo_rate]
+                    victims = _lru_victims(fast, last_use, admitted, cfg.fast_capacity - fast_pages)
+                    # Victims last: a page promoted and demoted in one epoch ends slow.
+                    fast[admitted] = True
+                    fast[victims] = False
+                    access_count[admitted] = access_count[victims] = 0
+                    promoted = len(admitted)
+                    fast_pages += promoted - len(victims)
+                    outcome.demotions += len(victims)
         outcome.promotions += promoted
 
         stall_cycles_total += stall

@@ -227,8 +227,9 @@ class TestComparePolicies:
 class TestGroupingShared:
     def test_grouped_once_per_trace(self, monkeypatch):
         # The per-epoch grouping of a trace's misses is made on its first
-        # simulation and reused by every later one, whatever the policy.
-        groupings, sims = [], []
+        # simulation and reused by every later one, whatever the policy; so
+        # are its all-fast stall sums, once per fast-tier latency.
+        groupings, sims, allfast = [], [], []
         prop = vars(ts.TierTrace)["_grouping"]
         group, simulate = prop.func, ts.simulate
 
@@ -240,14 +241,25 @@ class TestGroupingShared:
             sims.append(c.policy)
             return simulate(trace, c, *args, **kwargs)
 
+        class CountingCache(dict):
+            def __setitem__(self, fast_lat, sums):
+                allfast.append(fast_lat)
+                super().__setitem__(fast_lat, sums)
+
         monkeypatch.setattr(prop, "func", counting_group)
         monkeypatch.setattr(ts, "simulate", counting_simulate)
         trace = ts.make_no_overlap_trace(seed=0)
+        trace.__dict__["_allfast_cache"] = CountingCache()
         ts.compare_policies(trace, [cfg(p) for p in ts.POLICIES], LOCAL, REMOTE)
         assert sims == list(ts.POLICIES)
         assert groupings == [id(trace)]
+        assert allfast == [dm.latency_cycles(LOCAL)]
         ts.simulate(trace, cfg("alto", max_promo_rate=7), LOCAL, REMOTE)
+        assert groupings == [id(trace)] and len(allfast) == 1
+        numa = dm.PRESETS["numa"]
+        ts.simulate(trace, cfg("first_touch"), numa, REMOTE)
         assert groupings == [id(trace)]
+        assert allfast == [dm.latency_cycles(LOCAL), dm.latency_cycles(numa)]
         other = ts.TierTrace(epochs=trace.epochs, page_count=trace.page_count,
                              wss_pages=trace.wss_pages)
         ts.simulate(other, cfg("tpp"), LOCAL, REMOTE)

@@ -5,6 +5,7 @@ on generated small traces and on the full fixture traces."""
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,6 +147,79 @@ def test_one_trace_under_several_configs_matches_oracle(data, stride):
     trace = spread(trace, stride)
     for cfg in cfgs:
         assert_matches_oracle(trace, cfg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(traces_and_configs(), st.lists(st.sampled_from(sorted(dm.PRESETS)), min_size=2, max_size=4))
+def test_one_trace_under_several_local_devices_matches_oracle(case, names):
+    # The all-fast stall sums a trace keeps are per fast-tier latency.
+    trace, cfg = case
+    for name in names:
+        local = dm.PRESETS[name]
+        assert ts.simulate(trace, cfg, local, REMOTE) == oracle.simulate(trace, cfg, local, REMOTE)
+
+
+def assert_grouping_matches_oracle(trace: ts.TierTrace) -> None:
+    got, want = trace._grouping, oracle.grouping(trace)
+    assert got[1] == want[1] and len(got[2]) == len(want[2])
+    for g, w in zip((got[0], *(x for epoch in got[2] for x in epoch)),
+                    (want[0], *(x for epoch in want[2] for x in epoch))):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        else:
+            assert type(g) is type(w) and g == w
+
+
+# Sizes on both sides of a power of two, since the longest epoch sets the bits
+# that a packed sort key keeps for a miss's index.
+EPOCH_SIZES = sorted({max(0, 2**k + d) for k in range(8) for d in (-1, 0, 1)})
+
+
+@st.composite
+def grouping_traces(draw):
+    """Epochs of the sizes above, some empty, over few pages (so repeats) or
+    many; their ids are spread past the renumbering threshold or not."""
+    page_count = draw(st.sampled_from((1, 3, 40, 5000)))
+    sizes = draw(st.lists(st.sampled_from(EPOCH_SIZES), min_size=1, max_size=8).filter(any))
+    epochs = [draw(st.lists(st.integers(0, page_count - 1), min_size=n, max_size=n)) for n in sizes]
+    trace = ts.TierTrace(epochs=[ts.TraceEpoch(demand_misses=[(p, 1) for p in e]) for e in epochs],
+                         page_count=page_count, wss_pages=page_count)
+    stride = draw(st.one_of(st.just(1), st.integers(2**21, 10**12)))
+    return spread(trace, stride) if stride > 1 else trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouping_traces())
+def test_grouping_matches_argsort_oracle(trace):
+    assert_grouping_matches_oracle(trace)
+
+
+@pytest.mark.parametrize("name", MAKERS)
+def test_fixture_grouping_matches_argsort_oracle(name):
+    assert_grouping_matches_oracle(getattr(ts, f"make_{name}_trace")(1))
+
+
+def test_sort_keys_at_the_63_bit_bound():
+    # Two misses take one index bit, so pages below 2**62 leave every key
+    # below 2**63: the largest is exactly 2**63 - 1.  One more page and the
+    # keys are refused.
+    offsets, sizes = np.array([0, 2]), np.array([2])
+    keys, b = ts._sort_keys(np.array([0, 2**62 - 1]), 2**62, offsets, sizes)
+    assert b == 1 and keys.tolist() == [0, 2**63 - 1]
+    assert ts._sort_keys(np.array([0, 2**62]), 2**62 + 1, offsets, sizes)[0] is None
+    # No trace of at most 2**29 misses is refused: past renumbering, n_pages
+    # <= 8 * misses + 2**20, and its longest epoch is at most all its misses.
+    misses = 2**29
+    assert (8 * misses + 2**20 - 1).bit_length() + (misses - 1).bit_length() <= 63
+
+
+@settings(max_examples=50, deadline=None)
+@given(grouping_traces())
+def test_grouping_without_sort_keys_matches_oracle(trace):
+    # A trace whose keys could pass 2**63 is grouped by argsort, epoch by epoch.
+    sort_keys = ts._sort_keys
+    with mock.patch.object(ts, "_sort_keys", lambda *args: (None, sort_keys(*args)[1])):
+        assert_grouping_matches_oracle(trace)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

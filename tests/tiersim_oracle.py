@@ -5,12 +5,16 @@ Kept unchanged as the oracle the array kernel and builders are checked
 against (``test_tiersim_oracle.py``): for any trace and config,
 ``suplab.tiersim.simulate`` must return a ``PolicyOutcome`` equal to
 :func:`simulate` here, and the array builders must produce the same misses
-as the builders here.
+as the builders here.  :func:`grouping` is the per-epoch stable argsort that
+``TierTrace._grouping`` replaced with sorted packed keys; the two must be
+equal element by element.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from suplab.devmodel import CLOCK_GHZ, DeviceProfile
 from suplab.errors import SupLabError
@@ -37,6 +41,28 @@ def _admit(candidates: list[int], gate: float) -> list[int]:
         return list(candidates)
     keep = math.ceil(gate * _GATE_CHUNK)
     return [p for i, p in enumerate(candidates) if i % _GATE_CHUNK < keep]
+
+
+def grouping(trace: TierTrace) -> tuple[np.ndarray, int, list[tuple]]:
+    """``TierTrace._grouping`` as one stable argsort per epoch with misses."""
+    page_ids = trace.page_ids
+    n_pages = int(page_ids.max()) + 1
+    if n_pages > 8 * len(page_ids) + 2**20:
+        ids, page_ids = np.unique(page_ids, return_inverse=True)
+        n_pages = len(ids)
+    busy, seen = [], np.zeros(n_pages, dtype=bool)
+    offsets = trace.epoch_offsets.tolist()
+    for i in np.flatnonzero(np.diff(trace.epoch_offsets)).tolist():
+        lo, hi = offsets[i], offsets[i + 1]
+        order = np.argsort(page_ids[lo:hi], kind="stable")
+        sorted_pages = page_ids[lo:hi][order]
+        starts = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
+        uniq, hits = sorted_pages[starts], np.diff(starts, append=hi - lo)
+        new = ~seen[uniq]
+        seen[uniq] = True
+        busy.append((i, lo, hi, order, starts, uniq, hits,
+                     uniq[new][np.argsort(order[starts[new]])], lo + order[starts + hits - 1]))
+    return page_ids, n_pages, busy
 
 
 def simulate(
