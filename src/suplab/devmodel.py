@@ -35,8 +35,9 @@ from .model import (
 )
 
 CLOCK_GHZ = 2.1
-MAX_SAMPLES = 20_000_000  # cap on sample_latencies' n: latcdf peaks at 0.34 GB (17 B/sample)
+MAX_SAMPLES = 20_000_000  # cap on sample_latencies' n: latcdf peaks at 0.16-0.18 GB (8.1-8.8 B/sample)
 SAMPLES_CSV_CHUNK = TABLE_CHUNK  # samples formatted per write by write_latency_samples_csv
+_DRAW_CHUNK = 1 << 16   # uniforms or exponentials per draw in sample_latencies: 512 KiB
 KAPPA = 0.5          # queueing shape: extra latency = base * KAPPA * rho/(1-rho)
 OVERLOAD_KNEE = 0.95  # past this utilization the queueing curve continues linearly
 _KNEE_SLOPE = 1.0 / (1.0 - OVERLOAD_KNEE) ** 2   # d/drho of rho/(1-rho) at the knee
@@ -126,24 +127,32 @@ def sample_latencies(
 
     Sample = base + hop + queueing(load) + Gaussian jitter, floored at 0,
     plus an exponential excess with probability ``tail_prob``.
-    Deterministic for a fixed seed.  Raises :class:`InvariantViolation`
-    when a sample overflows to infinity (a huge jitter or tail scale).
+    Deterministic for a fixed seed: one stream gives the n normals, then n
+    uniforms that pick the tail samples, then n exponentials.  The normals
+    become the result in place; the uniforms and exponentials are drawn
+    ``_DRAW_CHUNK`` at a time into one reused buffer, keeping each chunk's
+    tail indices (under a tenth of its samples).  A Generator fills an array
+    element by element, so the chunks hold the whole-array draw's values.
+    Raises :class:`InvariantViolation` when a sample overflows to infinity
+    (a huge jitter or tail scale).
     """
     if not 0 <= load < 1:
         raise LoadOutOfRange(f"load must be in [0, 1), got {load}")
     if not 1 <= n <= MAX_SAMPLES:
         raise InvariantViolation(f"n must be in [1, {MAX_SAMPLES}], got {n}")
     rng = np.random.default_rng(seed)
-    body = rng.standard_normal(n)   # then uniform, then exponential: two buffers, in place
+    body = rng.standard_normal(n)
+    draws = np.empty(min(n, _DRAW_CHUNK))
+    starts = range(0, n, _DRAW_CHUNK)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow, or inf - inf, is reported below
         mean = dev.base_latency_ns + dev.numa_hop_extra_ns + queueing_delay_ns(dev, load)
         body *= dev.jitter_sigma_ns
         body += mean
         np.maximum(body, 0.0, out=body)
-        draws = rng.random(n)
-        tail = np.flatnonzero(draws < dev.tail_prob)
-        rng.standard_exponential(out=draws)
-        body[tail] += draws[tail] * dev.tail_scale_ns
+        tails = [np.flatnonzero(rng.random(out=draws[:n - lo]) < dev.tail_prob) for lo in starts]
+        for lo, at in zip(starts, tails):
+            excess = rng.standard_exponential(out=draws[:n - lo])
+            body[lo:lo + _DRAW_CHUNK][at] += excess[at] * dev.tail_scale_ns
     if not np.isfinite(body.max()):
         cause = ("jitter_sigma_ns or tail_scale_ns is too large" if np.isfinite(mean) else
                  "base_latency_ns + numa_hop_extra_ns + queueing delay is past the float range")
@@ -161,9 +170,15 @@ def latency_percentiles(
     samples: Sequence[float] | np.ndarray, qs: Sequence[float]
 ) -> dict[float, float]:
     """Nearest-rank percentiles (q in (0,1)); monotone in q by construction.
-    Each distinct rank, ascending, is one single-kth partition of the slice
-    above the previous rank: under half a full sort's time at 1M samples."""
-    arr = np.array(samples, dtype=float)   # a copy, partitioned in place
+    Computed on a copy, so the caller's samples keep their order."""
+    return _percentiles_in_place(np.array(samples, dtype=float), qs)
+
+
+def _percentiles_in_place(arr: np.ndarray, qs: Sequence[float]) -> dict[float, float]:
+    """:func:`latency_percentiles` of a float64 array that it reorders, for a
+    caller that reads the samples no more.  Each distinct rank, ascending, is
+    one single-kth partition of the slice above the previous rank: under half
+    a full sort's time at 1M samples."""
     if arr.size == 0:
         raise EmptyInput("no latency samples")
     for q in qs:

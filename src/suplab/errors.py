@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-TABLE_CHUNK = 16_384        # rows formatted per write by write_table
+TABLE_CHUNK = 4_096         # rows formatted per write by write_table: ~0.75 MB a float column
 FLOAT_MAX = sys.float_info.max   # a number past it does not convert to a float
 LIMIT_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}   # a JSON int is a float too

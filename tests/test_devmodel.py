@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from suplab import breakdown as bd
+from suplab import cli
 from suplab import devmodel as dm
 from suplab import model as mdl
 from suplab.counters import amortized_offcore_latency, stall_fractions
-from suplab.errors import EmptyInput, InconsistentProfile, InvariantViolation, LoadOutOfRange
+from suplab.errors import (TABLE_CHUNK, EmptyInput, InconsistentProfile, InvariantViolation,
+                           LoadOutOfRange)
 
 LOCAL = dm.PRESETS["local-emr"]
 REMOTE = dm.PRESETS["cxl-b"]
@@ -116,16 +118,34 @@ def _peak_bytes(fn, *args) -> int:
 
 
 class TestSamplingMemory:
-    """Peak traced memory of sampling and of the sample dump at 1M samples."""
+    """Peak traced memory of sampling, of the sample dump and of a whole
+    latcdf op at 1M samples.  Each test first makes a small call: the first
+    seeded Generator imports modules (~0.7 MB) that a later call does not."""
 
-    def test_sampling_holds_two_buffers(self):
-        # the 8-byte result, one 8-byte draw buffer and a 1-byte tail mask per sample
-        assert _peak_bytes(dm.sample_latencies, REMOTE, 1_000_000, 0.5, 1) <= 18_000_000
+    def test_sampling_holds_the_result_and_one_chunk(self):
+        # the 8-byte result per sample, one 512 KiB draw chunk with its mask,
+        # and 8 bytes per tail index (10,000 at tail_prob 0.01, 100,000 near 0.1)
+        dm.sample_latencies(REMOTE, 10, 0.5, 1)
+        for tail_prob, bound in ((REMOTE.tail_prob, 9_000_000), (0.0999, 9_700_000)):
+            dev = dataclasses.replace(REMOTE, tail_prob=tail_prob)
+            assert _peak_bytes(dm.sample_latencies, dev, 1_000_000, 0.5, 1) <= bound
 
     def test_dump_memory_bounded_by_chunk(self, tmp_path):
-        # one join over the whole 1M-sample file peaks at ~108 MB
+        # the finiteness check's 1-byte mask per sample, freed before the first
+        # write, or one chunk of rows in flight at ~182 B a row (a float, its
+        # repr and its share of the joined text), whichever is larger
         samples = dm.sample_latencies(REMOTE, 1_000_000, 0.5, seed=1)
-        assert _peak_bytes(dm.write_latency_samples_csv, samples, tmp_path / "s.csv") <= 8_000_000
+        dm.write_latency_samples_csv(samples[:10], tmp_path / "warm.csv")
+        peak = _peak_bytes(dm.write_latency_samples_csv, samples, tmp_path / "s.csv")
+        assert peak <= max(samples.size, 200 * TABLE_CHUNK) + 65_536
+
+    def test_latcdf_op_holds_one_sample_buffer(self, tmp_path):
+        # the percentiles partition the samples in place: a copy would add 8 MB
+        argv = ["latcdf", "--profile", "cxl-b", "--seed", "1", "--n"]
+        assert cli.run([*argv, "10", "--out", str(tmp_path / "warm")]) == 0
+        peak = _peak_bytes(cli.run, [*argv, "1000000", "--out", str(tmp_path / "o")])
+        assert (tmp_path / "o" / "summary.json").exists()
+        assert peak <= 9_000_000
 
 
 class TestLatencyPercentiles:
@@ -147,6 +167,20 @@ class TestLatencyPercentiles:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             dm.latency_percentiles([], (0.5,))
+
+    def test_caller_samples_never_reordered(self):
+        samples = dm.sample_latencies(REMOTE, 50_000, 0.0, seed=9)
+        given = samples.copy()
+        qs = (0.5, 0.9, 0.99, 0.999)
+        p = dm.latency_percentiles(samples, qs)
+        assert samples.tobytes() == given.tobytes()
+        assert dm.latency_percentiles(samples.tolist(), qs) == p
+        # the helper gives the same for an array made from a list or given as is,
+        # and reorders the array it is given
+        assert dm._percentiles_in_place(np.array(samples.tolist()), qs) == p
+        assert dm._percentiles_in_place(samples, qs) == p
+        assert samples.tobytes() != given.tobytes()
+        assert np.sort(samples).tobytes() == np.sort(given).tobytes()
 
     def test_matches_sort_based_oracle(self):
         rng = np.random.default_rng(12)

@@ -8,6 +8,8 @@ MLP-depth set."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,8 +61,21 @@ def test_sample_latencies_presets(preset, load):
                 == oracle.sample_latencies(dev, 100_000, load=load, seed=seed).tobytes())
 
 
-@pytest.mark.parametrize("n", [1, dm.SAMPLES_CSV_CHUNK - 1, dm.SAMPLES_CSV_CHUNK,
-                               dm.SAMPLES_CSV_CHUNK + 1, 3 * dm.SAMPLES_CSV_CHUNK + 5])
+@pytest.mark.parametrize("n", [dm._DRAW_CHUNK - 1, dm._DRAW_CHUNK, dm._DRAW_CHUNK + 1,
+                               3 * dm._DRAW_CHUNK + 5])
+@pytest.mark.parametrize("dev", [dataclasses.replace(dm.PRESETS["cxl-b"], tail_prob=0.0),
+                                 dm.PRESETS["cxl-b"],
+                                 dataclasses.replace(dm.PRESETS["cxl-b"], tail_prob=0.0999)],
+                         ids=["no-tail", "cxl-b", "tail-near-0.1"])
+def test_sample_latencies_across_draw_chunks(dev, n):
+    # the uniforms and exponentials are drawn a chunk at a time
+    for seed in (0, n):
+        assert (dm.sample_latencies(dev, n, load=0.3, seed=seed).tobytes()
+                == oracle.sample_latencies(dev, n, load=0.3, seed=seed).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, *(k * dm.SAMPLES_CSV_CHUNK + d for k in (1, 4) for d in (-1, 0, 1)),
+                               3 * dm.SAMPLES_CSV_CHUNK + 5, 12 * dm.SAMPLES_CSV_CHUNK + 5])
 def test_samples_csv(tmp_path, n):
     samples = dm.sample_latencies(dm.PRESETS["cxl-b"], n, load=0.5, seed=n)
     dm.write_latency_samples_csv(samples, tmp_path / "new.csv")
@@ -91,9 +106,13 @@ def latency_samples(draw) -> np.ndarray:
 @given(samples=latency_samples(), qs=QUANTILES)
 def test_latency_percentiles(samples, qs):
     given_samples = samples.copy()
-    assert dm.latency_percentiles(samples, qs) == oracle.latency_percentiles(samples, qs)
+    expected = oracle.latency_percentiles(samples, qs)
+    assert dm.latency_percentiles(samples, qs) == expected
     assert samples.tobytes() == given_samples.tobytes()   # partitioned in a copy
-    assert dm.latency_percentiles(samples.tolist(), qs) == oracle.latency_percentiles(samples, qs)
+    assert dm.latency_percentiles(samples.tolist(), qs) == expected
+    # the in-place helper gives the same, and reorders only the array it is given
+    assert dm._percentiles_in_place(samples, qs) == expected
+    assert np.sort(samples).tobytes() == np.sort(given_samples).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
