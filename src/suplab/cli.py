@@ -10,6 +10,7 @@ directory.  Exit codes: 0 success, 1 usage error, 2 data/invariant error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -338,30 +339,25 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser of ``command`` alone or, with none, the full tree, which gives
-    the top-level help and the errors for a missing or unknown command."""
-    if command is None:
-        parser = _Parser(prog="suplab", description=__doc__)
-        sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=help_)
-                   for name, (help_, *_) in COMMANDS.items()}
-    else:
-        parser = _Parser(prog=f"suplab {command}")
-        parser.set_defaults(command=command)
-        parsers = {command: parser}
-    for name, p in parsers.items():
-        for flags, kwargs in (*_COMMON, *COMMANDS[name][2]):
+@functools.cache
+def build_parser() -> _Parser:
+    """The full parser tree, built on first use and reused for every command.
+
+    Reuse is safe: ``parse_args`` returns a new Namespace on each call, and every
+    default is None or an immutable scalar, so no parse changes what the next
+    one sees."""
+    parser = _Parser(prog="suplab", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, _, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in (*_COMMON, *arguments):
             p.add_argument(*flags, **kwargs)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        # Build only the named command's parser, a fraction of the full tree's cost.
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        args = build_parser(command).parse_args(argv[1:] if command else argv)
+        args = build_parser().parse_args(argv)
         out = OutputDir(args.out)
         try:
             _, handler, _, inputs = COMMANDS[args.command]

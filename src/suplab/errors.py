@@ -203,10 +203,12 @@ def _non_finite(value, at: str = "") -> str | None:
 
 
 def require_finite_values(path: str | Path, column: str, values) -> None:
-    """One reduction over a column: a NaN or an infinity in it is an
-    :class:`InvariantViolation` naming the file and the column."""
-    if not (np.isfinite(values).all() if isinstance(values, np.ndarray)
-            else all(map(math.isfinite, values))):
+    """A NaN or an infinity in a column is an :class:`InvariantViolation` naming
+    the file and the column.  An array is checked by its min and max, with no
+    mask: a NaN propagates through both and an infinity is one of them.  An empty
+    array has neither, and ``min`` would raise on it."""
+    if not (values.size == 0 or (np.isfinite(values.min()) and np.isfinite(values.max()))
+            if isinstance(values, np.ndarray) else all(map(math.isfinite, values))):
         raise InvariantViolation(f"{Path(path).name}: {column} holds a NaN or an infinity")
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -69,6 +70,12 @@ class TestExitCodes:
         assert cli.run(
             ["ingest", "--input", str(counters_csv), "--out", str(tmp_path / "o")]
         ) == 0
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    """``command``'s parser in the one tree."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 class TestManifest:
@@ -145,7 +152,7 @@ class TestManifest:
     @staticmethod
     def undeclared_inputs(command: str) -> set[str]:
         """The names in ``command``'s inputs column that are no dest of its arguments."""
-        dests = {action.dest for action in cli.build_parser(command)._actions}
+        dests = {action.dest for action in _subparser(command)._actions}
         return set(cli.COMMANDS[command][3]) - dests
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -1431,16 +1438,32 @@ def _outcome(parse) -> tuple:
         return "exit", exc.code, printed.getvalue()
 
 
-class TestParser:
-    """run() builds only the named command's parser; it parses like the full tree."""
+def _command_argvs():
+    return st.sampled_from(list(cli.COMMANDS)).flatmap(
+        lambda command: _arguments(command).map(lambda argv: [command, *argv]))
 
-    @pytest.mark.parametrize("command", list(cli.COMMANDS))
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_command_parser_matches_full_tree(self, command, data):
-        argv = data.draw(_arguments(command))
-        fast = _outcome(lambda: cli.build_parser(command).parse_args(argv))
-        assert fast == _outcome(lambda: cli.build_parser().parse_args([command, *argv]))
+
+class TestParser:
+    """run() parses every command with one tree, built once per process."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(argvs=st.lists(_command_argvs(), min_size=2, max_size=8))
+    def test_reused_tree_parses_like_a_fresh_one(self, argvs):
+        # a parse of the cached tree, after any others, sees what a fresh tree sees
+        for argv in argvs:
+            reused = _outcome(lambda: cli.build_parser().parse_args(argv))
+            assert reused == _outcome(lambda: cli.build_parser.__wrapped__().parse_args(argv))
+
+    USAGE_ERRORS = {
+        "interleave sideways":
+            "argument action: invalid choice: 'sideways' (choose from 'scan', 'forecast')",
+        "interleave scan --f x": "ambiguous option: --f could match --format, --fit",
+        "ingest --format xml --input a":
+            "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+        "tiersim --trace t.csv":
+            "the following arguments are required: --trace-header, --policy-config",
+        "latcdf --profile cxl-b --bogus": "unrecognized arguments: --bogus",
+    }
 
     @pytest.mark.parametrize("argv,kind", [
         (["ingest", "--inp", "a.csv", "--format=json"], "parsed"),
@@ -1456,23 +1479,31 @@ class TestParser:
         (["latcdf", "-h"], "exit"),
     ])
     def test_hand_picked_argvs(self, argv, kind):
-        fast = _outcome(lambda: cli.build_parser(argv[0]).parse_args(argv[1:]))
-        assert fast[0] == kind
-        assert fast == _outcome(lambda: cli.build_parser().parse_args(argv))
+        outcome = _outcome(lambda: cli.build_parser().parse_args(argv))
+        assert outcome[0] == kind
+        if kind == "usage error":
+            assert outcome[1] == self.USAGE_ERRORS[" ".join(argv)]
+        elif kind == "exit":
+            assert outcome[1] == 0
+            assert outcome[2].startswith("usage: suplab latcdf [-h] [--seed SEED]")
 
-    def test_run_builds_only_the_named_parser_each_call(self, tmp_path, monkeypatch, capsys):
-        built = []
-        real = cli.build_parser
-
-        def recording(command=None):
-            built.append(command)
-            return real(command)
-
-        monkeypatch.setattr(cli, "build_parser", recording)
-        for _ in range(2):
+    def test_run_builds_the_tree_once(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        for i in range(3):
             assert cli.run(["latcdf", "--profile", "cxl-b", "--n", "10",
-                            "--out", str(tmp_path / "o")]) == 0
+                            "--out", str(tmp_path / f"o{i}")]) == 0
         assert cli.run(["latcdf-x"]) == 1
         assert cli.run([]) == 1
-        assert built == ["latcdf", "latcdf", None, None]
-        assert real("latcdf") is not real("latcdf")
+        assert "usage error" in capsys.readouterr().err
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().hits == 4
+
+    def test_every_argument_is_safe_to_reuse(self):
+        # argparse hands each Namespace its default object as it is, so a
+        # mutable default would be shared by every parse of the cached tree
+        for flags, kwargs in chain(cli._COMMON, *(arguments for _, _, arguments, _
+                                                  in cli.COMMANDS.values())):
+            default, action = kwargs.get("default"), kwargs.get("action")
+            assert default is None or type(default) in (str, int, float, bool), flags
+            assert action is None or (isinstance(action, str)
+                                      and cli._Parser()._registry_get("action", action)), flags

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 import writers_oracle as oracle
@@ -25,7 +26,8 @@ from suplab import devmodel as dm
 from suplab import interleave as il
 from suplab import model as mdl
 from suplab import tiersim as ts
-from suplab.errors import TABLE_CHUNK, InvariantViolation, dump_json, write_table
+from suplab.errors import (FLOAT_MAX, TABLE_CHUNK, InvariantViolation, dump_json,
+                           require_finite_values, write_table)
 
 EXAMPLES = settings(max_examples=15, deadline=None)
 SIZES = {"max_size": 6}
@@ -244,6 +246,27 @@ def test_non_finite_is_a_data_error_naming_file_and_column(tmp_path, bad):
     with pytest.raises(InvariantViolation, match=r"x\.json"):
         dump_json(tmp_path / "x.json", {"a": [1.0, bad]})
     assert not (tmp_path / "x.json").exists()
+
+
+AWKWARD = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 1.0,
+                           FLOAT_MAX, -FLOAT_MAX])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                  elements=AWKWARD))
+@example(np.empty(0))
+@example(np.empty((0, 3)))
+@example(np.empty((3, 0)))
+def test_finiteness_check_matches_full_mask(values):
+    # min and max stand in for the mask on arrays; lists keep math.isfinite
+    finite = bool(np.isfinite(values).all())
+    for column in (values, values.ravel().tolist()):
+        try:
+            require_finite_values("x.csv", "c", column)
+            assert finite
+        except InvariantViolation:
+            assert not finite
 
 
 def test_dump_json_names_the_first_non_finite_value(tmp_path):
