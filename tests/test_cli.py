@@ -1446,6 +1446,17 @@ def _command_argvs():
 class TestParser:
     """run() parses every command with one tree, built once per process."""
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_command_parser_matches_full_tree(self, command, data):
+        # the command's parser in the cached tree parses as a fresh full tree does
+        argv = data.draw(_arguments(command))
+        cached = _outcome(lambda: _subparser(command).parse_args(
+            argv, argparse.Namespace(command=command)))
+        assert cached == _outcome(
+            lambda: cli.build_parser.__wrapped__().parse_args([command, *argv]))
+
     @settings(max_examples=120, deadline=None)
     @given(argvs=st.lists(_command_argvs(), min_size=2, max_size=8))
     def test_reused_tree_parses_like_a_fresh_one(self, argvs):
