@@ -2,10 +2,13 @@
 
 A :class:`CounterSnapshot` is one measurement window's PMU counter vector,
 already delta'd (wraparound handling is out of scope).  A counter log reads
-as one :class:`CounterLog`, a checked table with a row per window.  The
-kernels (:func:`amortized_offcore_latency`, :func:`stall_fractions` and the
-model's metrics) are written once, for a snapshot's numbers and for a log's
-columns; :func:`by_row` gives them the rows float64 cannot hold exactly.
+as one :class:`CounterLog`, a checked table with a row per window: its exact
+counts as int64, from the reader to the writers, which format a chunk of rows
+at a time, and as float64 for the kernels.  The few rows int64 cannot hold
+keep their Python values.  The kernels (:func:`amortized_offcore_latency`,
+:func:`stall_fractions` and the model's metrics) are written once, for a
+snapshot's numbers and for a log's columns; :func:`by_row` gives them the
+rows float64 cannot hold exactly.
 """
 
 from __future__ import annotations
@@ -14,19 +17,20 @@ import csv
 import functools
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (FLOAT_MAX, LIMIT_OPS, EmptyInput, InvariantViolation, MalformedRecord,
-                     MissingColumn, Checked, NegativeValue, NoDemandReads, SupLabError,
-                     ZeroDenominator, dump_json, require_finite_values, write_table)
+from .errors import (FLOAT_MAX, LIMIT_OPS, TABLE_CHUNK, EmptyInput, InvariantViolation,
+                     MalformedRecord, MissingColumn, Checked, NegativeValue, NoDemandReads,
+                     SupLabError, ZeroDenominator, dump_json, require_finite_values, write_table)
 
 # Each backend stall source and the counter that measures its stall cycles.
 STALL_COUNTERS = {
@@ -38,6 +42,7 @@ STALL_COUNTERS = {
 }
 STALL_SOURCES = tuple(STALL_COUNTERS)
 EXACT_MAX = 2**53 - 1            # an integer count past it may not convert to float exactly
+INT64_MAX = 2**63 - 1
 
 # CounterSnapshot's ordering invariants: each (field, bound) holds field <= bound * _SLACK.
 _SLACK = 1 + 1e-12
@@ -314,21 +319,24 @@ def _table(rows: Sequence[Sequence], plain, width: int) -> tuple[list, np.ndarra
 class CounterLog:
     """A checked counter log, one row per measurement window.
 
-    ``rows`` holds each row's counts exactly, in COUNTER_FIELDS order, for the
-    writers; ``table`` the same counts as an ``(n, counters)`` float64 array,
-    for the kernels, which read a counter's column as ``log.<counter>`` where
-    they read a snapshot's number; ``exact`` the rows on which float64
-    arithmetic gives what Python's gives on ``rows`` (see :func:`_exact`).
-    ``source`` names the log in errors.
+    ``counts`` holds each row's counts exactly as an ``(n, counters)`` int64
+    table, in COUNTER_FIELDS order, for the writers; ``special`` holds, by row
+    index, the exact values of the rows int64 cannot hold (a count past it, or
+    one that is not an int), whose ``counts`` rows are 0.  ``table`` holds the
+    same counts as float64, for the kernels, which read a counter's column as
+    ``log.<counter>`` where they read a snapshot's number; ``exact`` the rows
+    on which float64 arithmetic gives what Python's gives on the exact counts
+    (see :func:`_exact`).  ``source`` names the log in errors.
     """
 
-    rows: Sequence[Sequence]
+    counts: np.ndarray
+    special: dict[int, Sequence]
     table: np.ndarray
     exact: np.ndarray
     source: str
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.counts)
 
     def __getattr__(self, name: str) -> np.ndarray:   # called for names that are not fields
         if name not in _COLUMNS:
@@ -337,11 +345,16 @@ class CounterLog:
 
     def __getitem__(self, rows) -> "CounterLog":
         """The log of the rows a slice, or a row mask, selects."""
-        kept = self.rows[rows] if isinstance(rows, slice) else list(compress(self.rows, rows.tolist()))
-        return CounterLog(kept, self.table[rows], self.exact[rows], self.source)
+        special = self.special
+        if special:   # renumbered: each kept row's index among those kept, -1 if dropped
+            kept, at = np.arange(len(self))[rows], np.full(len(self), -1)
+            at[kept] = np.arange(len(kept))
+            special = {int(at[i]): v for i, v in special.items() if at[i] >= 0}
+        return CounterLog(self.counts[rows], special, self.table[rows], self.exact[rows], self.source)
 
     def row(self, i: int) -> CounterSnapshot:
-        return CounterSnapshot(*self.rows[i])
+        values = self.special.get(range(len(self))[i])   # a negative i counts from the end
+        return CounterSnapshot(*(self.counts[i].tolist() if values is None else values))
 
 
 _COLUMNS = {name: i for i, name in enumerate(COUNTER_FIELDS)}
@@ -359,11 +372,21 @@ def _exact(table: np.ndarray) -> np.ndarray:
             & (c["l2_prefetch_l3_miss"] + c["l2_prefetch_l3_hit"] <= EXACT_MAX))
 
 
+def _log(rows: Sequence[Sequence], table: np.ndarray, source: str) -> CounterLog:
+    """The CounterLog of rows of exact values and their float64 table: each row
+    of ints in int64 goes to ``counts``, and any other row to ``special``."""
+    special = {i: row for i, row in enumerate(rows) if {*map(type, row)} != {int} or max(row) > INT64_MAX}
+    counts = np.zeros((len(rows), len(COUNTER_FIELDS)), np.int64)
+    plain = [i for i in range(len(rows)) if i not in special]
+    if plain:
+        counts[plain] = [rows[i] for i in plain]
+    return CounterLog(counts, special, table, _exact(table), source)
+
+
 def counter_log(snapshots: Sequence[CounterSnapshot]) -> CounterLog:
     """The snapshots as one CounterLog."""
     rows = list(map(attrgetter(*COUNTER_FIELDS), snapshots))
-    table = np.array(rows, dtype=float).reshape(-1, len(COUNTER_FIELDS))
-    return CounterLog(rows, table, _exact(table), "snapshots")
+    return _log(rows, np.array(rows, dtype=float).reshape(-1, len(COUNTER_FIELDS)), "snapshots")
 
 
 # The cells np.loadtxt reads as int() (int64) or float() (float64) reads them, with
@@ -411,9 +434,10 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
     """Parse a counter log into a checked CounterLog.  Plain cells are integer
     text or JSON integers (never bools): a CSV log of plain ASCII text parses in
     one np.loadtxt call, and a JSON log whose every count is an int in int64
-    converts at once.  By _table's rule, a row of plain cells that the rules
-    pass and _exact keeps comes from the table; every other row goes through
-    _count and CounterSnapshot, in file order, which build it exactly or raise."""
+    converts at once; either table is the log's ``counts``.  By _table's rule, a
+    row of plain cells that the rules pass and _exact keeps comes from the table;
+    every other row goes through _count and CounterSnapshot, in file order,
+    which build it exactly or raise."""
     path, width, defect, counts = Path(path), len(COUNTER_FIELDS), None, None
     if format == "csv":
         plain = _plain_table(path, (), COUNTER_FIELDS, np.int64)
@@ -432,35 +456,54 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
             rows, table = _table(cells, lambda values: values if {*map(type, values)} == {int} else (), width)
     else:
         raise ValueError(f"unknown format: {format!r}")
-    if counts is not None:
-        cells = rows = counts.tolist()
-        table = counts.astype(float)
+    if counts is not None:   # its failing rows are checked and, if inexact, kept as they are
+        cells, table = counts, counts.astype(float)
     for i in np.flatnonzero(~(_passing(_snapshot_rules(dict(zip(COUNTER_FIELDS, table.T)))) & _exact(table))).tolist():
         snapshot = CounterSnapshot(*[_count(v, i + 1, f) for f, v in zip(COUNTER_FIELDS, cells[i])])
-        rows[i] = table[i] = attrgetter(*COUNTER_FIELDS)(snapshot)
+        if counts is None:
+            rows[i] = table[i] = attrgetter(*COUNTER_FIELDS)(snapshot)
     if defect:
         raise defect
-    return CounterLog(rows, table, _exact(table), str(path))
+    if counts is None:
+        return _log(rows, table, str(path))
+    return CounterLog(counts, {}, table, _exact(table), str(path))
 
 
 def write_counter_log(log: CounterLog | Sequence[CounterSnapshot], path: str | Path,
                       format: str = "csv") -> None:
-    """Write a CounterLog, or snapshots, as a CSV or JSON counter log; a count
-    that is not an int is rounded, as the schema's counts are integers."""
+    """Write a CounterLog, or snapshots, as a CSV or JSON counter log.  CSV rows
+    are formatted from ``counts`` a TABLE_CHUNK at a time, with one ``%d`` row
+    template and one ``%`` per chunk; the ``special`` rows are put over their
+    chunk's values, each count rounded to an int, as the schema's counts are
+    integers."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format: {format!r}")
-    rows = log.rows if isinstance(log, CounterLog) else list(map(attrgetter(*COUNTER_FIELDS), log))
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        rows = [[int(round(v)) for v in row] for row in rows]
+    if not isinstance(log, CounterLog):
+        log = counter_log(log)
+    special = {i: [int(round(v)) for v in row] for i, row in log.special.items()}
     if format == "json":
+        rows = log.counts.tolist()
+        for i, row in special.items():
+            rows[i] = row
         dump_json(path, [dict(zip(COUNTER_FIELDS, row)) for row in rows])
-    else:
-        write_table(path, COUNTER_FIELDS, list(zip(*rows)))
+        return
+    width, at = len(COUNTER_FIELDS), sorted(special)
+    line = ",".join(["%d"] * width) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(COUNTER_FIELDS) + "\r\n")
+        for lo in range(0, len(log), TABLE_CHUNK):
+            values = log.counts[lo:lo + TABLE_CHUNK].ravel().tolist()
+            n = len(values) // width
+            for i in at[bisect_left(at, lo):bisect_left(at, lo + n)]:
+                values[(i - lo) * width:(i - lo + 1) * width] = special[i]
+            fh.write(line * n % tuple(values))
+            del values   # before the next chunk's are made
 
 
 def write_derived_json(log: CounterLog, path: str | Path) -> None:
     """Per row its index, amortized offcore latency and stall fractions, ``null``
-    where undefined: :func:`dump_json`'s bytes, formatted in one ``%`` over all rows."""
+    where undefined: :func:`dump_json`'s bytes, formatted a TABLE_CHUNK of rows
+    at a time, each chunk in one ``%``."""
     keys = sorted(STALL_SOURCES)
     reads, windows = log.offcore_demand_requests > 0, log.total_cycles > 0
     lats = amortized_offcore_latency(log[reads])
@@ -473,13 +516,19 @@ def write_derived_json(log: CounterLog, path: str | Path) -> None:
     values[:, 1] = np.arange(len(log))
     values[windows, 2:] = fracs
     present = np.column_stack([reads, np.ones_like(reads), *[windows] * len(keys)])
+    kinds = 2 * reads + windows
     lat = ("null", "%r")
     frac = ("null", "{\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }")
     templates = [f'  {{\n    "amortized_offcore_latency": {lat[r]},\n    "row": %d,\n'
                  f'    "stall_fractions": {frac[w]}\n  }}' for r in (0, 1) for w in (0, 1)]
-    records = ",\n".join(map(templates.__getitem__, (2 * reads + windows).tolist()))
-    text = records % tuple(values[present].tolist())
-    Path(path).write_text(f"[\n{text}\n]\n" if text else "[]\n")
+    with Path(path).open("w") as fh:
+        start = "[\n"
+        for lo in range(0, len(log), TABLE_CHUNK):
+            rows = slice(lo, lo + TABLE_CHUNK)
+            records = ",\n".join(map(templates.__getitem__, kinds[rows].tolist()))
+            fh.write(start + records % tuple(values[rows][present[rows]].tolist()))
+            start = ",\n"
+        fh.write("\n]\n" if len(log) else "[]\n")
 
 
 @dataclass(frozen=True)

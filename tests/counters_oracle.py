@@ -11,6 +11,13 @@ field values, suplab's constructors must accept what :func:`snapshot` and
 :func:`run_pair` accept, and raise what they raise.  Cell conversion
 (``_count``, ``_real``), the header check and the dataclasses are suplab's
 own; the reading loops and the object checks live here.
+
+:class:`RowLog`, :func:`row_log`, :func:`ingest_row_log` and
+:func:`write_row_log` are ``suplab.counters``' ``CounterLog``, ``counter_log``,
+``ingest_counter_log`` and ``write_counter_log`` as they were when a log kept
+every row as a list of exact Python values, before it kept them as an int64
+table: for any log, suplab's must give the same table, exact mask, rows,
+selections and written bytes.
 """
 
 from __future__ import annotations
@@ -18,20 +25,34 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import suppress
+from dataclasses import dataclass
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from suplab.counters import (
     COUNTER_FIELDS,
     PAIR_FIELDS,
     CounterSnapshot,
     RunPair,
+    _COLUMNS,
     _count,
+    _csv_table,
+    _exact,
     _header,
+    _json_table,
+    _passing,
+    _plain_table,
     _real,
+    _snapshot_rules,
+    _table,
 )
 from suplab.errors import (FLOAT_MAX, EmptyInput, InvariantViolation, MalformedRecord,
-                           check_fields)
+                           check_fields, dump_json, write_table)
 
 _SLACK = 1 + 1e-12
 _BOUNDED_BY = (("stall_cycles_total", "total_cycles"),
@@ -152,3 +173,76 @@ def read_run_pairs(path: str | Path, extra_columns: Iterable[str] = ()) -> tuple
         for k in extra_columns:
             extras[k].append(record[k])
     return pairs, extras
+
+
+@dataclass(frozen=True, eq=False)
+class RowLog:
+    """``CounterLog`` with ``rows``, each row's counts exactly in COUNTER_FIELDS order."""
+
+    rows: Sequence[Sequence]
+    table: np.ndarray
+    exact: np.ndarray
+    source: str
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        return self.table[:, _COLUMNS[name]]
+
+    def __getitem__(self, rows) -> "RowLog":
+        kept = self.rows[rows] if isinstance(rows, slice) else list(compress(self.rows, rows.tolist()))
+        return RowLog(kept, self.table[rows], self.exact[rows], self.source)
+
+    def row(self, i: int) -> CounterSnapshot:
+        return CounterSnapshot(*self.rows[i])
+
+
+def row_log(snapshots: Sequence[CounterSnapshot]) -> RowLog:
+    rows = list(map(attrgetter(*COUNTER_FIELDS), snapshots))
+    table = np.array(rows, dtype=float).reshape(-1, len(COUNTER_FIELDS))
+    return RowLog(rows, table, _exact(table), "snapshots")
+
+
+def ingest_row_log(path: str | Path, format: str = "csv") -> RowLog:
+    path, width, defect, counts = Path(path), len(COUNTER_FIELDS), None, None
+    if format == "csv":
+        plain = _plain_table(path, (), COUNTER_FIELDS, np.int64)
+        if plain:
+            counts = plain[-1]
+        else:
+            names, cells, defect = _csv_table(path, COUNTER_FIELDS)
+            cells = list(map(itemgetter(*map(names.index, COUNTER_FIELDS)), cells))
+            rows, table = _table(cells, lambda c: [*map(int, c)], width)
+    elif format == "json":
+        cells, defect = _json_table(path)
+        if {*map(type, chain.from_iterable(cells))} <= {int}:
+            with suppress(OverflowError):
+                counts = np.array(cells, np.int64).reshape(-1, width)
+        if counts is None:
+            rows, table = _table(cells, lambda values: values if {*map(type, values)} == {int} else (), width)
+    else:
+        raise ValueError(f"unknown format: {format!r}")
+    if counts is not None:
+        cells = rows = counts.tolist()
+        table = counts.astype(float)
+    for i in np.flatnonzero(~(_passing(_snapshot_rules(dict(zip(COUNTER_FIELDS, table.T)))) & _exact(table))).tolist():
+        snapshot = CounterSnapshot(*[_count(v, i + 1, f) for f, v in zip(COUNTER_FIELDS, cells[i])])
+        rows[i] = table[i] = attrgetter(*COUNTER_FIELDS)(snapshot)
+    if defect:
+        raise defect
+    return RowLog(rows, table, _exact(table), str(path))
+
+
+def write_row_log(log: RowLog | Sequence[CounterSnapshot], path: str | Path, format: str = "csv") -> None:
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format: {format!r}")
+    rows = log.rows if isinstance(log, RowLog) else list(map(attrgetter(*COUNTER_FIELDS), log))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = [[int(round(v)) for v in row] for row in rows]
+    if format == "json":
+        dump_json(path, [dict(zip(COUNTER_FIELDS, row)) for row in rows])
+    else:
+        write_table(path, COUNTER_FIELDS, list(zip(*rows)))

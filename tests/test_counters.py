@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -19,6 +20,7 @@ from suplab import interleave as il
 from suplab import tiersim as ts
 from suplab.model import ModelParams
 from suplab.errors import (
+    TABLE_CHUNK,
     InvariantViolation,
     MalformedRecord,
     MissingColumn,
@@ -41,9 +43,11 @@ total_cycles,stall_cycles_total,backend_stall_cycles,mem_stall_cycles,llc_miss_d
 def as_snapshots(log: cnt.CounterLog) -> list[cnt.CounterSnapshot]:
     """A CounterLog's rows as the snapshots the per-row reference reader builds.
     Its float64 table and its exact mask must follow from its rows."""
-    table = np.array(log.rows, dtype=float).reshape(-1, len(cnt.COUNTER_FIELDS))
+    snaps = [log.row(i) for i in range(len(log))]
+    table = np.array([list(s.as_dict().values()) for s in snaps],
+                     dtype=float).reshape(-1, len(cnt.COUNTER_FIELDS))
     assert np.array_equal(log.table, table) and np.array_equal(log.exact, cnt._exact(table))
-    return [cnt.CounterSnapshot(*row) for row in log.rows]
+    return snaps
 
 
 def read_log(path, format: str = "csv") -> list[cnt.CounterSnapshot]:
@@ -640,7 +644,8 @@ def test_written_logs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500, f
     calls = _counting_inits(monkeypatch)
     log = cnt.ingest_counter_log(path, fmt)
     assert calls == []   # and no row is built as a CounterSnapshot
-    assert len(log) == 500 and {type(v) for row in log.rows for v in row} == {int}
+    assert len(log) == 500 and not log.special and log.counts.dtype == np.int64
+    assert {type(v) for i in range(500) for v in log.row(i).as_dict().values()} == {int}
     assert log.exact.all()
 
 
@@ -1116,3 +1121,83 @@ def test_log_raises_from_its_first_failing_row(tmp_path, monkeypatch, pairs_500)
     assert len(calls) == 2 and calls[0][6] == 1000
     assert got == _outcome(oracle.ingest_counter_log, path) == (
         "InvariantViolation", "stall_cycles_total exceeds total_cycles")
+
+
+# --- memory at 50k rows: the reader's text, then the tables and one chunk -----
+
+MEMORY_ROWS = 50_000
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def logs_50k(tmp_path_factory, pairs_500) -> Path:
+    """log.csv and log.json, pairs_500's local snapshots repeated to MEMORY_ROWS rows, and params.json."""
+    d = tmp_path_factory.mktemp("logs_50k")
+    cnt.write_counter_log([p.local for p in pairs_500], d / "500.csv")
+    head, *rows = (d / "500.csv").read_text().splitlines(True)
+    (d / "log.csv").write_text(head + "".join(rows) * (MEMORY_ROWS // 500))
+    cnt.write_counter_log([p.local for p in pairs_500], d / "500.json", "json")
+    (d / "log.json").write_text(json.dumps(json.loads((d / "500.json").read_text()) * (MEMORY_ROWS // 500)))
+    dm.make_reference_params(dm.PRESETS["local-emr"], dm.PRESETS["cxl-b"]).to_json(d / "params.json")
+    return d
+
+
+class TestCounterMemory:
+    """Peak traced memory of the counter ops at MEMORY_ROWS rows.  A reader holds
+    the file's text at its peak; after it, an op holds the log's int64 and
+    float64 tables, its own columns and one TABLE_CHUNK of output rows, which
+    stay below the reader's peak: no count is kept as a Python int per cell,
+    and no writer formats the whole log at once.  The writers' own tests run
+    on three chunks: their peak does not grow with the rows."""
+
+    def test_counter_log_writer_holds_one_chunk(self, logs_50k, tmp_path):
+        # per row of a chunk: 18 counts as list and tuple slots and int objects
+        # (18 x 48 B), the row's text and its share of the template (~230 B)
+        log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
+        cnt.write_counter_log(log[:10], tmp_path / "warm.csv")
+        assert _peak_bytes(cnt.write_counter_log, log, tmp_path / "s.csv") <= 1_200 * TABLE_CHUNK + 65_536
+
+    def test_derived_json_holds_its_columns_and_one_chunk(self, logs_50k, tmp_path):
+        # the kernels' copy of the selected rows' two tables; 13 float columns
+        # (the latency, five fractions and the 7-wide value table); and per row
+        # of a chunk, 7 floats as list and tuple slots and objects and ~330 B of text
+        log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
+        cnt.write_derived_json(log[:10], tmp_path / "warm.json")
+        tables = log.counts.nbytes + log.table.nbytes
+        peak = _peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json")
+        assert peak <= tables + 13 * 8 * len(log) + 700 * TABLE_CHUNK + 65_536
+
+    def test_csv_reader_holds_the_text(self, logs_50k):
+        # the file as bytes and as text, its lines (a str object of ~57 B each
+        # beyond its characters) and their joined copy and its encoding for the
+        # alphabet check: four copies of the file
+        path = logs_50k / "log.csv"
+        cnt.ingest_counter_log(logs_50k / "500.csv")
+        assert _peak_bytes(cnt.ingest_counter_log, path) <= 4 * path.stat().st_size + 64 * MEMORY_ROWS + (1 << 20)
+
+    @pytest.mark.parametrize("command,fmt", [("ingest", "csv"), ("ingest", "json"), ("predict", "csv")])
+    def test_op_peak_is_the_readers(self, logs_50k, tmp_path, command, fmt):
+        # peaks[0] is the op's peak up to its log's return from the reader, and
+        # peaks[1] its peak after that, which starts from the log's tables
+        from suplab import cli
+        argv = [command, "--format", fmt, "--params", str(logs_50k / "params.json"), "--input"]
+        argv = argv if command == "predict" else argv[:3] + argv[-1:]
+        assert cli.run([*argv, str(logs_50k / f"500.{fmt}"), "--out", str(tmp_path / "warm")]) == 0
+        peaks, ingest = [], cnt.ingest_counter_log
+
+        def read(*args, **kwargs):
+            log = ingest(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return log
+        with mock.patch.object(cnt, "ingest_counter_log", read):
+            peaks.append(_peak_bytes(cli.run, [*argv, str(logs_50k / f"log.{fmt}"), "--out", str(tmp_path / "o")]))
+        assert len(peaks) == 2 and peaks[1] <= peaks[0] + 262_144
