@@ -375,12 +375,10 @@ def _exact(table: np.ndarray) -> np.ndarray:
 def _log(rows: Sequence[Sequence], table: np.ndarray, source: str) -> CounterLog:
     """The CounterLog of rows of exact values and their float64 table: each row
     of ints in int64 goes to ``counts``, and any other row to ``special``."""
+    width = len(COUNTER_FIELDS)
     special = {i: row for i, row in enumerate(rows) if {*map(type, row)} != {int} or max(row) > INT64_MAX}
-    counts = np.zeros((len(rows), len(COUNTER_FIELDS)), np.int64)
-    plain = [i for i in range(len(rows)) if i not in special]
-    if plain:
-        counts[plain] = [rows[i] for i in plain]
-    return CounterLog(counts, special, table, _exact(table), source)
+    counts = np.array([(0,) * width if i in special else row for i, row in enumerate(rows)], np.int64)
+    return CounterLog(counts.reshape(-1, width), special, table, _exact(table), source)
 
 
 def counter_log(snapshots: Sequence[CounterSnapshot]) -> CounterLog:
@@ -482,10 +480,7 @@ def write_counter_log(log: CounterLog | Sequence[CounterSnapshot], path: str | P
         log = counter_log(log)
     special = {i: [int(round(v)) for v in row] for i, row in log.special.items()}
     if format == "json":
-        rows = log.counts.tolist()
-        for i, row in special.items():
-            rows[i] = row
-        dump_json(path, [dict(zip(COUNTER_FIELDS, row)) for row in rows])
+        dump_json(path, [dict(zip(COUNTER_FIELDS, special.get(i, row))) for i, row in enumerate(log.counts.tolist())])
         return
     width, at = len(COUNTER_FIELDS), sorted(special)
     line = ",".join(["%d"] * width) + "\r\n"

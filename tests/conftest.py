@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from suplab.counters import CounterSnapshot
@@ -34,3 +36,13 @@ def snapshot(**overrides) -> CounterSnapshot:
 @pytest.fixture
 def base_snapshot() -> CounterSnapshot:
     return snapshot()
+
+
+def peak_bytes(fn, *args) -> int:
+    """The peak of tracemalloc's traced memory while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

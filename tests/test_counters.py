@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from suplab import cli
 from suplab import counters as cnt
 from suplab import devmodel as dm
 from suplab import interleave as il
@@ -30,7 +31,7 @@ from suplab.errors import (
 )
 
 import counters_oracle as oracle
-from conftest import snapshot
+from conftest import peak_bytes, snapshot
 
 FIXTURE_3ROWS = """\
 total_cycles,stall_cycles_total,backend_stall_cycles,mem_stall_cycles,llc_miss_demand_stall_cycles,l1_demand_hits,lfb_hits,store_buffer_full_stall_cycles,stall_l1,stall_l2,stall_l3,offcore_demand_requests,offcore_demand_occupancy,l1_prefetch_l3_miss,l1_prefetch_total,l2_prefetch_l3_miss,l2_prefetch_l3_hit,instructions
@@ -1128,15 +1129,6 @@ def test_log_raises_from_its_first_failing_row(tmp_path, monkeypatch, pairs_500)
 MEMORY_ROWS = 50_000
 
 
-def _peak_bytes(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def logs_50k(tmp_path_factory, pairs_500) -> Path:
     """log.csv and log.json, pairs_500's local snapshots repeated to MEMORY_ROWS rows, and params.json."""
@@ -1163,7 +1155,7 @@ class TestCounterMemory:
         # (18 x 48 B), the row's text and its share of the template (~230 B)
         log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
         cnt.write_counter_log(log[:10], tmp_path / "warm.csv")
-        assert _peak_bytes(cnt.write_counter_log, log, tmp_path / "s.csv") <= 1_200 * TABLE_CHUNK + 65_536
+        assert peak_bytes(cnt.write_counter_log, log, tmp_path / "s.csv") <= 1_200 * TABLE_CHUNK + 65_536
 
     def test_derived_json_holds_its_columns_and_one_chunk(self, logs_50k, tmp_path):
         # the kernels' copy of the selected rows' two tables; 13 float columns
@@ -1172,7 +1164,7 @@ class TestCounterMemory:
         log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
         cnt.write_derived_json(log[:10], tmp_path / "warm.json")
         tables = log.counts.nbytes + log.table.nbytes
-        peak = _peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json")
+        peak = peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json")
         assert peak <= tables + 13 * 8 * len(log) + 700 * TABLE_CHUNK + 65_536
 
     def test_csv_reader_holds_the_text(self, logs_50k):
@@ -1181,13 +1173,13 @@ class TestCounterMemory:
         # alphabet check: four copies of the file
         path = logs_50k / "log.csv"
         cnt.ingest_counter_log(logs_50k / "500.csv")
-        assert _peak_bytes(cnt.ingest_counter_log, path) <= 4 * path.stat().st_size + 64 * MEMORY_ROWS + (1 << 20)
+        bound = 4 * path.stat().st_size + 64 * MEMORY_ROWS + (1 << 20)
+        assert peak_bytes(cnt.ingest_counter_log, path) <= bound
 
     @pytest.mark.parametrize("command,fmt", [("ingest", "csv"), ("ingest", "json"), ("predict", "csv")])
     def test_op_peak_is_the_readers(self, logs_50k, tmp_path, command, fmt):
         # peaks[0] is the op's peak up to its log's return from the reader, and
         # peaks[1] its peak after that, which starts from the log's tables
-        from suplab import cli
         argv = [command, "--format", fmt, "--params", str(logs_50k / "params.json"), "--input"]
         argv = argv if command == "predict" else argv[:3] + argv[-1:]
         assert cli.run([*argv, str(logs_50k / f"500.{fmt}"), "--out", str(tmp_path / "warm")]) == 0
@@ -1198,6 +1190,7 @@ class TestCounterMemory:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             return log
+        argv += [str(logs_50k / f"log.{fmt}"), "--out", str(tmp_path / "o")]
         with mock.patch.object(cnt, "ingest_counter_log", read):
-            peaks.append(_peak_bytes(cli.run, [*argv, str(logs_50k / f"log.{fmt}"), "--out", str(tmp_path / "o")]))
+            peaks.append(peak_bytes(cli.run, argv))
         assert len(peaks) == 2 and peaks[1] <= peaks[0] + 262_144

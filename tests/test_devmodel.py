@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from suplab import model as mdl
 from suplab.counters import amortized_offcore_latency, stall_fractions
 from suplab.errors import (TABLE_CHUNK, EmptyInput, InconsistentProfile, InvariantViolation,
                            LoadOutOfRange)
+
+from conftest import peak_bytes
 
 LOCAL = dm.PRESETS["local-emr"]
 REMOTE = dm.PRESETS["cxl-b"]
@@ -108,15 +109,6 @@ class TestSampleLatencies:
             dataclasses.replace(LOCAL, **{field: 1e300}), 10_000, seed=0)).all()
 
 
-def _peak_bytes(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestSamplingMemory:
     """Peak traced memory of sampling, of the sample dump and of a whole
     latcdf op at 1M samples.  Each test first makes a small call: the first
@@ -128,21 +120,21 @@ class TestSamplingMemory:
         dm.sample_latencies(REMOTE, 10, 0.5, 1)
         for tail_prob, bound in ((REMOTE.tail_prob, 9_000_000), (0.0999, 9_700_000)):
             dev = dataclasses.replace(REMOTE, tail_prob=tail_prob)
-            assert _peak_bytes(dm.sample_latencies, dev, 1_000_000, 0.5, 1) <= bound
+            assert peak_bytes(dm.sample_latencies, dev, 1_000_000, 0.5, 1) <= bound
 
     def test_dump_memory_bounded_by_chunk(self, tmp_path):
         # one chunk of rows in flight at ~182 B a row (a float, its repr and its
         # share of the joined text); the finiteness check builds no mask
         samples = dm.sample_latencies(REMOTE, 1_000_000, 0.5, seed=1)
         dm.write_latency_samples_csv(samples[:10], tmp_path / "warm.csv")
-        peak = _peak_bytes(dm.write_latency_samples_csv, samples, tmp_path / "s.csv")
+        peak = peak_bytes(dm.write_latency_samples_csv, samples, tmp_path / "s.csv")
         assert peak <= 200 * TABLE_CHUNK + 65_536
 
     def test_latcdf_op_holds_one_sample_buffer(self, tmp_path):
         # the percentiles partition the samples in place: a copy would add 8 MB
         argv = ["latcdf", "--profile", "cxl-b", "--seed", "1", "--n"]
         assert cli.run([*argv, "10", "--out", str(tmp_path / "warm")]) == 0
-        peak = _peak_bytes(cli.run, [*argv, "1000000", "--out", str(tmp_path / "o")])
+        peak = peak_bytes(cli.run, [*argv, "1000000", "--out", str(tmp_path / "o")])
         assert (tmp_path / "o" / "summary.json").exists()
         assert peak <= 9_000_000
 
