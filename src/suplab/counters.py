@@ -3,9 +3,9 @@
 A :class:`CounterSnapshot` is one measurement window's PMU counter vector,
 already delta'd (wraparound handling is out of scope).  A counter log reads
 as one :class:`CounterLog`, a checked table with a row per window: its exact
-counts as int64, from the reader to the writers, which format a chunk of rows
-at a time, and as float64 for the kernels.  The few rows int64 cannot hold
-keep their Python values.  The kernels (:func:`amortized_offcore_latency`,
+counts as int64 (as Python values if int64 cannot hold them all), from the
+reader to the writers, which format a chunk of rows at a time, and as float64
+for the kernels.  The kernels (:func:`amortized_offcore_latency`,
 :func:`stall_fractions` and the model's metrics) are written once, for a
 snapshot's numbers and for a log's columns; :func:`by_row` gives them the
 rows float64 cannot hold exactly.
@@ -17,7 +17,6 @@ import csv
 import functools
 import json
 import math
-from bisect import bisect_left
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
@@ -42,7 +41,6 @@ STALL_COUNTERS = {
 }
 STALL_SOURCES = tuple(STALL_COUNTERS)
 EXACT_MAX = 2**53 - 1            # an integer count past it may not convert to float exactly
-INT64_MAX = 2**63 - 1
 
 # CounterSnapshot's ordering invariants: each (field, bound) holds field <= bound * _SLACK.
 _SLACK = 1 + 1e-12
@@ -319,21 +317,23 @@ def _table(rows: Sequence[Sequence], plain, width: int) -> tuple[list, np.ndarra
 class CounterLog:
     """A checked counter log, one row per measurement window.
 
-    ``counts`` holds each row's counts exactly as an ``(n, counters)`` int64
-    table, in COUNTER_FIELDS order, for the writers; ``special`` holds, by row
-    index, the exact values of the rows int64 cannot hold (a count past it, or
-    one that is not an int), whose ``counts`` rows are 0.  ``table`` holds the
-    same counts as float64, for the kernels, which read a counter's column as
-    ``log.<counter>`` where they read a snapshot's number; ``exact`` the rows
-    on which float64 arithmetic gives what Python's gives on the exact counts
-    (see :func:`_exact`).  ``source`` names the log in errors.
+    ``counts`` holds each row's counts exactly as an ``(n, counters)`` table,
+    in COUNTER_FIELDS order, for the writers: int64, or ``object`` holding the
+    Python values if int64 cannot hold them all (a count past it, or one that
+    is not an int).  ``table`` holds the same counts as float64, for the
+    kernels, which read a counter's column as ``log.<counter>`` where they read
+    a snapshot's number; ``exact`` the rows on which float64 arithmetic gives
+    what Python's gives on the exact counts (see :func:`_exact`; derived from
+    ``table``).  ``source`` names the log in errors.
     """
 
     counts: np.ndarray
-    special: dict[int, Sequence]
     table: np.ndarray
-    exact: np.ndarray
     source: str
+
+    @functools.cached_property
+    def exact(self) -> np.ndarray:
+        return _exact(self.table)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -344,17 +344,14 @@ class CounterLog:
         return self.table[:, _COLUMNS[name]]
 
     def __getitem__(self, rows) -> "CounterLog":
-        """The log of the rows a slice, or a row mask, selects."""
-        special = self.special
-        if special:   # renumbered: each kept row's index among those kept, -1 if dropped
-            kept, at = np.arange(len(self))[rows], np.full(len(self), -1)
-            at[kept] = np.arange(len(kept))
-            special = {int(at[i]): v for i, v in special.items() if at[i] >= 0}
-        return CounterLog(self.counts[rows], special, self.table[rows], self.exact[rows], self.source)
+        """The log of the rows a slice, or a row mask, selects; the log itself for
+        a mask that selects every row, so that no table is copied."""
+        if isinstance(rows, np.ndarray) and rows.dtype == bool and len(rows) == len(self) and rows.all():
+            return self
+        return CounterLog(self.counts[rows], self.table[rows], self.source)
 
     def row(self, i: int) -> CounterSnapshot:
-        values = self.special.get(range(len(self))[i])   # a negative i counts from the end
-        return CounterSnapshot(*(self.counts[i].tolist() if values is None else values))
+        return CounterSnapshot(*self.counts[i].tolist())
 
 
 _COLUMNS = {name: i for i, name in enumerate(COUNTER_FIELDS)}
@@ -372,13 +369,21 @@ def _exact(table: np.ndarray) -> np.ndarray:
             & (c["l2_prefetch_l3_miss"] + c["l2_prefetch_l3_hit"] <= EXACT_MAX))
 
 
+def _int64(rows: Sequence[Sequence]) -> np.ndarray | None:
+    """Rows of counts as an int64 table; None unless each is an int int64 holds."""
+    if {*map(type, chain.from_iterable(rows))} <= {int}:
+        with suppress(OverflowError):   # a count past int64
+            return np.array(rows, np.int64).reshape(-1, len(COUNTER_FIELDS))
+    return None
+
+
 def _log(rows: Sequence[Sequence], table: np.ndarray, source: str) -> CounterLog:
-    """The CounterLog of rows of exact values and their float64 table: each row
-    of ints in int64 goes to ``counts``, and any other row to ``special``."""
-    width = len(COUNTER_FIELDS)
-    special = {i: row for i, row in enumerate(rows) if {*map(type, row)} != {int} or max(row) > INT64_MAX}
-    counts = np.array([(0,) * width if i in special else row for i, row in enumerate(rows)], np.int64)
-    return CounterLog(counts.reshape(-1, width), special, table, _exact(table), source)
+    """The CounterLog of rows of exact values and their float64 table: its
+    ``counts`` are int64 if int64 holds every value, else the values themselves."""
+    counts = _int64(rows)
+    if counts is None:
+        counts = np.array(rows, object).reshape(-1, len(COUNTER_FIELDS))
+    return CounterLog(counts, table, source)
 
 
 def counter_log(snapshots: Sequence[CounterSnapshot]) -> CounterLog:
@@ -447,9 +452,7 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
             rows, table = _table(cells, lambda c: [*map(int, c)], width)
     elif format == "json":
         cells, defect = _json_table(path)
-        if {*map(type, chain.from_iterable(cells))} <= {int}:
-            with suppress(OverflowError):   # a count past int64
-                counts = np.array(cells, np.int64).reshape(-1, width)
+        counts = _int64(cells)
         if counts is None:
             rows, table = _table(cells, lambda values: values if {*map(type, values)} == {int} else (), width)
     else:
@@ -464,34 +467,30 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
         raise defect
     if counts is None:
         return _log(rows, table, str(path))
-    return CounterLog(counts, {}, table, _exact(table), str(path))
+    return CounterLog(counts, table, str(path))
 
 
 def write_counter_log(log: CounterLog | Sequence[CounterSnapshot], path: str | Path,
                       format: str = "csv") -> None:
     """Write a CounterLog, or snapshots, as a CSV or JSON counter log.  CSV rows
     are formatted from ``counts`` a TABLE_CHUNK at a time, with one ``%d`` row
-    template and one ``%`` per chunk; the ``special`` rows are put over their
-    chunk's values, each count rounded to an int, as the schema's counts are
-    integers."""
+    template and one ``%`` per chunk.  An ``object`` table's values are rounded
+    to ints (half to even), as the schema's counts are integers."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format: {format!r}")
     if not isinstance(log, CounterLog):
         log = counter_log(log)
-    special = {i: [int(round(v)) for v in row] for i, row in log.special.items()}
+    ints = (lambda values: values) if log.counts.dtype == np.int64 else (lambda values: [*map(round, values)])
     if format == "json":
-        dump_json(path, [dict(zip(COUNTER_FIELDS, special.get(i, row))) for i, row in enumerate(log.counts.tolist())])
+        dump_json(path, [dict(zip(COUNTER_FIELDS, ints(row))) for row in log.counts.tolist()])
         return
-    width, at = len(COUNTER_FIELDS), sorted(special)
+    width = len(COUNTER_FIELDS)
     line = ",".join(["%d"] * width) + "\r\n"
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(COUNTER_FIELDS) + "\r\n")
         for lo in range(0, len(log), TABLE_CHUNK):
-            values = log.counts[lo:lo + TABLE_CHUNK].ravel().tolist()
-            n = len(values) // width
-            for i in at[bisect_left(at, lo):bisect_left(at, lo + n)]:
-                values[(i - lo) * width:(i - lo + 1) * width] = special[i]
-            fh.write(line * n % tuple(values))
+            values = ints(log.counts[lo:lo + TABLE_CHUNK].ravel().tolist())
+            fh.write(line * (len(values) // width) % tuple(values))
             del values   # before the next chunk's are made
 
 

@@ -73,6 +73,14 @@ def test_shipped_fixture_ingests():
     assert cnt.amortized_offcore_latency(log[1:]).tolist() == [300.0, 40.0]
 
 
+def test_a_mask_of_every_row_selects_the_log_itself():
+    log = cnt.ingest_counter_log(Path(__file__).parent / "fixtures" / "counters_3rows.csv")
+    assert log[np.ones(3, bool)] is log and len(log[np.array([True, False, True])]) == 2
+    for wrong in (2, 4):   # numpy's IndexError, as for any mask of the wrong length
+        with pytest.raises(IndexError):
+            log[np.ones(wrong, bool)]
+
+
 class TestInvariants:
     def test_negative_field_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -645,7 +653,7 @@ def test_written_logs_never_convert_per_cell(tmp_path, monkeypatch, pairs_500, f
     calls = _counting_inits(monkeypatch)
     log = cnt.ingest_counter_log(path, fmt)
     assert calls == []   # and no row is built as a CounterSnapshot
-    assert len(log) == 500 and not log.special and log.counts.dtype == np.int64
+    assert len(log) == 500 and log.counts.dtype == np.int64
     assert {type(v) for i in range(500) for v in log.row(i).as_dict().values()} == {int}
     assert log.exact.all()
 
@@ -1158,7 +1166,8 @@ class TestCounterMemory:
         assert peak_bytes(cnt.write_counter_log, log, tmp_path / "s.csv") <= 1_200 * TABLE_CHUNK + 65_536
 
     def test_derived_json_holds_its_columns_and_one_chunk(self, logs_50k, tmp_path):
-        # the kernels' copy of the selected rows' two tables; 13 float columns
+        # a copy of the selected rows' two tables, made when some row lacks
+        # reads or cycles (none of these does, but the text peaks after); 13 float columns
         # (the latency, five fractions and the 7-wide value table); and per row
         # of a chunk, 7 floats as list and tuple slots and objects and ~330 B of text
         log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
@@ -1166,6 +1175,17 @@ class TestCounterMemory:
         tables = log.counts.nbytes + log.table.nbytes
         peak = peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json")
         assert peak <= tables + 13 * 8 * len(log) + 700 * TABLE_CHUNK + 65_536
+
+    def test_derived_json_copies_no_table(self, logs_50k, tmp_path):
+        # every row has reads and cycles, so the kernels run on the log itself;
+        # per row, 18 float columns (the latency, the five fractions as the
+        # kernel returns them and stacked, the 7-wide value table) and 24 B of
+        # masks and row kinds; per row of a chunk, its floats and text (~750 B)
+        log = cnt.ingest_counter_log(logs_50k / "log.csv")
+        assert log[log.offcore_demand_requests > 0] is log[log.total_cycles > 0] is log
+        cnt.write_derived_json(log[:10], tmp_path / "warm.json")
+        peak = peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json")
+        assert peak <= (18 * 8 + 24) * len(log) + 750 * TABLE_CHUNK + 65_536
 
     def test_csv_reader_holds_the_text(self, logs_50k):
         # the file as bytes and as text, its lines (a str object of ~57 B each
