@@ -169,7 +169,8 @@ def fit_least_squares(runs: Sequence[CalibrationRun], init: ModelParams) -> Mode
     if len({r.kind for r in runs}) < 2:
         raise InvariantViolation("least-squares refit needs runs spanning >= 2 kinds")
     X, y = _design(runs, init)
-    norms = np.linalg.norm(X, axis=0)
+    with np.errstate(over="ignore"):   # a column past sqrt(FLOAT_MAX) norms to inf: not dead either
+        norms = np.linalg.norm(X, axis=0)
     rank = np.linalg.matrix_rank(X)
     if rank < 4:
         dead = [name for name, nm in zip(_COLUMN_NAMES, norms) if nm < 1e-12]

@@ -370,26 +370,24 @@ def _exact(table: np.ndarray) -> np.ndarray:
 
 
 def _int64(rows: Sequence[Sequence]) -> np.ndarray | None:
-    """Rows of counts as an int64 table; None unless each is an int int64 holds."""
+    """Rows of counts as an int64 table, or None if any is not an int in int64's range."""
     if {*map(type, chain.from_iterable(rows))} <= {int}:
         with suppress(OverflowError):   # a count past int64
             return np.array(rows, np.int64).reshape(-1, len(COUNTER_FIELDS))
     return None
 
 
-def _log(rows: Sequence[Sequence], table: np.ndarray, source: str) -> CounterLog:
-    """The CounterLog of rows of exact values and their float64 table: its
-    ``counts`` are int64 if int64 holds every value, else the values themselves."""
+def _counts(rows: Sequence[Sequence]) -> np.ndarray:
+    """A CounterLog's ``counts`` for rows of exact values: int64 if int64 holds
+    every value, else an ``object`` table of the values themselves."""
     counts = _int64(rows)
-    if counts is None:
-        counts = np.array(rows, object).reshape(-1, len(COUNTER_FIELDS))
-    return CounterLog(counts, table, source)
+    return np.array(rows, object).reshape(-1, len(COUNTER_FIELDS)) if counts is None else counts
 
 
 def counter_log(snapshots: Sequence[CounterSnapshot]) -> CounterLog:
     """The snapshots as one CounterLog."""
     rows = list(map(attrgetter(*COUNTER_FIELDS), snapshots))
-    return _log(rows, np.array(rows, dtype=float).reshape(-1, len(COUNTER_FIELDS)), "snapshots")
+    return CounterLog(_counts(rows), np.array(rows, dtype=float).reshape(-1, len(COUNTER_FIELDS)), "snapshots")
 
 
 # The cells np.loadtxt reads as int() (int64) or float() (float64) reads them, with
@@ -465,9 +463,7 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
             rows[i] = table[i] = attrgetter(*COUNTER_FIELDS)(snapshot)
     if defect:
         raise defect
-    if counts is None:
-        return _log(rows, table, str(path))
-    return CounterLog(counts, table, str(path))
+    return CounterLog(_counts(rows) if counts is None else counts, table, str(path))
 
 
 def write_counter_log(log: CounterLog | Sequence[CounterSnapshot], path: str | Path,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,18 @@ class TestFitLeastSquares:
             seq = cal.fit_sequential(runs)
             refit = cal.fit_least_squares(runs, seq)
             assert cal.residual_sse(runs, refit) <= cal.residual_sse(runs, seq) + 1e-15
+
+    def test_huge_metric_column_raises_no_warning(self, clean_runs):
+        # a list traversal's l1_prefetch_l3_miss of 1e308 makes an m_cache whose
+        # square overflows: the fit ends in a result or a SupLabError, not a warning
+        i = next(i for i, r in enumerate(clean_runs) if r.kind == "list_traversal")
+        local = dataclasses.replace(clean_runs[i].pair.local, l1_prefetch_l3_miss=1e308)
+        runs = [*clean_runs[:i], dataclasses.replace(clean_runs[i], pair=dataclasses.replace(
+            clean_runs[i].pair, local=local)), *clean_runs[i + 1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankDeficient):
+                cal.fit_least_squares(runs, TRUTH)
 
     def test_rank_deficiency_reported(self, clean_runs):
         # pointer-chase plus store-bound runs only: the cache column is dead

@@ -1166,8 +1166,8 @@ class TestCounterMemory:
         assert peak_bytes(cnt.write_counter_log, log, tmp_path / "s.csv") <= 1_200 * TABLE_CHUNK + 65_536
 
     def test_derived_json_holds_its_columns_and_one_chunk(self, logs_50k, tmp_path):
-        # a copy of the selected rows' two tables, made when some row lacks
-        # reads or cycles (none of these does, but the text peaks after); 13 float columns
+        # two tables' worth (the kernels' copy of the selected rows, made when a
+        # row lacks reads or cycles); 13 float columns
         # (the latency, five fractions and the 7-wide value table); and per row
         # of a chunk, 7 floats as list and tuple slots and objects and ~330 B of text
         log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
