@@ -168,7 +168,7 @@ def _cmd_interleave(args, out: OutputDir) -> str:
     params = mdl.ModelParams.from_json(args.params)
     fit = il.InterleaveFit.from_json(args.fit)
     log = cnt.ingest_counter_log(args.input, format=args.format)
-    # forecast reads no device: the fit carries the platform
+    args.local = args.remote = None   # forecast reads no device: the fit carries the platform
     il.write_forecast_csv(il.forecast(log, None, None, params, fit, _row_labels(log)),
                           out / "forecast.csv")
     return f"forecast {len(log)} snapshots -> {out.root}"

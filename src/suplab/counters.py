@@ -4,11 +4,11 @@ A :class:`CounterSnapshot` is one measurement window's PMU counter vector,
 already delta'd (wraparound handling is out of scope).  A counter log reads
 as one :class:`CounterLog`, a checked table with a row per window: its exact
 counts as int64 (as Python values if int64 cannot hold them all), from the
-reader to the writers, which format a chunk of rows at a time, and as float64
-for the kernels.  The kernels (:func:`amortized_offcore_latency`,
-:func:`stall_fractions` and the model's metrics) are written once, for a
-snapshot's numbers and for a log's columns; :func:`by_row` gives them the
-rows float64 cannot hold exactly.
+reader to the writer, whose one loop formats CSV lines or JSON records a chunk
+of rows at a time, and as float64 for the kernels (:func:`amortized_offcore_latency`,
+:func:`stall_fractions`, the model's metrics), written once for a snapshot's
+numbers and a log's columns; :func:`by_row` gives them the rows float64 cannot
+hold exactly.  :func:`write_derived_json` formats their columns from one table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (FLOAT_MAX, LIMIT_OPS, TABLE_CHUNK, EmptyInput, InvariantViolation,
                      MalformedRecord, MissingColumn, Checked, NegativeValue, NoDemandReads,
-                     SupLabError, ZeroDenominator, dump_json, require_finite_values, write_table)
+                     SupLabError, ZeroDenominator, require_finite_values, write_table)
 
 # Each backend stall source and the counter that measures its stall cycles.
 STALL_COUNTERS = {
@@ -468,55 +468,57 @@ def ingest_counter_log(path: str | Path, format: str = "csv") -> CounterLog:
 
 def write_counter_log(log: CounterLog | Sequence[CounterSnapshot], path: str | Path,
                       format: str = "csv") -> None:
-    """Write a CounterLog, or snapshots, as a CSV or JSON counter log.  CSV rows
-    are formatted from ``counts`` a TABLE_CHUNK at a time, with one ``%d`` row
-    template and one ``%`` per chunk.  An ``object`` table's values are rounded
-    to ints (half to even), as the schema's counts are integers."""
+    """Write a CounterLog, or snapshots, as a CSV or JSON counter log: rows of
+    ``counts`` a TABLE_CHUNK at a time, each chunk through one ``%d`` row template
+    and one ``%``, as CSV lines or as JSON records in the layout of every JSON file
+    written.  An ``object`` table's values are rounded to ints (half to even), as
+    the schema's counts are integers."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format: {format!r}")
     if not isinstance(log, CounterLog):
         log = counter_log(log)
     ints = (lambda values: values) if log.counts.dtype == np.int64 else (lambda values: [*map(round, values)])
-    if format == "json":
-        dump_json(path, [dict(zip(COUNTER_FIELDS, ints(row))) for row in log.counts.tolist()])
-        return
-    width = len(COUNTER_FIELDS)
-    line = ",".join(["%d"] * width) + "\r\n"
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(COUNTER_FIELDS) + "\r\n")
+    if format == "csv":   # a header line, then the rows' CRLF lines
+        head, sep, end, columns = ",".join(COUNTER_FIELDS) + "\r\n", "", "", slice(None)
+        row = ",".join(["%d"] * len(COUNTER_FIELDS)) + "\r\n"
+    else:   # an array of records with sorted keys, in text-mode newlines as every JSON file
+        keys = sorted(COUNTER_FIELDS)
+        head, sep, end, columns = "[", ",", "\n]\n" if len(log) else "]\n", [*map(_COLUMNS.get, keys)]
+        row = "\n  {\n" + ",\n".join(f'    "{k}": %d' for k in keys) + "\n  }"
+    with Path(path).open("w", newline="" if format == "csv" else None) as fh:
+        fh.write(head)
         for lo in range(0, len(log), TABLE_CHUNK):
-            values = ints(log.counts[lo:lo + TABLE_CHUNK].ravel().tolist())
-            fh.write(line * (len(values) // width) % tuple(values))
-            del values   # before the next chunk's are made
+            chunk = log.counts[lo:lo + TABLE_CHUNK, columns]
+            fh.write(sep * (lo > 0))
+            fh.write(sep.join([row] * len(chunk)) % tuple(ints(chunk.ravel().tolist())))
+        fh.write(end)
 
 
 def write_derived_json(log: CounterLog, path: str | Path) -> None:
     """Per row its index, amortized offcore latency and stall fractions, ``null``
-    where undefined: :func:`dump_json`'s bytes, formatted a TABLE_CHUNK of rows
-    at a time, each chunk in one ``%``."""
+    where undefined, in the layout of every JSON file written: one value table,
+    formatted a TABLE_CHUNK of rows at a time, each chunk in one ``%``."""
     keys = sorted(STALL_SOURCES)
     reads, windows = log.offcore_demand_requests > 0, log.total_cycles > 0
     lats = amortized_offcore_latency(log[reads])
-    shares = stall_fractions(log[windows])
-    fracs = np.column_stack([shares[k] for k in keys])
+    fracs = np.column_stack(itemgetter(*keys)(stall_fractions(log[windows])))
     require_finite_values(path, "amortized_offcore_latency", lats)
     require_finite_values(path, "stall_fractions", fracs)
     values = np.empty((len(log), 7))   # per row: latency, row ("%d" prints it whole), fractions
-    values[reads, 0] = lats
-    values[:, 1] = np.arange(len(log))
-    values[windows, 2:] = fracs
-    present = np.column_stack([reads, np.ones_like(reads), *[windows] * len(keys)])
+    values[reads, 0], values[:, 1], values[windows, 2:] = lats, np.arange(len(log)), fracs
+    del lats, fracs   # the value table holds them now
     kinds = 2 * reads + windows
     lat = ("null", "%r")
     frac = ("null", "{\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }")
     templates = [f'  {{\n    "amortized_offcore_latency": {lat[r]},\n    "row": %d,\n'
                  f'    "stall_fractions": {frac[w]}\n  }}' for r in (0, 1) for w in (0, 1)]
+    present = np.array([[r, 1, *[w] * len(keys)] for r in (0, 1) for w in (0, 1)], bool)   # the values each takes
     with Path(path).open("w") as fh:
         start = "[\n"
         for lo in range(0, len(log), TABLE_CHUNK):
             rows = slice(lo, lo + TABLE_CHUNK)
             records = ",\n".join(map(templates.__getitem__, kinds[rows].tolist()))
-            fh.write(start + records % tuple(values[rows][present[rows]].tolist()))
+            fh.write(start + records % tuple(values[rows][present[kinds[rows]]].tolist()))
             start = ",\n"
         fh.write("\n]\n" if len(log) else "[]\n")
 

@@ -95,8 +95,9 @@ class TestManifest:
         assert list(manifest["args"]) == sorted(manifest["args"])
 
     def test_inputs_name_every_file_flag(self, tmp_path, counters_csv):
-        # inputs holds every file or preset a command was given, keyed by its
-        # argument's dest, defaults included, and nothing else
+        # inputs holds every file or preset a command reads, keyed by its
+        # argument's dest, defaults included, and nothing else: forecast reads
+        # no device, whether it is given one or not
         files = {name: str(tmp_path / name) for name in (
             "l.json", "r.json", "params.json", "fit.json", "runs.csv", "pairs.csv", "w.json",
             "log.csv", "t.csv", "t.json", "cfg.json")}
@@ -130,8 +131,10 @@ class TestManifest:
              {"workload": files["w.json"], "local": "local-emr", "remote": "cxl-b"}),
             (["interleave", "forecast", "--input", files["log.csv"], "--params",
               files["params.json"], "--fit", files["fit.json"], *device_flags],
-             {"input": files["log.csv"], "params": files["params.json"], "fit": files["fit.json"],
-              **devices}),
+             {"input": files["log.csv"], "params": files["params.json"], "fit": files["fit.json"]}),
+            (["interleave", "forecast", "--input", files["log.csv"], "--params",
+              files["params.json"], "--fit", files["fit.json"]],
+             {"input": files["log.csv"], "params": files["params.json"], "fit": files["fit.json"]}),
             (["tiersim", "--trace", files["t.csv"], "--trace-header", files["t.json"],
               "--policy-config", files["cfg.json"], *device_flags],
              {"trace": files["t.csv"], "trace_header": files["t.json"],
@@ -325,8 +328,9 @@ class TestPipelines:
                                "--out", str(tmp_path / "bad")]) == 0
         forecast = [(tmp_path / d / "forecast.csv").read_bytes() for d in ("defaults", "bad")]
         assert forecast[0] == forecast[1] and forecast[0].count(b"true") == 3
-        inputs = json.loads((tmp_path / "bad" / "manifest.json").read_text())["inputs"]
-        assert inputs["local"] == str(bad) and inputs["remote"] == str(tmp_path / "missing.json")
+        for d in ("defaults", "bad"):
+            inputs = json.loads((tmp_path / d / "manifest.json").read_text())["inputs"]
+            assert sorted(inputs) == ["fit", "input", "params"]
 
     def test_tiersim_subcommand(self, tmp_path):
         trace = ts.make_no_overlap_trace(seed=0)

@@ -1165,27 +1165,36 @@ class TestCounterMemory:
         cnt.write_counter_log(log[:10], tmp_path / "warm.csv")
         assert peak_bytes(cnt.write_counter_log, log, tmp_path / "s.csv") <= 1_200 * TABLE_CHUNK + 65_536
 
+    def test_json_counter_log_writer_holds_one_chunk(self, logs_50k, tmp_path):
+        # per row of a chunk: 18 counts as list and tuple slots and int objects
+        # (18 x 48 B), the record's text (~640 B) and its template (~530 B)
+        log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
+        cnt.write_counter_log(log[:10], tmp_path / "warm.json", "json")
+        assert peak_bytes(cnt.write_counter_log, log, tmp_path / "s.json", "json") <= 2_100 * TABLE_CHUNK + 65_536
+
+    @staticmethod
+    def derived_json_bound(rows: int) -> int:
+        """write_derived_json's peak on a log whose every row has reads and
+        cycles, so that its kernels run on the log itself.  The columns and the
+        text are never held together: while the value table fills, 14 float
+        columns (the latency, the five fractions, the 7-wide table and the row
+        numbers), the masks and a mask's indices; while it formats, the table,
+        the row kinds and the masks, and per row of a chunk its seven values as
+        tuple slots and objects, its template and its text (~750 B)."""
+        return max((14 * 8 + 10) * rows, (7 * 8 + 10) * rows + 760 * TABLE_CHUNK) + 65_536
+
     def test_derived_json_holds_its_columns_and_one_chunk(self, logs_50k, tmp_path):
-        # two tables' worth (the kernels' copy of the selected rows, made when a
-        # row lacks reads or cycles); 13 float columns
-        # (the latency, five fractions and the 7-wide value table); and per row
-        # of a chunk, 7 floats as list and tuple slots and objects and ~330 B of text
+        # at three chunks the chunk's text sets the peak
         log = cnt.ingest_counter_log(logs_50k / "log.csv")[:3 * TABLE_CHUNK]
         cnt.write_derived_json(log[:10], tmp_path / "warm.json")
-        tables = log.counts.nbytes + log.table.nbytes
-        peak = peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json")
-        assert peak <= tables + 13 * 8 * len(log) + 700 * TABLE_CHUNK + 65_536
+        assert peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json") <= self.derived_json_bound(len(log))
 
     def test_derived_json_copies_no_table(self, logs_50k, tmp_path):
-        # every row has reads and cycles, so the kernels run on the log itself;
-        # per row, 18 float columns (the latency, the five fractions as the
-        # kernel returns them and stacked, the 7-wide value table) and 24 B of
-        # masks and row kinds; per row of a chunk, its floats and text (~750 B)
+        # every row has reads and cycles, so the kernels run on the log itself
         log = cnt.ingest_counter_log(logs_50k / "log.csv")
         assert log[log.offcore_demand_requests > 0] is log[log.total_cycles > 0] is log
         cnt.write_derived_json(log[:10], tmp_path / "warm.json")
-        peak = peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json")
-        assert peak <= (18 * 8 + 24) * len(log) + 750 * TABLE_CHUNK + 65_536
+        assert peak_bytes(cnt.write_derived_json, log, tmp_path / "d.json") <= self.derived_json_bound(len(log))
 
     def test_csv_reader_holds_the_text(self, logs_50k):
         # the file as bytes and as text, its lines (a str object of ~57 B each
